@@ -203,17 +203,7 @@ def inner_norm(v, q: float) -> float:
         raise NonFiniteValue("vector contains non-finite entries")
     if q < 1.0:
         raise BadSpec(f"q must be >= 1, got {q}")
-    a = np.abs(v)
-    if math.isinf(q):
-        return float(a.max()) if a.size else 0.0
-    if q == 1.0:
-        return float(a.sum())
-    if q == 2.0:
-        return float(np.sqrt((a * a).sum()))
-    m = float(a.max()) if a.size else 0.0
-    if m == 0.0:
-        return 0.0
-    return m * float(((a / m) ** q).sum()) ** (1.0 / q)
+    return float(block_norms(v.reshape(1, -1), q)[0]) if v.size else 0.0
 
 
 def block_norms(blocks: np.ndarray, q: float) -> np.ndarray:
@@ -243,26 +233,24 @@ def inner_duality_map(v, q: float) -> np.ndarray:
         raise NotSmooth(f"duality map is set-valued for q={q}")
     if q < 1.0:
         raise BadSpec(f"q must be > 1, got {q}")
-    m = float(np.abs(v).max()) if v.size else 0.0
-    if m == 0.0:
+    if not np.any(v):
         raise ZeroVector("duality map undefined at 0")
-    u = v / m  # scale-invariant: F_{av} = sign(a) F_v
-    nu = inner_norm(u, q)
-    return np.sign(u) * np.abs(u) ** (q - 1.0) / nu ** (q - 1.0)
+    row = v.reshape(1, -1)
+    return _duality_rows(row, q, np.ones(1, dtype=bool), block_norms(row, q))[0]
 
 
 def _duality_rows(blocks: np.ndarray, q: float, active: np.ndarray,
-                  norms: np.ndarray | None = None) -> np.ndarray:
+                  norms: np.ndarray) -> np.ndarray:
     """Row-wise duality map; rows outside `active` come back zero.
 
-    norms may carry precomputed row l^q norms to avoid recomputation.
+    norms holds the rows' l^q norms, block_norms(blocks, q).
     """
     out = np.zeros_like(blocks)
     if active.any():
         sub = blocks[active]
         m = np.abs(sub).max(axis=1, keepdims=True)
         sub = sub / m
-        bn = block_norms(sub, q) if norms is None else norms[active] / m[:, 0]
+        bn = norms[active] / m[:, 0]
         out[active] = np.sign(sub) * np.abs(sub) ** (q - 1.0) / bn[:, None] ** (q - 1.0)
     return out
 
@@ -303,27 +291,44 @@ def zero_set(f: BochnerElement, tol: float | None = None, q: float = 2.0) -> fro
     return frozenset(int(i) for i in np.nonzero(b <= tol)[0])
 
 
+def duality_weights(blocks: np.ndarray, spec: SpaceSpec,
+                    zero_tol: float | None = None
+                    ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The blockwise duality map of f: (||f||, b, w, F).
+
+    b holds the block norms ||f_i||_q, w the row weights (b_i/||f||)^(p-1)
+    and F the norming functionals of the blocks above zero_tol (relative to
+    the largest block norm, default DEFAULT_ZERO_TOL), zero rows elsewhere.
+    The support functional of f is w[:, None] * F, and the semi-inner product
+    is [g, f] = ||f|| sum_i mu_i w_i F_i.g_i.  At f = 0 the norm is 0 and w, F
+    are zero.
+    """
+    b = block_norms(blocks, spec.q)
+    nf = _norm_from_block_norms(b, spec)
+    if nf == 0.0:
+        return 0.0, b, np.zeros_like(b), np.zeros_like(blocks)
+    cutoff = (DEFAULT_ZERO_TOL if zero_tol is None else zero_tol) * float(b.max())
+    F = _duality_rows(blocks, spec.q, b > cutoff, b)
+    return nf, b, (b / nf) ** (spec.p - 1.0), F
+
+
 def support_functional(f: BochnerElement, spec: SpaceSpec,
                        zero_tol: float | None = None) -> BlockFunctional:
     """Canonical norm-one functional T with T(f) = ||f||.
 
     Blockwise: the norming functional of each nonzero block, weighted by
-    (||f_i||_q / ||f||)^(p-1) when p > 1; zero on zero blocks.  The zero-block
-    entries of the dual ball's remaining freedom (p = 1 only) are fixed to 0
-    here; ortho.min_certificate_value optimizes over that freedom instead.
+    (||f_i||_q / ||f||)^(p-1) (1 when p = 1); zero on zero blocks.  The
+    zero-block entries of the dual ball's remaining freedom (p = 1 only) are
+    fixed to 0 here; ortho.min_certificate_value optimizes over that freedom
+    instead.
     """
     blocks = check_shape(f, spec)
     if not spec.smooth_inner:
         raise NotSmooth(f"support functional needs 1 < q < inf, got q={spec.q}")
-    nf = _norm_arr(blocks, spec)
+    nf, _, w, F = duality_weights(blocks, spec, zero_tol)
     if nf == 0.0:
         raise ZeroElement("support functional undefined at 0")
-    b = block_norms(blocks, spec.q)
-    cutoff = (DEFAULT_ZERO_TOL if zero_tol is None else zero_tol) * float(b.max())
-    F = _duality_rows(blocks, spec.q, b > cutoff)
-    if spec.p == 1.0:
-        return BlockFunctional(F)
-    return BlockFunctional(((b / nf) ** (spec.p - 1.0))[:, None] * F)
+    return BlockFunctional(w[:, None] * F)
 
 
 def apply_functional(T: BlockFunctional, g: BochnerElement, spec: SpaceSpec) -> float:

@@ -1,20 +1,17 @@
 """Experiment runner: parses configs, seeds per-trial RNG streams, dispatches
 to the core modules, and emits deterministic CSV reports.
 
-Per-trial generators are counter-based (Philox keyed on (seed, row index)),
-so results do not depend on execution order and BJLAB_THREADS may fan trials
-out across workers without changing a byte of output.
+Rows run in one serial loop.  Each row draws from its own counter-based
+generator (Philox keyed on (seed, row index)), so any row can be recomputed
+on its own and no row's output depends on the rows before it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -64,7 +61,6 @@ class ExperimentConfig:
     partition: AtomPartition | None = None
     factors: tuple[float, ...] | None = None
     tol: float = 1e-9
-    zero_tol: float = 1e-12
     out: str | None = None
 
     def __post_init__(self):
@@ -80,8 +76,6 @@ class ExperimentConfig:
                 raise ConfigError(f"epsilons: values must lie in [0, 1), got {e}")
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
             raise ConfigError(f"tol: must be positive and finite, got {self.tol}")
-        if self.zero_tol < 0.0:
-            raise ConfigError(f"zero_tol: must be >= 0, got {self.zero_tol}")
         if self.mode in _MODES_NEEDING_EPS and not self.epsilons:
             raise ConfigError(f"epsilons: required for mode {self.mode}")
         if self.partition is not None and self.partition.n != self.spec.n:
@@ -124,13 +118,13 @@ class ExperimentConfig:
 
 
 _CONFIG_KEYS = {"mode", "spec", "epsilons", "trials", "seed", "partition",
-                "factors", "tol", "zero_tol", "out"}
+                "factors", "tol", "out"}
 _SPEC_KEYS = {"p", "q", "n", "d", "weights"}
 
 
 def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
     """Parse a JSON config; rejects unknown keys and fills documented
-    defaults (tol=1e-9, zero_tol=1e-12)."""
+    defaults (tol=1e-9)."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -191,7 +185,6 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
         partition=partition,
         factors=tuple(data["factors"]) if data.get("factors") is not None else None,
         tol=float(data.get("tol", 1e-9)),
-        zero_tol=float(data.get("zero_tol", 1e-12)),
         out=data.get("out"),
     )
 
@@ -230,134 +223,90 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _execute(tasks: list[Callable[[], _Row]]) -> list[_Row]:
-    raw = os.environ.get("BJLAB_THREADS", "1") or "1"
-    try:
-        workers = max(1, int(raw))
-    except ValueError as exc:
-        raise ConfigError(f"BJLAB_THREADS: must be an integer, got {raw!r}") from exc
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda task: task(), tasks))
-    return [task() for task in tasks]
-
-
 def _check_outcome(res) -> str:
     if res.boundary:
         return "boundary"
     return "pass" if res.verdict else "fail"
 
 
-def _constructed_pair_task(cfg: ExperimentConfig, index: int, trial: int,
-                           eps: float | None):
-    """One row: draw an orthogonal pair and check it (exact or at eps)."""
+# A row function measures one row from its generator and returns the row's
+# columns after the shared (trial, seed, p, q, n, d) prefix, its outcome and
+# the margins that count towards max_abs_margin_pass.  operator is the
+# sweep's operator at eps; the other modes ignore it.
 
-    def task() -> _Row:
-        rng = trial_rng(cfg.seed, index)
-        x, y = draw_orthogonal_pair(cfg.spec, rng)
-        if eps is None:
-            res = is_bj_orthogonal(x, y, cfg.spec, cfg.tol)
-            shown_eps = 0.0
-        else:
-            res = is_approx_bj_orthogonal(x, y, eps, cfg.spec, cfg.tol)
-            shown_eps = eps
-        s = cfg.spec
-        values = (trial, f"{cfg.seed}:{index}", s.p, s.q, s.n, s.d, shown_eps,
-                  res.verdict, res.margin, "none", "", "", res.boundary)
-        return _Row(values, _check_outcome(res), (res.margin,))
-
-    return task
+def _ortho_row(cfg: ExperimentConfig, rng, eps, operator):
+    """Draw an orthogonal pair and check it (exactly when eps is None)."""
+    x, y = draw_orthogonal_pair(cfg.spec, rng)
+    if eps is None:
+        res = is_bj_orthogonal(x, y, cfg.spec, cfg.tol)
+    else:
+        res = is_approx_bj_orthogonal(x, y, eps, cfg.spec, cfg.tol)
+    shown_eps = 0.0 if eps is None else eps
+    return ((shown_eps, res.verdict, res.margin, "none", "", "", res.boundary),
+            _check_outcome(res), (res.margin,))
 
 
-def _run_check_ortho(cfg: ExperimentConfig):
-    tasks = [_constructed_pair_task(cfg, i, i, None) for i in range(cfg.trials)]
-    return TRIAL_COLUMNS, _execute(tasks)
-
-
-def _run_check_approx(cfg: ExperimentConfig):
-    tasks = []
-    for k, eps in enumerate(cfg.epsilons):
-        for i in range(cfg.trials):
-            tasks.append(_constructed_pair_task(cfg, k * cfg.trials + i, i, eps))
-    return TRIAL_COLUMNS, _execute(tasks)
-
-
-def _run_sip(cfg: ExperimentConfig):
+def _sip_row(cfg: ExperimentConfig, rng, eps, operator):
     """Random (not constructed) pairs: the direct check and the semi-inner
     product criterion must agree outside the cross-route band."""
-
-    def make_task(index: int, trial: int, eps: float):
-        def task() -> _Row:
-            rng = trial_rng(cfg.seed, index)
-            x = random_element(cfg.spec, rng)
-            y = random_element(cfg.spec, rng)
-            direct = is_approx_bj_orthogonal(x, y, eps, cfg.spec, cfg.tol)
-            crit = sip_orthogonality_criterion(x, y, eps, cfg.spec, cfg.tol)
-            if direct.boundary or crit.boundary or abs(crit.margin) < CROSS_ROUTE_BAND:
-                outcome = "boundary"
-            else:
-                outcome = "pass" if direct.verdict == crit.verdict else "fail"
-            s = cfg.spec
-            values = (trial, f"{cfg.seed}:{index}", s.p, s.q, s.n, s.d, eps,
-                      direct.verdict, direct.margin, "sip", crit.verdict,
-                      crit.margin, outcome == "boundary")
-            return _Row(values, outcome, (direct.margin, crit.margin))
-
-        return task
-
-    tasks = []
-    for k, eps in enumerate(cfg.epsilons):
-        for i in range(cfg.trials):
-            tasks.append(make_task(k * cfg.trials + i, i, eps))
-    return TRIAL_COLUMNS, _execute(tasks)
+    x = random_element(cfg.spec, rng)
+    y = random_element(cfg.spec, rng)
+    direct = is_approx_bj_orthogonal(x, y, eps, cfg.spec, cfg.tol)
+    crit = sip_orthogonality_criterion(x, y, eps, cfg.spec, cfg.tol)
+    if direct.boundary or crit.boundary or abs(crit.margin) < CROSS_ROUTE_BAND:
+        outcome = "boundary"
+    else:
+        outcome = "pass" if direct.verdict == crit.verdict else "fail"
+    return ((eps, direct.verdict, direct.margin, "sip", crit.verdict,
+             crit.margin, outcome == "boundary"),
+            outcome, (direct.margin, crit.margin))
 
 
-def _run_axioms(cfg: ExperimentConfig):
-    def make_task(index: int):
-        def task() -> _Row:
-            rng = trial_rng(cfg.seed, index)
-            f = random_element(cfg.spec, rng, min_norm=0.0)
-            g = random_element(cfg.spec, rng, min_norm=0.0)
-            h = random_element(cfg.spec, rng, min_norm=0.0)
-            a, b = rng.standard_normal(2)
-            rep = sip_axiom_report(f, g, h, a, b, cfg.spec)
-            ok = rep.passes(cfg.tol)
-            s = cfg.spec
-            values = (index, f"{cfg.seed}:{index}", s.p, s.q, s.n, s.d,
-                      float(a), float(b), rep.first_slot_linearity,
-                      rep.second_slot_homogeneity, rep.cauchy_schwarz,
-                      rep.norm_compatibility, rep.scale, ok)
-            return _Row(values, "pass" if ok else "fail",
-                        (rep.max_relative(),))
-
-        return task
-
-    return AXIOM_COLUMNS, _execute([make_task(i) for i in range(cfg.trials)])
+def _axiom_row(cfg: ExperimentConfig, rng, eps, operator):
+    f = random_element(cfg.spec, rng, min_norm=0.0)
+    g = random_element(cfg.spec, rng, min_norm=0.0)
+    h = random_element(cfg.spec, rng, min_norm=0.0)
+    a, b = rng.standard_normal(2)
+    rep = sip_axiom_report(f, g, h, a, b, cfg.spec)
+    ok = rep.passes(cfg.tol)
+    return ((float(a), float(b), rep.first_slot_linearity,
+             rep.second_slot_homogeneity, rep.cauchy_schwarz,
+             rep.norm_compatibility, rep.scale, ok),
+            "pass" if ok else "fail", (rep.max_relative(),))
 
 
-def _run_preserver_sweep(cfg: ExperimentConfig):
-    def make_task(index: int, trial: int, eps: float):
-        operator = cfg._operator(eps)
+def _sweep_row(cfg: ExperimentConfig, rng, eps, operator):
+    rec = preservation_trial(operator, eps, cfg.spec, rng, cfg.tol)
+    return ((eps, rec.direct.verdict, rec.direct.margin, rec.second_route,
+             rec.second.verdict, rec.second.margin, rec.outcome == "boundary"),
+            rec.outcome, (rec.direct.margin, rec.second.margin))
 
-        def task() -> _Row:
-            rng = trial_rng(cfg.seed, index)
-            rec = preservation_trial(operator, eps, cfg.spec, rng, cfg.tol,
-                                     trial=trial, seed=(cfg.seed, index))
-            s = cfg.spec
-            values = (trial, f"{cfg.seed}:{index}", s.p, s.q, s.n, s.d, eps,
-                      rec.direct.verdict, rec.direct.margin, rec.second_route,
-                      rec.second.verdict, rec.second.margin,
-                      rec.outcome == "boundary")
-            return _Row(values, rec.outcome,
-                        (rec.direct.margin, rec.second.margin))
 
-        return task
+_ROW_FUNCTIONS = {
+    "check-ortho": _ortho_row,
+    "check-approx": _ortho_row,
+    "sip": _sip_row,
+    "axioms": _axiom_row,
+    "preserver-sweep": _sweep_row,
+}
 
-    tasks = []
-    for k, eps in enumerate(cfg.epsilons):
-        for i in range(cfg.trials):
-            tasks.append(make_task(k * cfg.trials + i, i, eps))
-    return TRIAL_COLUMNS, _execute(tasks)
+
+def _trial_rows(cfg: ExperimentConfig) -> list[_Row]:
+    """Rows in order: cfg.trials per epsilon (one pass without epsilons for
+    check-ortho and axioms), row k*trials + i seeded by (seed, that index)."""
+    row_function = _ROW_FUNCTIONS[cfg.mode]
+    epsilons = cfg.epsilons if cfg.mode in _MODES_NEEDING_EPS else (None,)
+    s = cfg.spec
+    rows = []
+    for k, eps in enumerate(epsilons):
+        operator = cfg._operator(eps) if cfg.mode == "preserver-sweep" else None
+        for trial in range(cfg.trials):
+            index = k * cfg.trials + trial
+            values, outcome, margins = row_function(
+                cfg, trial_rng(cfg.seed, index), eps, operator)
+            rows.append(_Row((trial, f"{cfg.seed}:{index}", s.p, s.q, s.n, s.d)
+                             + values, outcome, margins))
+    return rows
 
 
 def _run_isometry_test(cfg: ExperimentConfig):
@@ -372,16 +321,6 @@ def _run_isometry_test(cfg: ExperimentConfig):
     return ISOMETRY_COLUMNS, [row]
 
 
-_RUNNERS = {
-    "check-ortho": _run_check_ortho,
-    "check-approx": _run_check_approx,
-    "sip": _run_sip,
-    "axioms": _run_axioms,
-    "preserver-sweep": _run_preserver_sweep,
-    "isometry-test": _run_isometry_test,
-}
-
-
 def run(config: ExperimentConfig, echo: bool = True) -> RunReport:
     """Execute a configured experiment.
 
@@ -390,7 +329,11 @@ def run(config: ExperimentConfig, echo: bool = True) -> RunReport:
     printed to stdout as a single JSON object unless echo is False.
     """
     start = time.perf_counter()
-    columns, row_data = _RUNNERS[config.mode](config)
+    if config.mode == "isometry-test":
+        columns, row_data = _run_isometry_test(config)
+    else:
+        columns = AXIOM_COLUMNS if config.mode == "axioms" else TRIAL_COLUMNS
+        row_data = _trial_rows(config)
     rows = [r.values for r in row_data]
     counts = {"pass": 0, "fail": 0, "boundary": 0}
     max_pass_margin = 0.0

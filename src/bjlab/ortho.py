@@ -1,8 +1,11 @@
 """Exact and approximate Birkhoff-James orthogonality checks.
 
-Three independent routes: convex scalar minimization of the defining
-inequality, norm-one functional certificates, and (for p = 1) the closed-form
-minimum over the support-functional set's zero-block freedom.
+Two routes: convex scalar minimization of the defining inequality, and
+norm-one support-functional certificates built on the duality kernel
+(blockspace.duality_weights), with the closed-form minimum over the zero-block
+freedom when p = 1.  For p > 1 the certificate value equals the
+semi-inner-product value |[y, x]|/||x||, so only the minimization is an
+independent route.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import numpy as np
 from .blockspace import (
     BOUNDARY_BAND,
     DEFAULT_TOL,
-    DEFAULT_ZERO_TOL,
     ONE_SIDED_NOISE_FLOOR,
     BlockFunctional,
     BochnerElement,
@@ -26,9 +28,8 @@ from .blockspace import (
     apply_functional,
     block_norms,
     check_shape,
-    inner_duality_map,
+    duality_weights,
     support_functional,
-    zero_set,
 )
 from .errors import BadSpec, NonFiniteValue, NotSmooth, ZeroElement
 
@@ -177,6 +178,32 @@ def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
     return _one_sided_result(margin, tol, alpha)
 
 
+def _certificate(x: BochnerElement, y: BochnerElement, spec: SpaceSpec,
+                 zero_tol: float | None = None) -> tuple[float, np.ndarray]:
+    """(min_certificate_value, blocks of a T attaining it).  At p = 1 the
+    zero blocks of x take, in order, clamped multiples of -sign(S) F_{y_i}
+    until they have cancelled as much of S as they can."""
+    xb = check_shape(x, spec)
+    yb = check_shape(y, spec)
+    if not spec.smooth_inner:
+        raise NotSmooth(f"certificates need 1 < q < inf, got q={spec.q}")
+    nx, _, w, F = duality_weights(xb, spec, zero_tol)
+    if nx == 0.0:
+        raise ZeroElement("no support functional at 0")
+    T = w[:, None] * F
+    s = float(spec.mu @ np.einsum("ij,ij->i", T, yb))
+    free = ~F.any(axis=1)  # the zero blocks of x
+    if spec.p > 1.0 or not free.any():
+        return abs(s), T
+    by = block_norms(yb, spec.q)
+    c = (spec.mu * by)[free]  # reach of each free block
+    taken = np.clip(abs(s) - (np.cumsum(c) - c), 0.0, c)
+    t = np.divide(taken, c, out=np.zeros_like(c), where=c > 0.0)
+    Fy = _duality_rows(yb[free], spec.q, c > 0.0, by[free])
+    T[free] = -np.sign(s) * t[:, None] * Fy
+    return max(0.0, abs(s) - float(c.sum())), T
+
+
 def min_certificate_value(x: BochnerElement, y: BochnerElement,
                           spec: SpaceSpec, zero_tol: float | None = None) -> float:
     """min over norm-one T with T(x) = ||x|| of |T(y)|.
@@ -185,49 +212,9 @@ def min_certificate_value(x: BochnerElement, y: BochnerElement,
     T(y) sweeps an interval of half-width sum_{i in Z(x)} mu_i ||y_i||_q
     around S = sum_{i not in Z(x)} mu_i F_{x_i}.y_i; the minimum modulus is
     max(0, |S| - half-width).  p > 1: the space is smooth, the support
-    functional is unique, and the value is |T_x(y)|.
+    functional is unique, and the value is |T_x(y)| = |[y, x]|/||x||.
     """
-    xb = check_shape(x, spec)
-    yb = check_shape(y, spec)
-    if not spec.smooth_inner:
-        raise NotSmooth(f"certificates need 1 < q < inf, got q={spec.q}")
-    if _norm_arr(xb, spec) == 0.0:
-        raise ZeroElement("no support functional at 0")
-    if spec.p > 1.0:
-        T = support_functional(x, spec, zero_tol=zero_tol)
-        return abs(apply_functional(T, y, spec))
-    bx = block_norms(xb, spec.q)
-    cutoff = (DEFAULT_ZERO_TOL if zero_tol is None else zero_tol) * float(bx.max())
-    active = bx > cutoff
-    F = _duality_rows(xb, spec.q, active)
-    mu = spec.mu
-    s = float(mu @ np.einsum("ij,ij->i", F, yb))
-    slack = float((mu * block_norms(yb, spec.q))[~active].sum())
-    return max(0.0, abs(s) - slack)
-
-
-def _l1_optimal_certificate(x: BochnerElement, y: BochnerElement,
-                            spec: SpaceSpec) -> BlockFunctional:
-    """A support functional of x attaining min |T(y)| (p = 1 only): zero
-    blocks carry clamped multiples of y's norming functionals."""
-    xb = x.blocks
-    yb = y.blocks
-    zero = zero_set(x, q=spec.q)
-    mu = spec.mu
-    ny = block_norms(yb, spec.q)
-    s = sum(mu[i] * float(inner_duality_map(xb[i], spec.q) @ yb[i])
-            for i in range(spec.n) if i not in zero)
-    out = np.zeros_like(xb)
-    remaining = abs(s)
-    sign = 1.0 if s >= 0.0 else -1.0
-    for i in range(spec.n):
-        if i not in zero:
-            out[i] = inner_duality_map(xb[i], spec.q)
-        elif ny[i] > 0.0 and remaining > 0.0:
-            t = min(1.0, remaining / (mu[i] * ny[i]))
-            out[i] = -sign * t * inner_duality_map(yb[i], spec.q)
-            remaining -= t * mu[i] * ny[i]
-    return BlockFunctional(out)
+    return _certificate(x, y, spec, zero_tol)[0]
 
 
 def certificate_check(x: BochnerElement, y: BochnerElement, eps,
@@ -239,12 +226,9 @@ def certificate_check(x: BochnerElement, y: BochnerElement, eps,
     T attaining the minimum.
     """
     eps = epsilon_value(eps)
-    mcv = min_certificate_value(x, y, spec)
+    mcv, T = _certificate(x, y, spec)
+    cert = BlockFunctional(T)
     ny = _norm_arr(check_shape(y, spec), spec)
-    if spec.p == 1.0:
-        cert = _l1_optimal_certificate(x, y, spec)
-    else:
-        cert = support_functional(x, spec)
     if ny == 0.0:
         return CheckResult(verdict=True, margin=0.0, certificate=cert)
     margin = (eps * ny - mcv) / ny

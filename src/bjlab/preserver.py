@@ -78,20 +78,12 @@ class ScalingOperator:
 def u_eps_l1(eps, spec: SpaceSpec) -> ScalingOperator:
     """Sequence-space operator: shrink the first coordinate block by 1 - eps.
 
-    Requires the unweighted p = 1 space (all atom masses 1) with n >= 2.
+    u_eps_L1 on the partition {0}, restricted to the unweighted p = 1 space
+    (all atom masses 1) with n >= 2.
     """
-    eps = epsilon_value(eps)
-    if not 0.0 < eps < 1.0:
-        raise BadSpec(f"epsilon must lie in (0, 1), got {eps}")
-    if spec.p != 1.0:
-        raise BadSpec(f"sequence-space operator needs p = 1, got p={spec.p}")
     if any(w != 1.0 for w in spec.weights):
         raise BadSpec("sequence-space operator needs unit atom masses")
-    if spec.n < 2:
-        raise BadSpec("need at least two atoms")
-    factors = np.ones(spec.n)
-    factors[0] = 1.0 - eps
-    return ScalingOperator(factors)
+    return u_eps_L1(eps, AtomPartition((0,), spec.n), spec)
 
 
 def u_eps_L1(eps, part: AtomPartition, spec: SpaceSpec) -> ScalingOperator:

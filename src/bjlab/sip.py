@@ -15,15 +15,13 @@ import numpy as np
 
 from .blockspace import (
     DEFAULT_TOL,
-    DEFAULT_ZERO_TOL,
     BochnerElement,
     CheckResult,
     SpaceSpec,
-    _duality_rows,
     _norm_arr,
-    _norm_from_block_norms,
-    block_norms,
+    _norm_from_block_norms,  # noqa: F401  perfbench/spans.py wraps norms here too
     check_shape,
+    duality_weights,
 )
 from .errors import NotSmooth, UnsupportedExponent, ZeroElement
 from .ortho import _two_sided_result, epsilon_value
@@ -48,23 +46,17 @@ def semi_inner_product(f: BochnerElement, g: BochnerElement,
     _require_smooth_lp(spec)
     fb = check_shape(f, spec)
     gb = check_shape(g, spec)
-    ng, W = _second_slot_weights(gb, spec)
+    ng, W = _sip_weights(gb, spec)
     if ng <= zero_tol:
         return 0.0
     return float(np.einsum("ij,ij->", W, fb))
 
 
-def _second_slot_weights(gb: np.ndarray, spec: SpaceSpec
-                         ) -> tuple[float, np.ndarray]:
-    """(||g||, W) with [f, g] = sum_ij W_ij f_ij; W folds the atom masses,
-    the blockwise norm weights and the duality rows of g."""
-    bg = block_norms(gb, spec.q)
-    ng = _norm_from_block_norms(bg, spec)
-    if ng == 0.0:
-        return 0.0, np.zeros_like(gb)
-    active = bg > DEFAULT_ZERO_TOL * float(bg.max())
-    F = _duality_rows(gb, spec.q, active, norms=bg)
-    return ng, (ng * spec.mu * (bg / ng) ** (spec.p - 1.0))[:, None] * F
+def _sip_weights(gb: np.ndarray, spec: SpaceSpec) -> tuple[float, np.ndarray]:
+    """(||g||, W) with [f, g] = sum_ij W_ij f_ij: the duality kernel's rows
+    of g scaled by ||g|| mu_i (||g_i||/||g||)^(p-1)."""
+    ng, _, w, F = duality_weights(gb, spec)
+    return ng, (ng * spec.mu * w)[:, None] * F
 
 
 @dataclass(frozen=True)
@@ -96,10 +88,10 @@ def sip_axiom_report(f: BochnerElement, g: BochnerElement, h: BochnerElement,
     fb = check_shape(f, spec)
     gb = check_shape(g, spec)
     hb = check_shape(h, spec)
-    nf, w_f = _second_slot_weights(fb, spec)
-    ng, w_g = _second_slot_weights(gb, spec)
-    nh, w_h = _second_slot_weights(hb, spec)
-    _, w_ag = _second_slot_weights(a * gb, spec)
+    nf, w_f = _sip_weights(fb, spec)
+    ng, w_g = _sip_weights(gb, spec)
+    nh, w_h = _sip_weights(hb, spec)
+    _, w_ag = _sip_weights(a * gb, spec)
     scale = (1.0 + nf) * (1.0 + ng) * (1.0 + nh) * (1.0 + abs(a) + abs(b)) ** 2
 
     def pair(w, blocks):
@@ -123,12 +115,13 @@ def sip_orthogonality_criterion(x: BochnerElement, y: BochnerElement, eps,
     """
     eps = epsilon_value(eps)
     _require_smooth_lp(spec)
-    nx = _norm_arr(check_shape(x, spec), spec)
+    nx, W = _sip_weights(check_shape(x, spec), spec)
     if nx == 0.0:
         raise ZeroElement("orthogonality from the zero element is degenerate")
-    ny = _norm_arr(check_shape(y, spec), spec)
+    yb = check_shape(y, spec)
+    ny = _norm_arr(yb, spec)
     if ny == 0.0:
         return CheckResult(verdict=True, margin=0.0)
-    value = abs(semi_inner_product(y, x, spec))
+    value = abs(float(np.einsum("ij,ij->", W, yb)))  # |[y, x]|
     margin = (eps * nx * ny - value) / (nx * ny)
     return _two_sided_result(margin, tol)

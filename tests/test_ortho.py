@@ -211,19 +211,22 @@ def test_certificate_check_examples():
 def test_certificate_field_attains_minimum(p):
     rng = rng_for("cert_field", int(p))
     spec = SpaceSpec(p, 2, 3, 2, (1.0, 0.5, 2.0))
-    for _ in range(25):
-        x = rng.standard_normal((3, 2))
-        if p == 1.0:
-            x[2] = 0.0  # exercise the clamped zero-block optimizer
-        xe = BochnerElement(x)
-        y = BochnerElement(rng.standard_normal((3, 2)))
-        res = certificate_check(xe, y, 0.2, spec)
-        T = res.certificate
-        assert functional_norm(T, spec) == pytest.approx(1.0, rel=1e-9)
-        assert apply_functional(T, xe, spec) == pytest.approx(
-            bochner_norm(xe, spec), rel=1e-9)
-        assert abs(apply_functional(T, y, spec)) == pytest.approx(
-            min_certificate_value(xe, y, spec), abs=1e-9)
+    # p = 1 exercises the clamped zero-block fill, over one zero block of x
+    # and then over two, where it can stop part-way through either block
+    zero_blocks = ([2], [0, 2]) if p == 1.0 else ([],)
+    for zeros in zero_blocks:
+        for _ in range(25):
+            x = rng.standard_normal((3, 2))
+            x[zeros] = 0.0
+            xe = BochnerElement(x)
+            y = BochnerElement(rng.standard_normal((3, 2)))
+            res = certificate_check(xe, y, 0.2, spec)
+            T = res.certificate
+            assert functional_norm(T, spec) == pytest.approx(1.0, rel=1e-9)
+            assert apply_functional(T, xe, spec) == pytest.approx(
+                bochner_norm(xe, spec), rel=1e-9)
+            assert abs(apply_functional(T, y, spec)) == pytest.approx(
+                min_certificate_value(xe, y, spec), abs=1e-9)
 
 
 def test_make_orthogonal_partner_examples():

@@ -12,6 +12,7 @@ from bjlab import (
     bochner_norm,
     draw_orthogonal_pair,
     is_approx_bj_orthogonal,
+    min_certificate_value,
     random_element,
     semi_inner_product,
     sip_axiom_report,
@@ -146,6 +147,24 @@ def test_criterion_consistent_with_direct_route(p, q):
         compared += 1
         assert direct.verdict == crit.verdict, (eps, direct, crit)
     assert compared > 400
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+def test_certificate_value_is_sip_value(p, q):
+    # for p > 1 the unique support functional T_x satisfies
+    # [y, x] = ||x|| T_x(y), so the certificate and semi-inner-product routes
+    # are one computation; both sums cancel when the value is small, so the
+    # error is bounded relative to ||y||, the scale of both routes' margins
+    rng = rng_for("cert_is_sip", int(p * 10 + q))
+    for n, d in ((1, 1), (3, 2), (5, 3)):
+        spec = SpaceSpec(p, q, n, d, tuple(rng.uniform(0.2, 3.0, n)))
+        for _ in range(50):
+            x = random_element(spec, rng)
+            y = random_element(spec, rng)
+            value = abs(semi_inner_product(y, x, spec)) / bochner_norm(x, spec)
+            assert abs(min_certificate_value(x, y, spec) - value) <= (
+                2e-14 * bochner_norm(y, spec))
 
 
 def test_criterion_zero_cases():

@@ -255,16 +255,21 @@ def _duality_rows(blocks: np.ndarray, q: float, active: np.ndarray,
     return out
 
 
-def _norm_from_block_norms(b: np.ndarray, spec: SpaceSpec) -> float:
-    mu = spec.mu
-    if spec.p == 1.0:
+def _weighted_lp(b: np.ndarray, mu: np.ndarray, p: float) -> float:
+    """(sum_i mu_i b_i^p)^(1/p) of nonnegative b, scaled by max(b) to avoid
+    overflow; max(b) at p = inf."""
+    if p == 1.0:
         return float(mu @ b)
-    if spec.p == 2.0:
+    if p == 2.0:
         return float(np.sqrt(mu @ (b * b)))
     m = float(b.max())
-    if m == 0.0:
-        return 0.0
-    return m * float(mu @ (b / m) ** spec.p) ** (1.0 / spec.p)
+    if m == 0.0 or math.isinf(p):
+        return m
+    return m * float(mu @ (b / m) ** p) ** (1.0 / p)
+
+
+def _norm_from_block_norms(b: np.ndarray, spec: SpaceSpec) -> float:
+    return _weighted_lp(b, spec.mu, spec.p)
 
 
 def _norm_arr(blocks: np.ndarray, spec: SpaceSpec) -> float:
@@ -291,29 +296,37 @@ def zero_set(f: BochnerElement, tol: float | None = None, q: float = 2.0) -> fro
     return frozenset(int(i) for i in np.nonzero(b <= tol)[0])
 
 
-def duality_weights(blocks: np.ndarray, spec: SpaceSpec,
-                    zero_tol: float | None = None
+def duality_weights(blocks: np.ndarray, spec: SpaceSpec
                     ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """The blockwise duality map of f: (||f||, b, w, F).
 
     b holds the block norms ||f_i||_q, w the row weights (b_i/||f||)^(p-1)
-    and F the norming functionals of the blocks above zero_tol (relative to
-    the largest block norm, default DEFAULT_ZERO_TOL), zero rows elsewhere.
-    The support functional of f is w[:, None] * F, and the semi-inner product
-    is [g, f] = ||f|| sum_i mu_i w_i F_i.g_i.  At f = 0 the norm is 0 and w, F
+    and F the norming functionals of the blocks above DEFAULT_ZERO_TOL
+    (relative to the largest block norm), zero rows elsewhere.  The support
+    functional of f is w[:, None] * F, and the semi-inner product is
+    [g, f] = ||f|| sum_i mu_i w_i F_i.g_i.  At f = 0 the norm is 0 and w, F
     are zero.
     """
     b = block_norms(blocks, spec.q)
     nf = _norm_from_block_norms(b, spec)
     if nf == 0.0:
         return 0.0, b, np.zeros_like(b), np.zeros_like(blocks)
-    cutoff = (DEFAULT_ZERO_TOL if zero_tol is None else zero_tol) * float(b.max())
-    F = _duality_rows(blocks, spec.q, b > cutoff, b)
+    F = _duality_rows(blocks, spec.q, b > DEFAULT_ZERO_TOL * float(b.max()), b)
     return nf, b, (b / nf) ** (spec.p - 1.0), F
 
 
-def support_functional(f: BochnerElement, spec: SpaceSpec,
-                       zero_tol: float | None = None) -> BlockFunctional:
+def _support_rows(blocks: np.ndarray, spec: SpaceSpec) -> tuple[float, np.ndarray]:
+    """(||f||, blocks of the support functional of f); raises NotSmooth
+    unless 1 < q < inf and ZeroElement at f = 0."""
+    if not spec.smooth_inner:
+        raise NotSmooth(f"support functionals need 1 < q < inf, got q={spec.q}")
+    nf, _, w, F = duality_weights(blocks, spec)
+    if nf == 0.0:
+        raise ZeroElement("support functional undefined at 0")
+    return nf, w[:, None] * F
+
+
+def support_functional(f: BochnerElement, spec: SpaceSpec) -> BlockFunctional:
     """Canonical norm-one functional T with T(f) = ||f||.
 
     Blockwise: the norming functional of each nonzero block, weighted by
@@ -322,34 +335,30 @@ def support_functional(f: BochnerElement, spec: SpaceSpec,
     fixed to 0 here; ortho.min_certificate_value optimizes over that freedom
     instead.
     """
-    blocks = check_shape(f, spec)
-    if not spec.smooth_inner:
-        raise NotSmooth(f"support functional needs 1 < q < inf, got q={spec.q}")
-    nf, _, w, F = duality_weights(blocks, spec, zero_tol)
-    if nf == 0.0:
-        raise ZeroElement("support functional undefined at 0")
-    return BlockFunctional(w[:, None] * F)
+    return BlockFunctional(_support_rows(check_shape(f, spec), spec)[1])
+
+
+def _pairing(tb: np.ndarray, gb: np.ndarray, spec: SpaceSpec) -> float:
+    """sum_i mu_i T_i.g_i on raw block arrays."""
+    return float(spec.mu @ np.einsum("ij,ij->i", tb, gb))
 
 
 def apply_functional(T: BlockFunctional, g: BochnerElement, spec: SpaceSpec) -> float:
     """Dual pairing sum_i mu_i T_i.g_i."""
-    tb = check_shape(T, spec, "functional")
-    gb = check_shape(g, spec)
-    return float(spec.mu @ np.einsum("ij,ij->i", tb, gb))
+    return _pairing(check_shape(T, spec, "functional"), check_shape(g, spec), spec)
 
 
 def functional_norm(T: BlockFunctional, spec: SpaceSpec) -> float:
-    """Operator norm of a block functional.
-
-    p = 1: max_i ||T_i||_{q*} (dual of L^1 is L^inf).  p > 1: the weighted
-    l^{p*} aggregate of block dual norms, the discrete L^{p*} duality.
-    """
+    """Operator norm of a block functional: the weighted l^{p*} aggregate of
+    the block dual norms ||T_i||_{q*}, the discrete L^{p*} duality (the max
+    at p = 1, since the dual of L^1 is L^inf)."""
     tb = check_shape(T, spec, "functional")
-    bd = block_norms(tb, spec.dual_q)
-    if spec.p == 1.0:
-        return float(bd.max())
-    pstar = spec.dual_p
-    m = float(bd.max())
-    if m == 0.0:
-        return 0.0
-    return m * float(spec.mu @ (bd / m) ** pstar) ** (1.0 / pstar)
+    return _weighted_lp(block_norms(tb, spec.dual_q), spec.mu, spec.dual_p)
+
+
+def outcome(*results: CheckResult) -> str:
+    """A row's outcome over its check results: boundary when any is flagged
+    boundary, else pass when every verdict holds, else fail."""
+    if any(r.boundary for r in results):
+        return "boundary"
+    return "pass" if all(r.verdict for r in results) else "fail"

@@ -3,9 +3,10 @@
 Two routes: convex scalar minimization of the defining inequality, and
 norm-one support-functional certificates built on the duality kernel
 (blockspace.duality_weights), with the closed-form minimum over the zero-block
-freedom when p = 1.  For p > 1 the certificate value equals the
-semi-inner-product value |[y, x]|/||x||, so only the minimization is an
-independent route.
+freedom when p = 1.  For p > 1 the certificate value is the
+semi-inner-product value |[y, x]|/||x||, so certificate_check is also the
+semi-inner-product criterion (sip.sip_orthogonality_criterion calls it) and
+only the minimization is an independent route.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from .blockspace import (
     SpaceSpec,
     _duality_rows,
     _norm_arr,
-    apply_functional,
+    _pairing,
+    _support_rows,
     block_norms,
     check_shape,
-    duality_weights,
-    support_functional,
 )
-from .errors import BadSpec, NonFiniteValue, NotSmooth, ZeroElement
+from .errors import BadSpec, NonFiniteValue, ZeroElement
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -105,23 +105,25 @@ def minimize_convex_1d(phi, radius: float, tol: float = 1e-12,
     return best_a, best_v
 
 
-def _one_sided_result(margin: float, tol: float, alpha_star: float,
-                      certificate: BlockFunctional | None = None) -> CheckResult:
+def _one_sided_result(margin: float, tol: float, alpha_star: float) -> CheckResult:
     # Minimization margins are <= 0 up to rounding (the objective vanishes at
     # alpha = 0), so only the uncertain-fail zone below the noise floor is a
     # boundary case.
-    verdict = margin >= -tol
     boundary = -BOUNDARY_BAND * tol < margin < -ONE_SIDED_NOISE_FLOOR
-    return CheckResult(verdict=verdict, margin=margin, alpha_star=alpha_star,
-                       certificate=certificate, boundary=boundary)
+    return CheckResult(verdict=margin >= -tol, margin=margin,
+                       alpha_star=alpha_star, boundary=boundary)
 
 
-def _two_sided_result(margin: float, tol: float,
-                      certificate: BlockFunctional | None = None) -> CheckResult:
-    verdict = margin >= -tol
-    boundary = abs(margin) < BOUNDARY_BAND * tol
-    return CheckResult(verdict=verdict, margin=margin, alpha_star=None,
-                       certificate=certificate, boundary=boundary)
+def _operands(x: BochnerElement, y: BochnerElement, spec: SpaceSpec
+              ) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(x blocks, y blocks, ||x||, ||y||) after checking both shapes; raises
+    ZeroElement at x = 0."""
+    xb = check_shape(x, spec)
+    yb = check_shape(y, spec)
+    nx = _norm_arr(xb, spec)
+    if nx == 0.0:
+        raise ZeroElement("orthogonality from the zero element is degenerate")
+    return xb, yb, nx, _norm_arr(yb, spec)
 
 
 def is_bj_orthogonal(x: BochnerElement, y: BochnerElement, spec: SpaceSpec,
@@ -133,12 +135,7 @@ def is_bj_orthogonal(x: BochnerElement, y: BochnerElement, spec: SpaceSpec,
     absorb rounding).  margin = (min - ||x||)/||x||, always <= 0 since a = 0
     attains ||x||.
     """
-    xb = check_shape(x, spec)
-    yb = check_shape(y, spec)
-    nx = _norm_arr(xb, spec)
-    if nx == 0.0:
-        raise ZeroElement("orthogonality from the zero element is degenerate")
-    ny = _norm_arr(yb, spec)
+    xb, yb, nx, ny = _operands(x, y, spec)
     if ny == 0.0:
         return CheckResult(verdict=True, margin=0.0, alpha_star=0.0)
     radius = 4.0 * nx / ny
@@ -157,12 +154,7 @@ def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
     ||x + a y|| < ||x||, hence |a| < 2||x||/||y||).  margin = min psi /||x||^2.
     """
     eps = epsilon_value(eps)
-    xb = check_shape(x, spec)
-    yb = check_shape(y, spec)
-    nx = _norm_arr(xb, spec)
-    if nx == 0.0:
-        raise ZeroElement("orthogonality from the zero element is degenerate")
-    ny = _norm_arr(yb, spec)
+    xb, yb, nx, ny = _operands(x, y, spec)
     if ny == 0.0:
         return CheckResult(verdict=True, margin=0.0, alpha_star=0.0)
     kink = 2.0 * eps * nx * ny
@@ -178,21 +170,16 @@ def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
     return _one_sided_result(margin, tol, alpha)
 
 
-def _certificate(x: BochnerElement, y: BochnerElement, spec: SpaceSpec,
-                 zero_tol: float | None = None) -> tuple[float, np.ndarray]:
+def _certificate(x: BochnerElement, y: BochnerElement,
+                 spec: SpaceSpec) -> tuple[float, np.ndarray]:
     """(min_certificate_value, blocks of a T attaining it).  At p = 1 the
     zero blocks of x take, in order, clamped multiples of -sign(S) F_{y_i}
     until they have cancelled as much of S as they can."""
     xb = check_shape(x, spec)
     yb = check_shape(y, spec)
-    if not spec.smooth_inner:
-        raise NotSmooth(f"certificates need 1 < q < inf, got q={spec.q}")
-    nx, _, w, F = duality_weights(xb, spec, zero_tol)
-    if nx == 0.0:
-        raise ZeroElement("no support functional at 0")
-    T = w[:, None] * F
-    s = float(spec.mu @ np.einsum("ij,ij->i", T, yb))
-    free = ~F.any(axis=1)  # the zero blocks of x
+    _, T = _support_rows(xb, spec)
+    s = _pairing(T, yb, spec)
+    free = ~T.any(axis=1)  # the zero blocks of x (at p = 1 every weight is 1)
     if spec.p > 1.0 or not free.any():
         return abs(s), T
     by = block_norms(yb, spec.q)
@@ -205,7 +192,7 @@ def _certificate(x: BochnerElement, y: BochnerElement, spec: SpaceSpec,
 
 
 def min_certificate_value(x: BochnerElement, y: BochnerElement,
-                          spec: SpaceSpec, zero_tol: float | None = None) -> float:
+                          spec: SpaceSpec) -> float:
     """min over norm-one T with T(x) = ||x|| of |T(y)|.
 
     p = 1: on zero blocks of x the dual block is free in the unit ball, so
@@ -214,7 +201,7 @@ def min_certificate_value(x: BochnerElement, y: BochnerElement,
     max(0, |S| - half-width).  p > 1: the space is smooth, the support
     functional is unique, and the value is |T_x(y)| = |[y, x]|/||x||.
     """
-    return _certificate(x, y, spec, zero_tol)[0]
+    return _certificate(x, y, spec)[0]
 
 
 def certificate_check(x: BochnerElement, y: BochnerElement, eps,
@@ -232,7 +219,8 @@ def certificate_check(x: BochnerElement, y: BochnerElement, eps,
     if ny == 0.0:
         return CheckResult(verdict=True, margin=0.0, certificate=cert)
     margin = (eps * ny - mcv) / ny
-    return _two_sided_result(margin, tol, certificate=cert)
+    return CheckResult(verdict=margin >= -tol, margin=margin, certificate=cert,
+                       boundary=abs(margin) < BOUNDARY_BAND * tol)
 
 
 def make_orthogonal_partner(x: BochnerElement, z: BochnerElement,
@@ -244,9 +232,5 @@ def make_orthogonal_partner(x: BochnerElement, z: BochnerElement,
     """
     xb = check_shape(x, spec)
     zb = check_shape(z, spec)
-    nx = _norm_arr(xb, spec)
-    if nx == 0.0:
-        raise ZeroElement("cannot build a partner against the zero element")
-    T = support_functional(x, spec)
-    c = apply_functional(T, z, spec) / nx
-    return BochnerElement(zb - c * xb)
+    nx, T = _support_rows(xb, spec)
+    return BochnerElement(zb - (_pairing(T, zb, spec) / nx) * xb)

@@ -15,6 +15,7 @@ from .blockspace import (
     SpaceSpec,
     _norm_arr,
     inner_norm,
+    outcome,
 )
 from .errors import BadSpec, DegenerateDraw, ShapeMismatch
 from .ortho import (
@@ -23,7 +24,6 @@ from .ortho import (
     is_approx_bj_orthogonal,
     make_orthogonal_partner,
 )
-from .sip import sip_orthogonality_criterion
 
 # log-spaced scalars for the two-set witness family; exposes both ratio
 # endpoints of a diagonal operator
@@ -224,16 +224,7 @@ class TrialRecord:
     outcome: str = field(init=False)  # pass | boundary | fail
 
     def __post_init__(self):
-        if self.direct.boundary or self.second.boundary:
-            self.outcome = "boundary"
-        elif self.direct.verdict and self.second.verdict:
-            self.outcome = "pass"
-        else:
-            self.outcome = "fail"
-
-    @property
-    def passed(self) -> bool:
-        return self.outcome == "pass"
+        self.outcome = outcome(self.direct, self.second)
 
 
 def preservation_trial(U: ScalingOperator, eps, spec: SpaceSpec,
@@ -254,11 +245,7 @@ def preservation_trial(U: ScalingOperator, eps, spec: SpaceSpec,
     ux = apply_operator(U, x)
     uy = apply_operator(U, y)
     direct = is_approx_bj_orthogonal(ux, uy, eps, spec, tol)
-    if spec.p == 1.0:
-        route = "certificate"
-        second = certificate_check(ux, uy, eps, spec, tol)
-    else:
-        route = "sip"
-        second = sip_orthogonality_criterion(ux, uy, eps, spec, tol)
+    second = certificate_check(ux, uy, eps, spec, tol)  # the sip criterion for p > 1
+    route = "certificate" if spec.p == 1.0 else "sip"
     return TrialRecord(trial=trial, seed=seed, spec=spec, epsilon=eps,
                        x=x, y=y, direct=direct, second_route=route, second=second)

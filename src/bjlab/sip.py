@@ -4,11 +4,15 @@ For 1 < p < inf and smooth inner norm, [f, g] aggregates the blockwise
 norming functionals of g against f, weighted by ||g_i||^(p-1), with the
 prefactor 1/||g||^(p-2).  It is linear in the first slot, homogeneous in the
 second, bounded by ||f|| ||g||, and has [f, f] = ||f||^2.
+
+The smooth-space orthogonality criterion |[y, x]| <= eps ||x|| ||y|| is the
+certificate check, since |[y, x]|/||x|| is the value of x's support functional
+at y; semi_inner_product stays a separate computation of [f, g], which the
+tests compare against the certificate value.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,27 +22,24 @@ from .blockspace import (
     BochnerElement,
     CheckResult,
     SpaceSpec,
-    _norm_arr,
     _norm_from_block_norms,  # noqa: F401  perfbench/spans.py wraps norms here too
     check_shape,
     duality_weights,
 )
-from .errors import NotSmooth, UnsupportedExponent, ZeroElement
-from .ortho import _two_sided_result, epsilon_value
+from .errors import NotSmooth, UnsupportedExponent
+from .ortho import certificate_check
 
 
 def _require_smooth_lp(spec: SpaceSpec):
-    if spec.p == 1.0:
+    if spec.p == 1.0:  # SpaceSpec already keeps p finite
         raise UnsupportedExponent("semi-inner product needs p > 1")
-    if not (1.0 < spec.p < math.inf):
-        raise UnsupportedExponent(f"need 1 < p < inf, got p={spec.p}")
     if not spec.smooth_inner:
         raise NotSmooth(f"semi-inner product needs 1 < q < inf, got q={spec.q}")
 
 
 def semi_inner_product(f: BochnerElement, g: BochnerElement,
-                       spec: SpaceSpec, zero_tol: float = 0.0) -> float:
-    """[f, g]; 0 when ||g|| <= zero_tol (the definition's g = 0 branch).
+                       spec: SpaceSpec) -> float:
+    """[f, g]; 0 when g = 0 (the definition's g = 0 branch).
 
     Computed as ||g|| * sum_i mu_i (||g_i||/||g||)^(p-1) F_{g_i}.f_i over
     nonzero blocks of g, which keeps every power argument <= 1.
@@ -47,7 +48,7 @@ def semi_inner_product(f: BochnerElement, g: BochnerElement,
     fb = check_shape(f, spec)
     gb = check_shape(g, spec)
     ng, W = _sip_weights(gb, spec)
-    if ng <= zero_tol:
+    if ng == 0.0:
         return 0.0
     return float(np.einsum("ij,ij->", W, fb))
 
@@ -111,17 +112,8 @@ def sip_orthogonality_criterion(x: BochnerElement, y: BochnerElement, eps,
     """Smooth-space criterion: x approximately orthogonal to y iff
     |[y, x]| <= eps ||x|| ||y||.  Note the order: x sits in the second slot.
 
-    margin = (eps ||x|| ||y|| - |[y, x]|) / (||x|| ||y||).
+    |[y, x]|/||x|| = |T_x(y)| for the support functional T_x of x, so this is
+    certificate_check for p > 1, with margin (eps ||y|| - |T_x(y)|)/||y||.
     """
-    eps = epsilon_value(eps)
     _require_smooth_lp(spec)
-    nx, W = _sip_weights(check_shape(x, spec), spec)
-    if nx == 0.0:
-        raise ZeroElement("orthogonality from the zero element is degenerate")
-    yb = check_shape(y, spec)
-    ny = _norm_arr(yb, spec)
-    if ny == 0.0:
-        return CheckResult(verdict=True, margin=0.0)
-    value = abs(float(np.einsum("ij,ij->", W, yb)))  # |[y, x]|
-    margin = (eps * nx * ny - value) / (nx * ny)
-    return _two_sided_result(margin, tol)
+    return certificate_check(x, y, eps, spec, tol)

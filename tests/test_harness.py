@@ -187,6 +187,7 @@ def test_isometry_mode_summary():
     cfg = parse_config(config_text("isometry-test", factors=[1, 1, 1, 1]))
     s = run_quiet(cfg).summary
     assert s["scalar_multiple_of_isometry"] is True
+    assert s["trials"] == cfg.trials
     assert s["ratio_spread"] <= 1e-12
 
     cfg2 = parse_config(config_text("isometry-test", epsilons=[0.5]))
@@ -242,6 +243,8 @@ def test_direct_experiment_config_validation():
     spec = SpaceSpec(1, 2, 4, 2, (1.0,) * 4)
     with pytest.raises(ConfigError, match="trials"):
         ExperimentConfig(mode="check-ortho", spec=spec, trials=0, seed=1)
+    with pytest.raises(ConfigError, match="trials"):
+        ExperimentConfig(mode="check-ortho", spec=spec, trials=True, seed=1)
     with pytest.raises(ConfigError, match="seed"):
         ExperimentConfig(mode="check-ortho", spec=spec, trials=1, seed=2**70)
     with pytest.raises(ConfigError, match="mode"):

@@ -24,6 +24,7 @@ from bjlab import (
     min_certificate_value,
     minimize_convex_1d,
     random_element,
+    sip_orthogonality_criterion,
 )
 from conftest import rng_for, spec_with_elements
 from oracles import brute_min_certificate, brute_min_certificate_fullball, grid_min_gap
@@ -275,6 +276,26 @@ def test_positive_scaling_invariance(data, a, b):
     scaled_a = is_approx_bj_orthogonal(a * x, b * y, 0.4, spec)
     if not (base_a.boundary or scaled_a.boundary):
         assert base_a.verdict == scaled_a.verdict
+
+
+@given(st.data())
+def test_atom_permutation_invariance(data):
+    # permuting the atoms together with their masses is an isometry
+    spec, x, y = data.draw(spec_with_elements(count=2))
+    eps = data.draw(st.floats(min_value=0.0, max_value=0.9))
+    perm = list(data.draw(st.permutations(range(spec.n))))
+    pspec = SpaceSpec(spec.p, spec.q, spec.n, spec.d,
+                      tuple(spec.weights[i] for i in perm))
+    px, py = BochnerElement(x.blocks[perm]), BochnerElement(y.blocks[perm])
+    checks = [is_approx_bj_orthogonal, certificate_check]
+    if spec.p > 1.0:
+        checks.append(sip_orthogonality_criterion)
+    for check in checks:
+        base = check(x, y, eps, spec)
+        permuted = check(px, py, eps, pspec)
+        if not (base.boundary or permuted.boundary):
+            assert base.verdict == permuted.verdict, check.__name__
+        assert permuted.margin == pytest.approx(base.margin, abs=1e-12), check.__name__
 
 
 def test_eps_zero_matches_exact_check():

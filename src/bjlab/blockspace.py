@@ -8,7 +8,7 @@ weighted sum, so duality and support functionals have closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,6 +34,12 @@ BOUNDARY_BAND = 10.0
 ONE_SIDED_NOISE_FLOOR = 1e-13
 
 
+def _is_int(v) -> bool:
+    """True for Python and NumPy integers; False for bool, which is an int
+    subclass but never a count or an index."""
+    return type(v) is int or isinstance(v, np.integer)
+
+
 def dual_exponent(r: float) -> float:
     """Conjugate exponent r* with 1/r + 1/r* = 1; handles r in {1, inf}."""
     if r == 1.0:
@@ -55,20 +61,22 @@ class SpaceSpec:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "q", float(self.q))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        try:
+            object.__setattr__(self, "p", float(self.p))
+            object.__setattr__(self, "q", float(self.q))
+            mu = np.array(self.weights, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise BadSpec(f"p, q and weights must be numeric: {exc}") from exc
         if not (self.p >= 1.0 and math.isfinite(self.p)):
             raise BadSpec(f"p must satisfy 1 <= p < inf, got {self.p}")
         if not self.q >= 1.0:
             raise BadSpec(f"q must satisfy 1 <= q <= inf, got {self.q}")
-        if self.n < 1 or self.d < 1:
-            raise BadSpec(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
-        if len(self.weights) != self.n:
-            raise BadSpec(f"expected {self.n} weights, got {len(self.weights)}")
-        if not all(w > 0.0 and math.isfinite(w) for w in self.weights):
-            raise BadSpec("all weights must be positive and finite")
-        object.__setattr__(self, "_mu", np.asarray(self.weights, dtype=float))
+        if not (_is_int(self.n) and _is_int(self.d) and self.n >= 1 and self.d >= 1):
+            raise BadSpec(f"n and d must be integers >= 1, got n={self.n!r}, d={self.d!r}")
+        if mu.shape != (self.n,) or not np.all(np.isfinite(mu) & (mu > 0.0)):
+            raise BadSpec(f"need {self.n} positive finite weights, got {self.weights!r}")
+        object.__setattr__(self, "weights", tuple(mu.tolist()))
+        object.__setattr__(self, "_mu", mu)
 
     @classmethod
     def sequence(cls, p: float, q: float, n: int, d: int) -> "SpaceSpec":
@@ -99,13 +107,23 @@ class SpaceSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SpaceSpec":
+        """Inverse of to_dict: q may be the string "inf".  Raises BadSpec
+        unless data is an object with exactly the keys p, q, n, d, weights."""
+        keys = [f.name for f in fields(cls)]
+        if not isinstance(data, dict):
+            raise BadSpec(f"must be an object {{{', '.join(keys)}}}")
+        unknown = set(data) - set(keys)
+        if unknown:
+            raise BadSpec(f"unknown key(s): {', '.join(sorted(unknown))}")
+        missing = set(keys) - set(data)
+        if missing:
+            raise BadSpec(f"missing key(s): {', '.join(sorted(missing))}")
         q = data["q"]
         if isinstance(q, str):
             if q.lower() not in ("inf", "infinity"):
                 raise BadSpec(f"unrecognized q value {q!r}")
             q = math.inf
-        return cls(p=data["p"], q=q, n=int(data["n"]), d=int(data["d"]),
-                   weights=tuple(data["weights"]))
+        return cls(**{**data, "q": q})
 
 
 def _as_blocks(blocks, what: str) -> np.ndarray:
@@ -198,12 +216,10 @@ def check_shape(x, spec: SpaceSpec, what: str = "element") -> np.ndarray:
 
 def inner_norm(v, q: float) -> float:
     """l^q norm of a single block; q may be inf."""
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteValue("vector contains non-finite entries")
+    row = _as_blocks(np.reshape(v, (1, -1)), "vector")
     if q < 1.0:
         raise BadSpec(f"q must be >= 1, got {q}")
-    return float(block_norms(v.reshape(1, -1), q)[0]) if v.size else 0.0
+    return float(block_norms(row, q)[0]) if row.size else 0.0
 
 
 def block_norms(blocks: np.ndarray, q: float) -> np.ndarray:
@@ -226,16 +242,13 @@ def inner_duality_map(v, q: float) -> np.ndarray:
     Components sign(v_j)|v_j|^(q-1) / ||v||_q^(q-1); satisfies F_v.v = ||v||_q
     and ||F_v||_{q*} = 1.  Equals the gradient of the l^q norm at v.
     """
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise NonFiniteValue("vector contains non-finite entries")
+    row = _as_blocks(np.reshape(v, (1, -1)), "vector")
     if q == 1.0 or math.isinf(q):
         raise NotSmooth(f"duality map is set-valued for q={q}")
     if q < 1.0:
         raise BadSpec(f"q must be > 1, got {q}")
-    if not np.any(v):
+    if not np.any(row):
         raise ZeroVector("duality map undefined at 0")
-    row = v.reshape(1, -1)
     return _duality_rows(row, q, np.ones(1, dtype=bool), block_norms(row, q))[0]
 
 

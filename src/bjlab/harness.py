@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .blockspace import SpaceSpec, outcome
-from .errors import BadSpec, ConfigError
-from .ortho import is_approx_bj_orthogonal, is_bj_orthogonal
+from .blockspace import SpaceSpec, _is_int, outcome
+from .errors import BjlabError, ConfigError
+from .ortho import epsilon_value, is_approx_bj_orthogonal, is_bj_orthogonal
 from .preserver import (
     AtomPartition,
     ScalingOperator,
@@ -31,8 +31,13 @@ from .preserver import (
 )
 from .sip import sip_axiom_report, sip_orthogonality_criterion
 
-MODES = ("check-ortho", "check-approx", "sip", "axioms", "preserver-sweep",
-         "isometry-test")
+# The optional operand keys each mode reads.  isometry-test reads factors,
+# or epsilons and partition to build the sweep's operator.
+_MODE_KEYS = {"check-ortho": (), "check-approx": ("epsilons",),
+              "sip": ("epsilons",), "axioms": (),
+              "preserver-sweep": ("epsilons", "partition"),
+              "isometry-test": ("epsilons", "partition", "factors")}
+MODES = tuple(_MODE_KEYS)
 
 _MODES_NEEDING_EPS = ("check-approx", "sip", "preserver-sweep")
 
@@ -51,6 +56,14 @@ AXIOM_COLUMNS = ("trial", "seed", "p", "q", "n", "d", "a", "b",
 ISOMETRY_COLUMNS = ("scalar_multiple_of_isometry", "ratio_spread", "probes")
 
 
+def _value(key: str, convert, *args):
+    """convert(*args), with any failure reported as a config error on key."""
+    try:
+        return convert(*args)
+    except (TypeError, ValueError, BjlabError) as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str
@@ -66,30 +79,27 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode: must be one of {', '.join(MODES)}, got {self.mode!r}")
-        # type() rather than isinstance(): bool is a subclass of int
-        if type(self.trials) is not int or self.trials < 1:
+        if not _is_int(self.trials) or self.trials < 1:
             raise ConfigError(f"trials: must be a positive integer, got {self.trials!r}")
-        if type(self.seed) is not int or abs(self.seed) >= 2**63:
+        if not _is_int(self.seed) or abs(self.seed) >= 2**63:
             raise ConfigError(f"seed: must be a 64-bit integer, got {self.seed!r}")
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
-        for e in self.epsilons:
-            if not (0.0 <= e < 1.0):
-                raise ConfigError(f"epsilons: values must lie in [0, 1), got {e}")
+        object.__setattr__(self, "epsilons", _value(
+            "epsilons", lambda v: tuple(map(epsilon_value, np.asarray(v, float).tolist())),
+            self.epsilons))
+        object.__setattr__(self, "tol", _value("tol", float, self.tol))
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
             raise ConfigError(f"tol: must be positive and finite, got {self.tol}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out: must be a path string or null, got {self.out!r}")
+        if self.factors is not None:
+            operator = _value("factors", ScalingOperator, self.factors)
+            _value("factors", operator.check_fits, self.spec)
+            object.__setattr__(self, "factors", tuple(operator.factors.tolist()))
+        for key in ("epsilons", "partition", "factors"):
+            if getattr(self, key) and key not in _MODE_KEYS[self.mode]:
+                raise ConfigError(f"{key}: not read by mode {self.mode}")
         if self.mode in _MODES_NEEDING_EPS and not self.epsilons:
             raise ConfigError(f"epsilons: required for mode {self.mode}")
-        if self.partition is not None and self.partition.n != self.spec.n:
-            raise ConfigError(
-                f"partition: covers {self.partition.n} atoms, spec has {self.spec.n}")
-        if self.factors is not None:
-            object.__setattr__(self, "factors",
-                               tuple(float(c) for c in self.factors))
-            if len(self.factors) != self.spec.n:
-                raise ConfigError(
-                    f"factors: expected {self.spec.n} entries, got {len(self.factors)}")
-            if not all(c > 0.0 and math.isfinite(c) for c in self.factors):
-                raise ConfigError("factors: all entries must be positive and finite")
         if self.mode != "isometry-test" and not self.spec.smooth_inner:
             raise ConfigError(
                 f"spec: mode {self.mode} needs 1 < q < inf, got q={self.spec.q}")
@@ -99,33 +109,33 @@ class ExperimentConfig:
             if self.factors is None and not self.epsilons:
                 raise ConfigError("factors: required for isometry-test "
                                   "(or give epsilons to test a built-in operator)")
+            if self.factors is not None and (self.epsilons or self.partition):
+                raise ConfigError(f"{'epsilons' if self.epsilons else 'partition'}: "
+                                  "not read by isometry-test when factors are given")
+            if len(self.epsilons) > 1:
+                raise ConfigError("epsilons: isometry-test reads one epsilon, "
+                                  f"got {len(self.epsilons)}")
             if self.trials < 2:
                 raise ConfigError("trials: isometry-test needs at least 2")
-        if self.mode == "preserver-sweep":
-            self._operator(self.epsilons[0])  # validate spec/partition pairing
+        if self.epsilons and self.mode in ("preserver-sweep", "isometry-test"):
+            self._operator(min(self.epsilons))  # the pairing; only eps = 0 can fail
 
     def _operator(self, eps: float) -> ScalingOperator:
         """Matching counterexample operator for this space at eps."""
-        try:
-            if self.spec.p == 1.0:
-                if self.partition is None:
-                    return u_eps_l1(eps, self.spec)
-                return u_eps_L1(eps, self.partition, self.spec)
-            if self.partition is None:
+        if self.partition is None:
+            if self.spec.p > 1.0:
                 raise ConfigError("partition: required for p > 1 sweeps")
-            return u_eps_Lp(eps, self.partition, self.spec)
-        except BadSpec as exc:
-            raise ConfigError(f"spec/partition: {exc}") from exc
+            return _value("spec/partition", u_eps_l1, eps, self.spec)
+        build = u_eps_L1 if self.spec.p == 1.0 else u_eps_Lp
+        return _value("spec/partition", build, eps, self.partition, self.spec)
 
 
-_CONFIG_KEYS = {"mode", "spec", "epsilons", "trials", "seed", "partition",
-                "factors", "tol", "out"}
-_SPEC_KEYS = {"p", "q", "n", "d", "weights"}
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
-    """Parse a JSON config; rejects unknown keys and fills documented
-    defaults (tol=1e-9)."""
+    """Parse a JSON config.  Unknown keys and malformed values raise a
+    ConfigError naming the key; absent optional keys default (tol=1e-9)."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -144,48 +154,14 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
     eff_mode = mode or cfg_mode
     if eff_mode is None:
         raise ConfigError("mode: missing (set it in the config or on the command line)")
-
-    if "spec" not in data:
-        raise ConfigError("spec: missing")
-    raw_spec = data["spec"]
-    if not isinstance(raw_spec, dict):
-        raise ConfigError("spec: must be an object {p, q, n, d, weights}")
-    bad = set(raw_spec) - _SPEC_KEYS
-    if bad:
-        raise ConfigError(f"spec: unknown key(s): {', '.join(sorted(bad))}")
-    missing = _SPEC_KEYS - set(raw_spec)
-    if missing:
-        raise ConfigError(f"spec: missing key(s): {', '.join(sorted(missing))}")
-    try:
-        spec = SpaceSpec.from_dict(raw_spec)
-    except BadSpec as exc:
-        raise ConfigError(f"spec: {exc}") from exc
-
-    for key in ("trials", "seed"):
+    for key in ("spec", "trials", "seed"):
         if key not in data:
             raise ConfigError(f"{key}: missing")
 
-    partition = None
+    spec = _value("spec", SpaceSpec.from_dict, data["spec"])
     if data.get("partition") is not None:
-        raw_part = data["partition"]
-        if not isinstance(raw_part, list):
-            raise ConfigError("partition: must be an array of atom indices")
-        try:
-            partition = AtomPartition(tuple(raw_part), spec.n)
-        except BadSpec as exc:
-            raise ConfigError(f"partition: {exc}") from exc
-
-    return ExperimentConfig(
-        mode=eff_mode,
-        spec=spec,
-        trials=data["trials"],
-        seed=data["seed"],
-        epsilons=tuple(data.get("epsilons", ())),
-        partition=partition,
-        factors=tuple(data["factors"]) if data.get("factors") is not None else None,
-        tol=float(data.get("tol", 1e-9)),
-        out=data.get("out"),
-    )
+        data["partition"] = _value("partition", AtomPartition, data["partition"], spec.n)
+    return ExperimentConfig(**{**data, "mode": eff_mode, "spec": spec})
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:
@@ -289,7 +265,7 @@ def _trial_rows(cfg: ExperimentConfig) -> list[_Row]:
     """Rows in order: cfg.trials per epsilon (one pass without epsilons for
     check-ortho and axioms), row k*trials + i seeded by (seed, that index)."""
     row_function = _ROW_FUNCTIONS[cfg.mode]
-    epsilons = cfg.epsilons if cfg.mode in _MODES_NEEDING_EPS else (None,)
+    epsilons = cfg.epsilons or (None,)
     s = cfg.spec
     rows = []
     for k, eps in enumerate(epsilons):
@@ -305,7 +281,7 @@ def _trial_rows(cfg: ExperimentConfig) -> list[_Row]:
 
 def _run_isometry_test(cfg: ExperimentConfig):
     if cfg.factors is not None:
-        operator = ScalingOperator(np.asarray(cfg.factors))
+        operator = ScalingOperator(cfg.factors)
     else:
         operator = cfg._operator(cfg.epsilons[0])
     rng = trial_rng(cfg.seed, 0)

@@ -26,6 +26,7 @@ from .blockspace import (
     SpaceSpec,
     _duality_rows,
     _norm_arr,
+    _norm_from_block_norms,
     _pairing,
     _support_rows,
     block_norms,
@@ -55,9 +56,7 @@ class ApproxParam:
 
 def epsilon_value(eps) -> float:
     """Accept ApproxParam or a plain float; validate the range."""
-    if isinstance(eps, ApproxParam):
-        return eps.epsilon
-    return ApproxParam(float(eps)).epsilon
+    return ApproxParam(eps).epsilon
 
 
 def minimize_convex_1d(phi, radius: float, tol: float = 1e-12,
@@ -171,24 +170,25 @@ def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
 
 
 def _certificate(x: BochnerElement, y: BochnerElement,
-                 spec: SpaceSpec) -> tuple[float, np.ndarray]:
-    """(min_certificate_value, blocks of a T attaining it).  At p = 1 the
-    zero blocks of x take, in order, clamped multiples of -sign(S) F_{y_i}
+                 spec: SpaceSpec) -> tuple[float, np.ndarray, float]:
+    """(min_certificate_value, blocks of a T attaining it, ||y||).  At p = 1
+    the zero blocks of x take, in order, clamped multiples of -sign(S) F_{y_i}
     until they have cancelled as much of S as they can."""
     xb = check_shape(x, spec)
     yb = check_shape(y, spec)
     _, T = _support_rows(xb, spec)
     s = _pairing(T, yb, spec)
+    by = block_norms(yb, spec.q)
+    ny = _norm_from_block_norms(by, spec)
     free = ~T.any(axis=1)  # the zero blocks of x (at p = 1 every weight is 1)
     if spec.p > 1.0 or not free.any():
-        return abs(s), T
-    by = block_norms(yb, spec.q)
+        return abs(s), T, ny
     c = (spec.mu * by)[free]  # reach of each free block
     taken = np.clip(abs(s) - (np.cumsum(c) - c), 0.0, c)
     t = np.divide(taken, c, out=np.zeros_like(c), where=c > 0.0)
     Fy = _duality_rows(yb[free], spec.q, c > 0.0, by[free])
     T[free] = -np.sign(s) * t[:, None] * Fy
-    return max(0.0, abs(s) - float(c.sum())), T
+    return max(0.0, abs(s) - float(c.sum())), T, ny
 
 
 def min_certificate_value(x: BochnerElement, y: BochnerElement,
@@ -213,9 +213,8 @@ def certificate_check(x: BochnerElement, y: BochnerElement, eps,
     T attaining the minimum.
     """
     eps = epsilon_value(eps)
-    mcv, T = _certificate(x, y, spec)
+    mcv, T, ny = _certificate(x, y, spec)
     cert = BlockFunctional(T)
-    ny = _norm_arr(check_shape(y, spec), spec)
     if ny == 0.0:
         return CheckResult(verdict=True, margin=0.0, certificate=cert)
     margin = (eps * ny - mcv) / ny

@@ -13,6 +13,7 @@ from .blockspace import (
     BochnerElement,
     CheckResult,
     SpaceSpec,
+    _is_int,
     _norm_arr,
     inner_norm,
     outcome,
@@ -38,12 +39,14 @@ class AtomPartition:
     n: int
 
     def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in set(self.indices)))
+        members = set(self.indices)
+        if not all(_is_int(i) and 0 <= i < self.n for i in members):
+            raise BadSpec(f"partition indices must be integers in 0..{self.n - 1}, "
+                          f"got {self.indices!r}")
+        idx = tuple(sorted(int(i) for i in members))
         object.__setattr__(self, "indices", idx)
         if not idx:
             raise BadSpec("partition must select at least one atom")
-        if idx[0] < 0 or idx[-1] >= self.n:
-            raise BadSpec(f"partition indices must lie in 0..{self.n - 1}")
         if len(idx) == self.n:
             raise BadSpec("partition complement must be nonempty")
 
@@ -52,7 +55,11 @@ class AtomPartition:
         members = set(self.indices)
         return tuple(i for i in range(self.n) if i not in members)
 
-    def mask(self) -> np.ndarray:
+    def mask(self, spec: SpaceSpec) -> np.ndarray:
+        """The selected atoms of spec as a boolean mask; raises BadSpec
+        unless n == spec.n."""
+        if self.n != spec.n:
+            raise BadSpec(f"partition is over {self.n} atoms, space has {spec.n}")
         m = np.zeros(self.n, dtype=bool)
         m[list(self.indices)] = True
         return m
@@ -74,6 +81,20 @@ class ScalingOperator:
     def __call__(self, f: BochnerElement) -> BochnerElement:
         return apply_operator(self, f)
 
+    def check_fits(self, spec: SpaceSpec) -> None:
+        """Raise ShapeMismatch unless there is one factor per atom of spec."""
+        if len(self.factors) != spec.n:
+            raise ShapeMismatch(
+                f"operator has {len(self.factors)} factors, space has {spec.n} atoms")
+
+
+def _operator_epsilon(eps) -> float:
+    """eps as a float; the counterexample operators need 0 < eps < 1."""
+    eps = epsilon_value(eps)
+    if not 0.0 < eps < 1.0:
+        raise BadSpec(f"epsilon must lie in (0, 1), got {eps}")
+    return eps
+
 
 def u_eps_l1(eps, spec: SpaceSpec) -> ScalingOperator:
     """Sequence-space operator: shrink the first coordinate block by 1 - eps.
@@ -88,30 +109,22 @@ def u_eps_l1(eps, spec: SpaceSpec) -> ScalingOperator:
 
 def u_eps_L1(eps, part: AtomPartition, spec: SpaceSpec) -> ScalingOperator:
     """Weighted L^1 operator: shrink the selected atoms by 1 - eps."""
-    eps = epsilon_value(eps)
-    if not 0.0 < eps < 1.0:
-        raise BadSpec(f"epsilon must lie in (0, 1), got {eps}")
+    eps = _operator_epsilon(eps)
     if spec.p != 1.0:
         raise BadSpec(f"L1 operator needs p = 1, got p={spec.p}")
-    if part.n != spec.n:
-        raise BadSpec(f"partition is over {part.n} atoms, space has {spec.n}")
     factors = np.ones(spec.n)
-    factors[part.mask()] = 1.0 - eps
+    factors[part.mask(spec)] = 1.0 - eps
     return ScalingOperator(factors)
 
 
 def u_eps_Lp(eps, part: AtomPartition, spec: SpaceSpec) -> ScalingOperator:
     """L^p operator (1 < p < inf): keep the selected atoms, shrink the
     complement by 1 - eps/p."""
-    eps = epsilon_value(eps)
-    if not 0.0 < eps < 1.0:
-        raise BadSpec(f"epsilon must lie in (0, 1), got {eps}")
+    eps = _operator_epsilon(eps)
     if not spec.p > 1.0:
         raise BadSpec(f"Lp operator needs p > 1, got p={spec.p}")
-    if part.n != spec.n:
-        raise BadSpec(f"partition is over {part.n} atoms, space has {spec.n}")
     factors = np.full(spec.n, 1.0 - eps / spec.p)
-    factors[part.mask()] = 1.0
+    factors[part.mask(spec)] = 1.0
     return ScalingOperator(factors)
 
 
@@ -134,11 +147,10 @@ def h_alpha_witness(alpha: float, part: AtomPartition, x0,
         raise BadSpec(f"x0 must be a {spec.d}-vector, got shape {x0.shape}")
     if abs(inner_norm(x0, spec.q) - 1.0) > 1e-9:
         raise BadSpec("x0 must have unit inner norm")
-    if part.n != spec.n:
-        raise BadSpec(f"partition is over {part.n} atoms, space has {spec.n}")
+    mask = part.mask(spec)
     blocks = np.zeros((spec.n, spec.d))
-    blocks[part.mask()] = x0
-    blocks[~part.mask()] = alpha * x0
+    blocks[mask] = x0
+    blocks[~mask] = alpha * x0
     return BochnerElement(blocks)
 
 
@@ -184,9 +196,7 @@ def is_scalar_multiple_of_isometry(U: ScalingOperator, spec: SpaceSpec,
     """
     if trials < 2:
         raise BadSpec(f"need at least 2 random trials, got {trials}")
-    if len(U.factors) != spec.n:
-        raise ShapeMismatch(
-            f"operator has {len(U.factors)} factors, space has {spec.n} atoms")
+    U.check_fits(spec)
     if rng is None:
         rng = np.random.default_rng(0)
     x0 = np.zeros(spec.d)
@@ -198,7 +208,7 @@ def is_scalar_multiple_of_isometry(U: ScalingOperator, spec: SpaceSpec,
         ratios.append(_ratio(U, blocks, spec))
     hi = np.flatnonzero(U.factors == U.factors.max())
     if len(hi) < spec.n:
-        part = AtomPartition(tuple(int(i) for i in hi), spec.n)
+        part = AtomPartition(hi.tolist(), spec.n)
         for alpha in WITNESS_ALPHAS:
             ratios.append(_ratio(U, h_alpha_witness(alpha, part, x0, spec).blocks, spec))
     for _ in range(trials):
@@ -238,9 +248,7 @@ def preservation_trial(U: ScalingOperator, eps, spec: SpaceSpec,
     should make every route's verdict true on (U x, U y).
     """
     eps = epsilon_value(eps)
-    if len(U.factors) != spec.n:
-        raise ShapeMismatch(
-            f"operator has {len(U.factors)} factors, space has {spec.n} atoms")
+    U.check_fits(spec)
     x, y = draw_orthogonal_pair(spec, rng)
     ux = apply_operator(U, x)
     uy = apply_operator(U, y)

@@ -101,6 +101,50 @@ def test_partition_parsing():
                                  partition=[0, 1, 2, 3]))
 
 
+def with_spec(**changes):
+    return {"spec": {**MINIMAL["spec"], **changes}}
+
+
+SMOOTH = with_spec(p=3)
+
+
+@pytest.mark.parametrize("mode,key,extra", [
+    # malformed values
+    ("check-approx", "epsilons", {"epsilons": 5}),
+    ("check-approx", "epsilons", {"epsilons": ["a"]}),
+    ("check-ortho", "tol", {"tol": "x"}),
+    ("check-ortho", "tol", {"tol": None}),
+    ("isometry-test", "factors", {"factors": 5}),
+    ("isometry-test", "factors", {"factors": ["a", 1, 1, 1]}),
+    ("check-ortho", "spec", with_spec(weights=5)),
+    ("check-ortho", "spec", with_spec(n="x")),
+    ("check-ortho", "spec", with_spec(p=None)),
+    ("preserver-sweep", "partition", {"epsilons": [0.5], "partition": ["a"]}),
+    # values that were truncated or misread
+    ("check-ortho", "spec", with_spec(n=4.7)),
+    ("check-ortho", "spec", with_spec(d=2.5)),
+    ("preserver-sweep", "partition", {"epsilons": [0.5], "partition": [0.5]}),
+    ("check-ortho", "out", {"out": 5}),
+    # keys the mode does not read
+    ("check-ortho", "epsilons", {"epsilons": [0.1]}),
+    ("axioms", "epsilons", {**SMOOTH, "epsilons": [0.1]}),
+    ("check-ortho", "partition", {"partition": [0]}),
+    ("check-approx", "partition", {"epsilons": [0.1], "partition": [0]}),
+    ("axioms", "partition", {**SMOOTH, "partition": [0]}),
+    ("check-ortho", "factors", {"factors": [1, 1, 1, 1]}),
+    ("preserver-sweep", "factors", {"epsilons": [0.5], "factors": [1, 1, 1, 1]}),
+    ("isometry-test", "epsilons", {"epsilons": [0.5], "factors": [1, 1, 1, 1]}),
+    ("isometry-test", "partition", {"partition": [0], "factors": [1, 1, 1, 1]}),
+    ("isometry-test", "epsilons", {"epsilons": [0.3, 0.5]}),
+    # operators that could not be built until the run reached them
+    ("preserver-sweep", "spec/partition", {"epsilons": [0.5, 0.0]}),
+    ("isometry-test", "partition", {**SMOOTH, "epsilons": [0.5]}),
+])
+def test_malformed_or_unread_values_are_config_errors(mode, key, extra):
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        parse_config(config_text(mode, **extra))
+
+
 def run_quiet(cfg):
     return run(cfg, echo=False)
 
@@ -207,6 +251,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text(config_text("check-approx", epsilons=[1.5]), encoding="utf-8")
     assert main(["check-approx", "--config", str(bad)]) == 1
     assert "config error" in capsys.readouterr().err
+
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(config_text("check-approx", epsilons=5), encoding="utf-8")
+    assert main(["check-approx", "--config", str(malformed)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bjlab: config error: epsilons: ") and "Traceback" not in err
 
     assert main(["check-ortho", "--config", str(tmp_path / "missing.json")]) == 1
 

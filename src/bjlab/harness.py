@@ -64,6 +64,14 @@ def _value(key: str, convert, *args):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _epsilon_list(value) -> tuple[float, ...]:
+    """A list of numbers, each a valid epsilon, as a tuple of floats."""
+    if not (isinstance(value, (list, tuple)) and all(
+            _is_int(v) or isinstance(v, (float, np.floating)) for v in value)):
+        raise ValueError(f"must be a list of numbers, got {value!r}")
+    return tuple(map(epsilon_value, value))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str
@@ -83,9 +91,8 @@ class ExperimentConfig:
             raise ConfigError(f"trials: must be a positive integer, got {self.trials!r}")
         if not _is_int(self.seed) or abs(self.seed) >= 2**63:
             raise ConfigError(f"seed: must be a 64-bit integer, got {self.seed!r}")
-        object.__setattr__(self, "epsilons", _value(
-            "epsilons", lambda v: tuple(map(epsilon_value, np.asarray(v, float).tolist())),
-            self.epsilons))
+        object.__setattr__(self, "epsilons", _value("epsilons", _epsilon_list,
+                                                    self.epsilons))
         object.__setattr__(self, "tol", _value("tol", float, self.tol))
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
             raise ConfigError(f"tol: must be positive and finite, got {self.tol}")

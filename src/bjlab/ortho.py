@@ -1,7 +1,8 @@
 """Exact and approximate Birkhoff-James orthogonality checks.
 
-Two routes: convex scalar minimization of the defining inequality, and
-norm-one support-functional certificates built on the duality kernel
+Two routes: convex scalar minimization of the defining inequality (13
+probes that certify most orthogonal pairs outright, then golden section on
+the rest), and norm-one support-functional certificates built on the duality kernel
 (blockspace.duality_weights), with the closed-form minimum over the zero-block
 freedom when p = 1.  For p > 1 the certificate value is the
 semi-inner-product value |[y, x]|/||x||, so certificate_check is also the
@@ -59,6 +60,16 @@ def epsilon_value(eps) -> float:
     return ApproxParam(eps).epsilon
 
 
+def _finite(phi):
+    """phi as a float-valued function that raises NonFiniteValue on inf/nan."""
+    def f(alpha: float) -> float:
+        val = float(phi(alpha))
+        if not math.isfinite(val):
+            raise NonFiniteValue(f"objective returned {val} at alpha={alpha}")
+        return val
+    return f
+
+
 def minimize_convex_1d(phi, radius: float, tol: float = 1e-12,
                        max_iter: int = 200) -> tuple[float, float]:
     """Golden-section minimum of a convex phi over [-radius, radius].
@@ -69,13 +80,7 @@ def minimize_convex_1d(phi, radius: float, tol: float = 1e-12,
     """
     if not (radius > 0.0 and math.isfinite(radius)):
         raise BadSpec(f"radius must be positive and finite, got {radius}")
-
-    def f(alpha: float) -> float:
-        val = float(phi(alpha))
-        if not math.isfinite(val):
-            raise NonFiniteValue(f"objective returned {val} at alpha={alpha}")
-        return val
-
+    f = _finite(phi)
     a, b = -radius, radius
     best_a, best_v = 0.0, f(0.0)  # probe the kink/expansion point first
     for alpha in (a, b):
@@ -102,6 +107,77 @@ def minimize_convex_1d(phi, radius: float, tol: float = 1e-12,
             d = a + _INV_PHI * (b - a)
             fd = f(d)
     return best_a, best_v
+
+
+def _secant_lower_bound(alphas, values) -> float:
+    """Lower bound on the minimum over [alphas[0], alphas[-1]] of a convex
+    function sampled at increasing alphas.
+
+    A convex function lies above every secant extended beyond its own
+    interval, so on each interval it lies above the larger of the two
+    neighbouring secants; the smallest value of that maximum sits at an
+    endpoint or where the two lines cross.  Returns -inf when a slope is not
+    finite.
+    """
+    m = len(alphas) - 1
+    widths = [alphas[j + 1] - alphas[j] for j in range(m)]
+    slopes = [(values[j + 1] - values[j]) / widths[j] for j in range(m)]
+    if not all(map(math.isfinite, slopes)):
+        return -math.inf
+    bound = math.inf
+    for i in range(m):
+        w = widths[i]
+        # the neighbouring secants as (value at alphas[i], slope); an edge
+        # interval has one neighbour, which then stands for both
+        left = (values[i], slopes[i - 1]) if i > 0 else None
+        right = ((values[i + 1] - slopes[i + 1] * w, slopes[i + 1])
+                 if i + 1 < m else None)
+        (c0, k0), (c1, k1) = left or right, right or left
+        low = min(max(c0, c1), max(c0 + k0 * w, c1 + k1 * w))
+        if k1 != k0:  # the lines cross
+            u = min(max((c0 - c1) / (k1 - k0), 0.0), w)
+            low = min(low, max(c0 + k0 * u, c1 + k1 * u))
+        bound = min(bound, low)
+    return bound
+
+
+# Probe points as fractions of the radius: 0, then pairs on either side of
+# it, wide enough to see a violation anywhere in the bracket and fine enough
+# that the secant bound of a function vanishing at 0 closes to within the
+# noise floor.
+_PROBE_OFFSETS = (0.0,) + tuple(side * scale
+                                for scale in (1.0, 1e-2, 1e-4, 1e-6, 1e-7, 1e-8)
+                                for side in (-1.0, 1.0))
+
+
+def _certified_probe(phi, radius: float, level: float
+                     ) -> tuple[float, float] | None:
+    """Certify min phi >= level over [-radius, radius] from 13 probes.
+
+    Evaluates a convex phi at radius*_PROBE_OFFSETS, stopping at the first
+    value below level.  If every value reaches level and so does their
+    secant lower bound, returns the best probe (alpha, phi(alpha)), ties
+    going to 0; otherwise None, and the caller minimizes in full.  Any
+    minimizer's value is at least the true minimum, hence at least level, so
+    a certified pair gets the verdict and boundary flag full minimization
+    would give it.
+    """
+    if not (radius > 0.0 and math.isfinite(radius)):
+        return None  # minimize_convex_1d reports the bad radius
+    f = _finite(phi)
+    probes = []
+    for offset in _PROBE_OFFSETS:
+        alpha = offset * radius
+        value = f(alpha)
+        if value < level:
+            return None
+        probes.append((alpha, value))
+    alphas, values = zip(*sorted(probes))
+    if not all(a < b for a, b in zip(alphas, alphas[1:])):
+        return None  # the smallest offsets underflowed onto each other
+    if not _secant_lower_bound(alphas, values) >= level:
+        return None
+    return min(probes, key=lambda p: p[1])  # the first of equals: alpha = 0
 
 
 def _one_sided_result(margin: float, tol: float, alpha_star: float) -> CheckResult:
@@ -132,13 +208,20 @@ def is_bj_orthogonal(x: BochnerElement, y: BochnerElement, spec: SpaceSpec,
     Minimizes ||x + a y|| over |a| <= 4||x||/||y|| (any a with value <= ||x||
     lies within 2||x||/||y|| by the reverse triangle inequality; doubled to
     absorb rounding).  margin = (min - ||x||)/||x||, always <= 0 since a = 0
-    attains ||x||.
+    attains ||x||.  A pair whose probes certify min >= (1 - floor)||x||
+    (floor = ONE_SIDED_NOISE_FLOOR) skips the golden section.
     """
     xb, yb, nx, ny = _operands(x, y, spec)
     if ny == 0.0:
         return CheckResult(verdict=True, margin=0.0, alpha_star=0.0)
     radius = 4.0 * nx / ny
-    alpha, val = minimize_convex_1d(lambda a: _norm_arr(xb + a * yb, spec), radius)
+
+    def phi(a: float) -> float:
+        return _norm_arr(xb + a * yb, spec)
+
+    level = (1.0 - ONE_SIDED_NOISE_FLOOR) * nx
+    alpha, val = (_certified_probe(phi, radius, level)
+                  or minimize_convex_1d(phi, radius))
     val = min(val, nx)  # phi(0) = ||x|| exactly
     margin = (val - nx) / nx
     return _one_sided_result(margin, tol, alpha)
@@ -151,6 +234,8 @@ def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
     Minimizes the convex gap psi(a) = ||x + a y||^2 - ||x||^2
     + 2 eps ||x|| ||y|| |a| over |a| <= 4||x||/||y|| (psi < 0 forces
     ||x + a y|| < ||x||, hence |a| < 2||x||/||y||).  margin = min psi /||x||^2.
+    A pair whose probes certify min psi >= -floor ||x||^2
+    (floor = ONE_SIDED_NOISE_FLOOR) skips the golden section.
     """
     eps = epsilon_value(eps)
     xb, yb, nx, ny = _operands(x, y, spec)
@@ -163,7 +248,8 @@ def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
         return _norm_arr(xb + a * yb, spec) ** 2 - nx2 + kink * abs(a)
 
     radius = 4.0 * nx / ny
-    alpha, val = minimize_convex_1d(psi, radius)
+    alpha, val = (_certified_probe(psi, radius, -ONE_SIDED_NOISE_FLOOR * nx2)
+                  or minimize_convex_1d(psi, radius))
     val = min(val, 0.0)  # psi(0) = 0 exactly
     margin = val / nx2
     return _one_sided_result(margin, tol, alpha)

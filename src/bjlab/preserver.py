@@ -156,12 +156,12 @@ def h_alpha_witness(alpha: float, part: AtomPartition, x0,
 
 def random_element(spec: SpaceSpec, rng: np.random.Generator,
                    min_norm: float = 1e-6) -> BochnerElement:
-    """Blocks with i.i.d. standard normal entries; redraws degenerate ones."""
+    """Blocks with i.i.d. standard normal entries; redraws degenerate ones
+    (none at min_norm <= 0, where every draw is usable)."""
     for _ in range(100):
         blocks = rng.standard_normal((spec.n, spec.d))
-        f = BochnerElement(blocks)
-        if _norm_arr(blocks, spec) >= min_norm:
-            return f
+        if min_norm <= 0.0 or _norm_arr(blocks, spec) >= min_norm:
+            return BochnerElement(blocks)
     raise DegenerateDraw("could not draw an element of usable norm")
 
 
@@ -222,10 +222,6 @@ class TrialRecord:
     """One preservation trial: an exactly-orthogonal pair and the verdicts of
     each check route on its image under the operator."""
 
-    trial: int
-    seed: tuple[int, int]
-    spec: SpaceSpec
-    epsilon: float
     x: BochnerElement
     y: BochnerElement
     direct: CheckResult
@@ -239,7 +235,6 @@ class TrialRecord:
 
 def preservation_trial(U: ScalingOperator, eps, spec: SpaceSpec,
                        rng: np.random.Generator, tol: float = DEFAULT_TOL,
-                       trial: int = 0, seed: tuple[int, int] = (0, 0),
                        ) -> TrialRecord:
     """Draw an orthogonal pair, apply U, and check the image pair at eps.
 
@@ -255,5 +250,4 @@ def preservation_trial(U: ScalingOperator, eps, spec: SpaceSpec,
     direct = is_approx_bj_orthogonal(ux, uy, eps, spec, tol)
     second = certificate_check(ux, uy, eps, spec, tol)  # the sip criterion for p > 1
     route = "certificate" if spec.p == 1.0 else "sip"
-    return TrialRecord(trial=trial, seed=seed, spec=spec, epsilon=eps,
-                       x=x, y=y, direct=direct, second_route=route, second=second)
+    return TrialRecord(x=x, y=y, direct=direct, second_route=route, second=second)

@@ -46,8 +46,7 @@ def _run_sweep(spec, operator_for_eps, seed, trials_per_eps):
     for eps in EPS_GRID:
         U = operator_for_eps(eps)
         for _ in range(trials_per_eps):
-            rec = preservation_trial(U, eps, spec, trial_rng(seed, idx),
-                                     trial=idx, seed=(seed, idx))
+            rec = preservation_trial(U, eps, spec, trial_rng(seed, idx))
             counts[rec.outcome] += 1
             if rec.outcome != "boundary" and rec.direct.verdict != rec.second.verdict:
                 disagreements += 1

@@ -139,10 +139,20 @@ SMOOTH = with_spec(p=3)
     # operators that could not be built until the run reached them
     ("preserver-sweep", "spec/partition", {"epsilons": [0.5, 0.0]}),
     ("isometry-test", "partition", {**SMOOTH, "epsilons": [0.5]}),
+    # epsilons that are not a list of numbers (5 is the first probe above)
+    ("check-approx", "epsilons", {"epsilons": "0.1"}),
+    ("check-approx", "epsilons", {"epsilons": [[0.1]]}),
 ])
 def test_malformed_or_unread_values_are_config_errors(mode, key, extra):
     with pytest.raises(ConfigError, match=f"^{key}: "):
         parse_config(config_text(mode, **extra))
+
+
+@pytest.mark.parametrize("value", [5, "0.1", [[0.1]]])
+def test_epsilons_must_be_a_list_of_numbers(value):
+    with pytest.raises(ConfigError) as err:
+        parse_config(config_text("check-approx", epsilons=value))
+    assert str(err.value) == f"epsilons: must be a list of numbers, got {value!r}"
 
 
 def run_quiet(cfg):

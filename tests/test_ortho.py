@@ -1,12 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from bjlab import ortho
 from bjlab import (
     ApproxParam,
+    AtomPartition,
     BadSpec,
     BochnerElement,
     NonFiniteValue,
@@ -14,6 +17,7 @@ from bjlab import (
     SpaceSpec,
     ZeroElement,
     apply_functional,
+    apply_operator,
     bochner_norm,
     certificate_check,
     draw_orthogonal_pair,
@@ -25,6 +29,7 @@ from bjlab import (
     minimize_convex_1d,
     random_element,
     sip_orthogonality_criterion,
+    u_eps_Lp,
 )
 from conftest import rng_for, spec_with_elements
 from oracles import brute_min_certificate, brute_min_certificate_fullball, grid_min_gap
@@ -396,3 +401,120 @@ def test_approx_param_validation():
     with pytest.raises(BadSpec):
         ApproxParam(-0.1)
     assert float(ApproxParam(0.25)) == 0.25
+
+
+def probe_schedule(radius):
+    return sorted(offset * radius for offset in ortho._PROBE_OFFSETS)
+
+
+@given(st.floats(min_value=0.1, max_value=10.0),
+       st.lists(st.tuples(st.floats(min_value=-5.0, max_value=5.0),
+                          st.floats(min_value=-5.0, max_value=5.0)),
+                min_size=1, max_size=4),
+       st.floats(min_value=0.0, max_value=3.0),
+       st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=2.0)))
+def test_secant_bound_is_below_grid_minimum(radius, lines, curvature, kink):
+    def f(a):
+        return (np.max([s * a + b for s, b in lines], axis=0) + curvature * a * a
+                + kink * np.abs(a))
+
+    alphas = probe_schedule(radius)
+    values = [float(f(a)) for a in alphas]
+    bound = ortho._secant_lower_bound(alphas, values)
+    grid_min = min(f(np.linspace(-radius, radius, 20001)).min(), min(values))
+    assert bound <= grid_min + 1e-9 * (1.0 + max(map(abs, values)))
+
+
+def test_dip_between_probes_is_not_certified():
+    # a V-shaped dip of depth 1e-9 between the probes at 0.01 r and r: every
+    # probe is positive, so only the secant bound can refuse the certificate
+    r, depth, centre, half_width = 4.0, 1e-9, 1.2, 0.4
+
+    def f(a):
+        return depth * (abs(a - centre) / half_width - 1.0)
+
+    assert min(map(f, probe_schedule(r))) > 0.0
+    assert ortho._certified_probe(f, r, -ortho.ONE_SIDED_NOISE_FLOOR) is None
+
+
+def test_probes_stop_at_the_first_value_below_the_level():
+    seen = []
+
+    def f(a):
+        seen.append(a)
+        return a  # below the level at -r, the second probe
+
+    assert ortho._certified_probe(f, 2.0, -1e-13) is None
+    assert seen == [0.0, -2.0]
+
+
+@pytest.mark.parametrize("depth", [1e-9, 1e-11])
+def test_dip_in_the_check_falls_back_to_golden_section(depth):
+    # p = q = 2, eps = 0: psi(a) = 2ac + a^2 ||y||^2 dips to -c^2/||y||^2,
+    # about -depth ||x||^2, at a ~ -c r/4, between two probes
+    spec = SpaceSpec(2, 2, 1, 2, (1.0,))
+    c = math.sqrt(depth)
+    x, y = single_block(1.0, 0.0), single_block(c, 1.0)
+    res = is_approx_bj_orthogonal(x, y, 0.0, spec)
+    nx, ny = bochner_norm(x, spec), bochner_norm(y, spec)
+    alpha, value = minimize_convex_1d(
+        lambda a: bochner_norm(x + a * y, spec) ** 2 - nx * nx, 4.0 * nx / ny)
+    assert res.alpha_star == alpha != 0.0
+    assert res.margin == value / (nx * nx)
+    assert res.margin == pytest.approx(-c * c / (ny * ny), rel=1e-6)
+    # the exact check minimizes ||x + a y|| = sqrt(psi(a) + ||x||^2)
+    exact = is_bj_orthogonal(x, y, spec)
+    alpha, value = minimize_convex_1d(
+        lambda a: bochner_norm(x + a * y, spec), 4.0 * nx / ny)
+    assert exact.alpha_star == alpha != 0.0
+    assert exact.margin == (value - nx) / nx
+
+
+def test_preserved_pair_is_certified_by_the_probes(monkeypatch):
+    rng = rng_for("certified_probes")
+    spec = SpaceSpec(3, 1.5, 6, 3, (1.0,) * 6)
+    U = u_eps_Lp(0.3, AtomPartition((0, 1, 2), 6), spec)
+    calls = []
+    norm = ortho._norm_arr
+    monkeypatch.setattr(ortho, "_norm_arr",
+                        lambda blocks, s: calls.append(1) or norm(blocks, s))
+    for _ in range(20):
+        x, y = draw_orthogonal_pair(spec, rng)
+        ux, uy = apply_operator(U, x), apply_operator(U, y)
+        calls.clear()
+        res = is_approx_bj_orthogonal(ux, uy, 0.3, spec)
+        assert len(calls) <= 15  # ||x||, ||y|| and 13 probes
+        assert res.verdict and not res.boundary
+        assert res.margin == 0.0 and res.alpha_star == 0.0
+
+
+def golden_section_only():
+    return mock.patch.object(ortho, "_certified_probe", lambda *args: None)
+
+
+def test_failing_pair_keeps_the_golden_section_result():
+    rng = rng_for("failing_probes")
+    spec = SpaceSpec(1.5, 3, 4, 2, (1.0, 2.0, 0.5, 1.0))
+    failed = 0
+    for _ in range(40):
+        x, y = random_element(spec, rng), random_element(spec, rng)
+        with golden_section_only():
+            full = (is_approx_bj_orthogonal(x, y, 0.2, spec),
+                    is_bj_orthogonal(x, y, spec))
+        probed = (is_approx_bj_orthogonal(x, y, 0.2, spec),
+                  is_bj_orthogonal(x, y, spec))
+        assert probed == full
+        failed += not probed[0].verdict
+    assert failed > 10
+
+
+@given(spec_with_elements(count=2), st.floats(min_value=0.0, max_value=0.9))
+def test_probes_keep_verdicts_and_boundary_flags(data, eps):
+    spec, x, y = data
+    probed = (is_approx_bj_orthogonal(x, y, eps, spec), is_bj_orthogonal(x, y, spec))
+    with golden_section_only():
+        full = (is_approx_bj_orthogonal(x, y, eps, spec), is_bj_orthogonal(x, y, spec))
+    for a, b in zip(probed, full):
+        assert (a.verdict, a.boundary) == (b.verdict, b.boundary)
+        # a certified margin and golden section's both lie in [-floor, 0]
+        assert a.margin == pytest.approx(b.margin, abs=ortho.ONE_SIDED_NOISE_FLOOR)

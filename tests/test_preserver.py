@@ -197,7 +197,7 @@ def test_preservation_trial_l1_sequence(eps):
     spec = SpaceSpec.sequence(1, 2, 5, 3)
     U = u_eps_l1(eps, spec)
     for i in range(60):
-        rec = preservation_trial(U, eps, spec, trial_rng(101, i), trial=i)
+        rec = preservation_trial(U, eps, spec, trial_rng(101, i))
         assert rec.outcome == "pass", rec
         assert rec.second_route == "certificate"
         # the stored pair is exactly orthogonal by construction
@@ -210,7 +210,7 @@ def test_preservation_trial_weighted_L1(eps):
     spec = SpaceSpec(1, 2, 6, 3, tuple(rng.uniform(0.1, 5.0, 6)))
     U = u_eps_L1(eps, AtomPartition((0, 1, 2), 6), spec)
     for i in range(60):
-        rec = preservation_trial(U, eps, spec, trial_rng(202, i), trial=i)
+        rec = preservation_trial(U, eps, spec, trial_rng(202, i))
         assert rec.outcome == "pass", rec
 
 
@@ -221,7 +221,7 @@ def test_preservation_trial_lp(p, q):
     for eps in (0.2, 0.9):
         U = u_eps_Lp(eps, part, spec)
         for i in range(40):
-            rec = preservation_trial(U, eps, spec, trial_rng(303, i), trial=i)
+            rec = preservation_trial(U, eps, spec, trial_rng(303, i))
             assert rec.outcome == "pass", rec
             assert rec.second_route == "sip"
 

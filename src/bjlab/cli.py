@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError
+from .errors import BjlabError, ConfigError
 from .harness import MODES, parse_config, run, with_overrides
 
 
@@ -41,8 +41,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"bjlab: config error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"bjlab: i/o error: {exc}", file=sys.stderr)
+    except (BjlabError, OSError) as exc:
+        print(f"bjlab: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0 if report.summary["fail"] == 0 else 2
 

@@ -29,7 +29,7 @@ from .preserver import (
     u_eps_l1,
     u_eps_Lp,
 )
-from .sip import sip_axiom_report, sip_orthogonality_criterion
+from .sip import _require_smooth_lp, sip_axiom_report, sip_orthogonality_criterion
 
 # The optional operand keys each mode reads.  isometry-test reads factors,
 # or epsilons and partition to build the sweep's operator.
@@ -107,11 +107,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{key}: not read by mode {self.mode}")
         if self.mode in _MODES_NEEDING_EPS and not self.epsilons:
             raise ConfigError(f"epsilons: required for mode {self.mode}")
-        if self.mode != "isometry-test" and not self.spec.smooth_inner:
+        if self.mode in ("sip", "axioms"):
+            _value("spec", _require_smooth_lp, self.spec)
+        elif self.mode != "isometry-test" and not self.spec.smooth_inner:
             raise ConfigError(
                 f"spec: mode {self.mode} needs 1 < q < inf, got q={self.spec.q}")
-        if self.mode in ("sip", "axioms") and self.spec.p == 1.0:
-            raise ConfigError(f"spec: mode {self.mode} needs p > 1")
         if self.mode == "isometry-test":
             if self.factors is None and not self.epsilons:
                 raise ConfigError("factors: required for isometry-test "

@@ -250,7 +250,7 @@ def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
     radius = 4.0 * nx / ny
     alpha, val = (_certified_probe(psi, radius, -ONE_SIDED_NOISE_FLOOR * nx2)
                   or minimize_convex_1d(psi, radius))
-    val = min(val, 0.0)  # psi(0) = 0 exactly
+    val = min(val, 0.0)  # clamp at the exact psi(0) = 0; as evaluated it can sit an ulp below
     margin = val / nx2
     return _one_sided_result(margin, tol, alpha)
 

@@ -21,14 +21,13 @@ from bjlab import (
     is_bj_orthogonal,
     is_scalar_multiple_of_isometry,
     min_certificate_value,
-    preservation_trial,
     random_element,
     sip_axiom_report,
     u_eps_L1,
     u_eps_l1,
     u_eps_Lp,
 )
-from bjlab.harness import trial_rng
+from bjlab.harness import TRIAL_COLUMNS, ExperimentConfig, run, trial_rng
 from oracles import brute_min_certificate, central_diff_gradient
 
 EPS_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -39,28 +38,25 @@ def _report(criterion: str, ok: bool, detail: str):
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-def _run_sweep(spec, operator_for_eps, seed, trials_per_eps):
-    counts = {"pass": 0, "fail": 0, "boundary": 0}
-    disagreements = 0
-    idx = 0
-    for eps in EPS_GRID:
-        U = operator_for_eps(eps)
-        for _ in range(trials_per_eps):
-            rec = preservation_trial(U, eps, spec, trial_rng(seed, idx))
-            counts[rec.outcome] += 1
-            if rec.outcome != "boundary" and rec.direct.verdict != rec.second.verdict:
-                disagreements += 1
-            idx += 1
-    return counts, disagreements
+def _sweep(spec, seed, trials, partition=None):
+    """A preserver-sweep over EPS_GRID: its summary and route disagreements
+    (rows not flagged boundary whose two verdicts differ)."""
+    report = run(ExperimentConfig(mode="preserver-sweep", spec=spec,
+                                  trials=trials, seed=seed, epsilons=EPS_GRID,
+                                  partition=partition), echo=False)
+    col = {name: i for i, name in enumerate(TRIAL_COLUMNS)}
+    disagreements = sum(
+        1 for row in report.rows if not row[col["boundary"]]
+        and row[col["direct_verdict"]] != row[col["second_verdict"]])
+    return report.summary, disagreements
 
 
 def test_criterion_1_l1_theorem_reproduction():
     spec = SpaceSpec.sequence(1, 2, 8, 3)
     start = time.perf_counter()
-    counts, _ = _run_sweep(spec, lambda e: u_eps_l1(e, spec), seed=1001,
-                           trials_per_eps=1000)
+    counts, _ = _sweep(spec, seed=1001, trials=1000)
     elapsed = time.perf_counter() - start
-    total = sum(counts.values())
+    total = counts["trials"]
     ok = (counts["fail"] == 0 and counts["boundary"] < 0.01 * total
           and elapsed < 30.0)
     _report("1 l1-sequence theorem", ok,
@@ -76,10 +72,9 @@ def test_criterion_2_weighted_L1_theorem_reproduction():
     spec = SpaceSpec(1, 2, 6, 3, weights)
     part = AtomPartition((0, 1, 2), 6)
     start = time.perf_counter()
-    counts, _ = _run_sweep(spec, lambda e: u_eps_L1(e, part, spec), seed=1002,
-                           trials_per_eps=1000)
+    counts, _ = _sweep(spec, seed=1002, trials=1000, partition=part)
     elapsed = time.perf_counter() - start
-    total = sum(counts.values())
+    total = counts["trials"]
     ok = (counts["fail"] == 0 and counts["boundary"] < 0.01 * total
           and elapsed < 30.0)
     _report("2 weighted-L1 theorem", ok,
@@ -97,8 +92,7 @@ def test_criterion_3_lp_theorem_reproduction_both_routes():
     for k, (p, q) in enumerate(product((1.5, 2.0, 3.0), (1.5, 2.0, 3.0))):
         spec = SpaceSpec(p, q, 6, 3, (1.0,) * 6)
         part = AtomPartition((0, 1, 2), 6)
-        counts, dis = _run_sweep(spec, lambda e: u_eps_Lp(e, part, spec),
-                                 seed=1003 + k, trials_per_eps=200)
+        counts, dis = _sweep(spec, seed=1003 + k, trials=200, partition=part)
         disagreements += dis
         for key in grand:
             grand[key] += counts[key]

@@ -10,10 +10,11 @@ from bjlab import (
     ExperimentConfig,
     SpaceSpec,
     parse_config,
+    preservation_trial,
     run,
 )
 from bjlab.cli import main
-from bjlab.harness import with_overrides
+from bjlab.harness import trial_rng, with_overrides
 
 MINIMAL = {
     "spec": {"p": 1, "q": 2, "n": 4, "d": 2, "weights": [1, 1, 1, 1]},
@@ -221,15 +222,34 @@ def test_seed_changes_rows():
     assert r1.rows != r2.rows
 
 
+def test_row_is_recomputable_from_its_key():
+    cfg = parse_config(config_text("preserver-sweep", epsilons=[0.3, 0.7], trials=3))
+    col = {name: i for i, name in enumerate(harness.TRIAL_COLUMNS)}
+    report = run_quiet(cfg)
+    assert len(report.rows) == 6
+    for row in report.rows:
+        seed, index = map(int, row[col["seed"]].split(":"))
+        eps = row[col["epsilon"]]
+        rec = preservation_trial(cfg._operator(eps), eps, cfg.spec, trial_rng(seed, index))
+        assert (row[col["direct_verdict"]], row[col["direct_margin"]],
+                row[col["second_verdict"]], row[col["second_margin"]]) == (
+            rec.direct.verdict, rec.direct.margin,
+            rec.second.verdict, rec.second.margin)
+
+
 SHIPPED_CONFIGS = sorted(
     (Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.json"))
 
 
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
-def test_shipped_configs_run(path, tmp_path):
+def test_shipped_configs_run(path, tmp_path, capsys):
     data = json.loads(path.read_text(encoding="utf-8"))
-    data.update(trials=20, out=str(tmp_path / f"{path.stem}.csv"))
-    s = run_quiet(parse_config(json.dumps(data))).summary
+    data.update(trials=20)
+    cfg_path = tmp_path / path.name
+    cfg_path.write_text(json.dumps(data), encoding="utf-8")
+    assert main([data["mode"], "--config", str(cfg_path),
+                 "--out", str(tmp_path / f"{path.stem}.csv")]) == 0
+    s = json.loads(capsys.readouterr().out)
     if data["mode"] == "isometry-test":
         assert s["scalar_multiple_of_isometry"] is True
     else:
@@ -267,6 +287,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["check-approx", "--config", str(malformed)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("bjlab: config error: epsilons: ") and "Traceback" not in err
+
+    # subnormal weights pass the config checks but leave no drawable element
+    degenerate = tmp_path / "degenerate.json"
+    degenerate.write_text(config_text(
+        "preserver-sweep", epsilons=[0.5], partition=[0], trials=3, seed=1,
+        **with_spec(p=3, n=3, weights=[1e-320] * 3)), encoding="utf-8")
+    assert main(["preserver-sweep", "--config", str(degenerate)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bjlab: error: DegenerateDraw: ") and "Traceback" not in err
 
     assert main(["check-ortho", "--config", str(tmp_path / "missing.json")]) == 1
 

@@ -30,7 +30,6 @@ from .errors import (
 )
 from .harness import ExperimentConfig, RunReport, parse_config, run
 from .ortho import (
-    ApproxParam,
     certificate_check,
     is_approx_bj_orthogonal,
     is_bj_orthogonal,

@@ -87,18 +87,11 @@ class SpaceSpec:
     def mu(self) -> np.ndarray:
         return self._mu
 
-    @property
-    def smooth_inner(self) -> bool:
-        """True when the inner norm is Frechet differentiable (1 < q < inf)."""
-        return 1.0 < self.q < math.inf
-
-    @property
-    def dual_p(self) -> float:
-        return dual_exponent(self.p)
-
-    @property
-    def dual_q(self) -> float:
-        return dual_exponent(self.q)
+    def require_smooth_inner(self) -> None:
+        """Raise NotSmooth unless the inner norm is Frechet differentiable
+        (1 < q < inf), as support functionals and semi-inner products need."""
+        if not 1.0 < self.q < math.inf:
+            raise NotSmooth(f"inner norm is not smooth: need 1 < q < inf, got q={self.q}")
 
     def to_dict(self) -> dict:
         q = "inf" if math.isinf(self.q) else self.q
@@ -331,8 +324,7 @@ def duality_weights(blocks: np.ndarray, spec: SpaceSpec
 def _support_rows(blocks: np.ndarray, spec: SpaceSpec) -> tuple[float, np.ndarray]:
     """(||f||, blocks of the support functional of f); raises NotSmooth
     unless 1 < q < inf and ZeroElement at f = 0."""
-    if not spec.smooth_inner:
-        raise NotSmooth(f"support functionals need 1 < q < inf, got q={spec.q}")
+    spec.require_smooth_inner()
     nf, _, w, F = duality_weights(blocks, spec)
     if nf == 0.0:
         raise ZeroElement("support functional undefined at 0")
@@ -366,7 +358,8 @@ def functional_norm(T: BlockFunctional, spec: SpaceSpec) -> float:
     the block dual norms ||T_i||_{q*}, the discrete L^{p*} duality (the max
     at p = 1, since the dual of L^1 is L^inf)."""
     tb = check_shape(T, spec, "functional")
-    return _weighted_lp(block_norms(tb, spec.dual_q), spec.mu, spec.dual_p)
+    return _weighted_lp(block_norms(tb, dual_exponent(spec.q)), spec.mu,
+                        dual_exponent(spec.p))
 
 
 def outcome(*results: CheckResult) -> str:

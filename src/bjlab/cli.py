@@ -7,10 +7,11 @@ error, 2 on any unexplained failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .errors import BjlabError, ConfigError
-from .harness import MODES, parse_config, run, with_overrides
+from .harness import MODES, parse_config, run
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -19,9 +20,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Orthogonality experiments on discretized vector-valued L^p spaces.")
     parser.add_argument("mode", choices=MODES)
     parser.add_argument("--config", required=True, help="path to a JSON config")
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="override the config's seed")
-    parser.add_argument("--out", default=None,
+    parser.add_argument("--out", default=argparse.SUPPRESS,
                         help="override the config's CSV output path")
     return parser
 
@@ -35,9 +36,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bjlab: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
-        config = with_overrides(parse_config(text, mode=args.mode),
-                                seed=args.seed, out=args.out)
-        report = run(config)
+        config = parse_config(text, mode=args.mode)
+        overrides = {key: value for key, value in vars(args).items()
+                     if key in ("seed", "out")}
+        report = run(dataclasses.replace(config, **overrides))
     except ConfigError as exc:
         print(f"bjlab: config error: {exc}", file=sys.stderr)
         return 1

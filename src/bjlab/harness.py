@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -109,9 +109,8 @@ class ExperimentConfig:
             raise ConfigError(f"epsilons: required for mode {self.mode}")
         if self.mode in ("sip", "axioms"):
             _value("spec", _require_smooth_lp, self.spec)
-        elif self.mode != "isometry-test" and not self.spec.smooth_inner:
-            raise ConfigError(
-                f"spec: mode {self.mode} needs 1 < q < inf, got q={self.spec.q}")
+        elif self.mode != "isometry-test":
+            _value("spec", self.spec.require_smooth_inner)
         if self.mode == "isometry-test":
             if self.factors is None and not self.epsilons:
                 raise ConfigError("factors: required for isometry-test "
@@ -177,15 +176,7 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 
 
 @dataclass
-class _Row:
-    values: tuple
-    outcome: str          # pass | fail | boundary
-    pass_margins: tuple = ()
-
-
-@dataclass
 class RunReport:
-    mode: str
     columns: tuple[str, ...]
     rows: list[tuple]
     summary: dict
@@ -206,9 +197,9 @@ def _fmt(v) -> str:
 
 
 # A row function measures one row from its generator and returns the row's
-# columns after the shared (trial, seed, p, q, n, d) prefix, its outcome and
-# the margins that count towards max_abs_margin_pass.  operator is the
-# sweep's operator at eps; the other modes ignore it.
+# columns after the shared (trial, seed, p, q, n, d) prefix and its outcome
+# (pass | fail | boundary).  operator is the sweep's operator at eps; the
+# other modes ignore it.
 
 def _ortho_row(cfg: ExperimentConfig, rng, eps, operator):
     """Draw an orthogonal pair and check it (exactly when eps is None)."""
@@ -219,7 +210,7 @@ def _ortho_row(cfg: ExperimentConfig, rng, eps, operator):
         res = is_approx_bj_orthogonal(x, y, eps, cfg.spec, cfg.tol)
     shown_eps = 0.0 if eps is None else eps
     return ((shown_eps, res.verdict, res.margin, "none", "", "", res.boundary),
-            outcome(res), (res.margin,))
+            outcome(res))
 
 
 def _sip_row(cfg: ExperimentConfig, rng, eps, operator):
@@ -236,7 +227,7 @@ def _sip_row(cfg: ExperimentConfig, rng, eps, operator):
         agreement = "pass" if direct.verdict == crit.verdict else "fail"
     return ((eps, direct.verdict, direct.margin, "sip", crit.verdict,
              crit.margin, agreement == "boundary"),
-            agreement, (direct.margin, crit.margin))
+            agreement)
 
 
 def _axiom_row(cfg: ExperimentConfig, rng, eps, operator):
@@ -249,14 +240,14 @@ def _axiom_row(cfg: ExperimentConfig, rng, eps, operator):
     return ((float(a), float(b), rep.first_slot_linearity,
              rep.second_slot_homogeneity, rep.cauchy_schwarz,
              rep.norm_compatibility, rep.scale, ok),
-            "pass" if ok else "fail", (rep.max_relative(),))
+            "pass" if ok else "fail")
 
 
 def _sweep_row(cfg: ExperimentConfig, rng, eps, operator):
     rec = preservation_trial(operator, eps, cfg.spec, rng, cfg.tol)
     return ((eps, rec.direct.verdict, rec.direct.margin, rec.second_route,
              rec.second.verdict, rec.second.margin, rec.outcome == "boundary"),
-            rec.outcome, (rec.direct.margin, rec.second.margin))
+            rec.outcome)
 
 
 _ROW_FUNCTIONS = {
@@ -268,7 +259,7 @@ _ROW_FUNCTIONS = {
 }
 
 
-def _trial_rows(cfg: ExperimentConfig) -> list[_Row]:
+def _trial_rows(cfg: ExperimentConfig) -> list[tuple[tuple, str]]:
     """Rows in order: cfg.trials per epsilon (one pass without epsilons for
     check-ortho and axioms), row k*trials + i seeded by (seed, that index)."""
     row_function = _ROW_FUNCTIONS[cfg.mode]
@@ -279,10 +270,10 @@ def _trial_rows(cfg: ExperimentConfig) -> list[_Row]:
         operator = cfg._operator(eps) if cfg.mode == "preserver-sweep" else None
         for trial in range(cfg.trials):
             index = k * cfg.trials + trial
-            values, row_outcome, margins = row_function(
+            values, row_outcome = row_function(
                 cfg, trial_rng(cfg.seed, index), eps, operator)
-            rows.append(_Row((trial, f"{cfg.seed}:{index}", s.p, s.q, s.n, s.d)
-                             + values, row_outcome, margins))
+            rows.append(((trial, f"{cfg.seed}:{index}", s.p, s.q, s.n, s.d)
+                         + values, row_outcome))
     return rows
 
 
@@ -294,8 +285,7 @@ def _run_isometry_test(cfg: ExperimentConfig):
     rng = trial_rng(cfg.seed, 0)
     verdict, spread = is_scalar_multiple_of_isometry(
         operator, cfg.spec, trials=cfg.trials, tol=cfg.tol, rng=rng)
-    row = _Row((verdict, spread, cfg.trials), "pass", ())
-    return ISOMETRY_COLUMNS, [row]
+    return ISOMETRY_COLUMNS, [((verdict, spread, cfg.trials), "pass")]
 
 
 def run(config: ExperimentConfig, echo: bool = True) -> RunReport:
@@ -311,22 +301,13 @@ def run(config: ExperimentConfig, echo: bool = True) -> RunReport:
     else:
         columns = AXIOM_COLUMNS if config.mode == "axioms" else TRIAL_COLUMNS
         row_data = _trial_rows(config)
-    rows = [r.values for r in row_data]
-    counts = {"pass": 0, "fail": 0, "boundary": 0}
-    max_pass_margin = 0.0
-    for r in row_data:
-        counts[r.outcome] += 1
-        if r.outcome == "pass" and r.pass_margins:
-            max_pass_margin = max(max_pass_margin,
-                                  max(abs(m) for m in r.pass_margins))
+    rows, outcomes = zip(*row_data)
+    counts = {key: outcomes.count(key) for key in ("pass", "fail", "boundary")}
     summary = {
         "mode": config.mode,
         "seed": config.seed,
         "trials": len(rows),
-        "pass": counts["pass"],
-        "fail": counts["fail"],
-        "boundary": counts["boundary"],
-        "max_abs_margin_pass": max_pass_margin,
+        **counts,
         "wall_time_s": time.perf_counter() - start,
         "out": config.out,
     }
@@ -334,22 +315,10 @@ def run(config: ExperimentConfig, echo: bool = True) -> RunReport:
         summary["trials"] = config.trials  # the random probes, as in the CSV
         summary["scalar_multiple_of_isometry"] = bool(rows[0][0])
         summary["ratio_spread"] = float(rows[0][1])
-    report = RunReport(mode=config.mode, columns=columns, rows=rows,
-                       summary=summary)
+    report = RunReport(columns=columns, rows=list(rows), summary=summary)
     if config.out is not None:
         with open(config.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(report.csv_text())
     if echo:
         print(json.dumps(summary, sort_keys=True))
     return report
-
-
-def with_overrides(config: ExperimentConfig, seed: int | None = None,
-                   out: str | None = None) -> ExperimentConfig:
-    """Command-line overrides applied to a parsed config."""
-    changes = {}
-    if seed is not None:
-        changes["seed"] = seed
-    if out is not None:
-        changes["out"] = out
-    return replace(config, **changes) if changes else config

@@ -13,7 +13,6 @@ only the minimization is an independent route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,32 +37,23 @@ from .errors import BadSpec, NonFiniteValue, ZeroElement
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class ApproxParam:
-    """Relaxation parameter of approximate orthogonality; 0 recovers the
-    exact relation."""
-
-    epsilon: float
-
-    def __post_init__(self):
-        eps = float(self.epsilon)
-        if not (0.0 <= eps < 1.0):
-            raise BadSpec(f"epsilon must lie in [0, 1), got {eps}")
-        object.__setattr__(self, "epsilon", eps)
-
-    def __float__(self) -> float:
-        return self.epsilon
-
-
 def epsilon_value(eps) -> float:
-    """Accept ApproxParam or a plain float; validate the range."""
-    return ApproxParam(eps).epsilon
+    """eps as a float in [0, 1), where 0 recovers the exact relation; raises
+    BadSpec outside that range, NaN included."""
+    eps = float(eps)
+    if not 0.0 <= eps < 1.0:
+        raise BadSpec(f"epsilon must lie in [0, 1), got {eps}")
+    return eps
 
 
 def _finite(phi):
-    """phi as a float-valued function that raises NonFiniteValue on inf/nan."""
+    """phi as a float-valued function that raises NonFiniteValue on inf/nan
+    or overflow."""
     def f(alpha: float) -> float:
-        val = float(phi(alpha))
+        try:
+            val = float(phi(alpha))
+        except OverflowError as exc:  # a Python float power out of range
+            raise NonFiniteValue(f"objective overflowed at alpha={alpha}") from exc
         if not math.isfinite(val):
             raise NonFiniteValue(f"objective returned {val} at alpha={alpha}")
         return val
@@ -180,13 +170,19 @@ def _certified_probe(phi, radius: float, level: float
     return min(probes, key=lambda p: p[1])  # the first of equals: alpha = 0
 
 
-def _one_sided_result(margin: float, tol: float, alpha_star: float) -> CheckResult:
-    # Minimization margins are <= 0 up to rounding (the objective vanishes at
-    # alpha = 0), so only the uncertain-fail zone below the noise floor is a
-    # boundary case.
+def _one_sided_check(objective, radius: float, at_zero: float, level: float,
+                     scale: float, tol: float) -> CheckResult:
+    """Verdict on min objective >= at_zero over [-radius, radius], at_zero
+    being the exact objective(0): certified probes at level, else golden
+    section.  margin = (min - at_zero)/scale is <= 0 up to rounding, so only
+    the uncertain-fail zone below the noise floor is a boundary case."""
+    alpha, val = (_certified_probe(objective, radius, level)
+                  or minimize_convex_1d(objective, radius))
+    val = min(val, at_zero)  # clamp at the exact value; as evaluated it can sit an ulp below
+    margin = (val - at_zero) / scale
     boundary = -BOUNDARY_BAND * tol < margin < -ONE_SIDED_NOISE_FLOOR
     return CheckResult(verdict=margin >= -tol, margin=margin,
-                       alpha_star=alpha_star, boundary=boundary)
+                       alpha_star=alpha, boundary=boundary)
 
 
 def _operands(x: BochnerElement, y: BochnerElement, spec: SpaceSpec
@@ -219,12 +215,8 @@ def is_bj_orthogonal(x: BochnerElement, y: BochnerElement, spec: SpaceSpec,
     def phi(a: float) -> float:
         return _norm_arr(xb + a * yb, spec)
 
-    level = (1.0 - ONE_SIDED_NOISE_FLOOR) * nx
-    alpha, val = (_certified_probe(phi, radius, level)
-                  or minimize_convex_1d(phi, radius))
-    val = min(val, nx)  # phi(0) = ||x|| exactly
-    margin = (val - nx) / nx
-    return _one_sided_result(margin, tol, alpha)
+    return _one_sided_check(phi, radius, nx, (1.0 - ONE_SIDED_NOISE_FLOOR) * nx,
+                            nx, tol)
 
 
 def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
@@ -243,16 +235,15 @@ def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
         return CheckResult(verdict=True, margin=0.0, alpha_star=0.0)
     kink = 2.0 * eps * nx * ny
     nx2 = nx * nx
+    if not 0.0 < nx2 < math.inf:  # nx * nx underflowed or overflowed
+        raise NonFiniteValue(f"||x||^2 = {nx2} is outside the float range")
 
     def psi(a: float) -> float:
         return _norm_arr(xb + a * yb, spec) ** 2 - nx2 + kink * abs(a)
 
     radius = 4.0 * nx / ny
-    alpha, val = (_certified_probe(psi, radius, -ONE_SIDED_NOISE_FLOOR * nx2)
-                  or minimize_convex_1d(psi, radius))
-    val = min(val, 0.0)  # clamp at the exact psi(0) = 0; as evaluated it can sit an ulp below
-    margin = val / nx2
-    return _one_sided_result(margin, tol, alpha)
+    return _one_sided_check(psi, radius, 0.0, -ONE_SIDED_NOISE_FLOOR * nx2,
+                            nx2, tol)
 
 
 def _certificate(x: BochnerElement, y: BochnerElement,

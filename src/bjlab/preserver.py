@@ -78,9 +78,6 @@ class ScalingOperator:
         if not np.all(np.isfinite(self.factors) & (self.factors > 0.0)):
             raise BadSpec("all scaling factors must be positive and finite")
 
-    def __call__(self, f: BochnerElement) -> BochnerElement:
-        return apply_operator(self, f)
-
     def check_fits(self, spec: SpaceSpec) -> None:
         """Raise ShapeMismatch unless there is one factor per atom of spec."""
         if len(self.factors) != spec.n:

@@ -22,19 +22,18 @@ from .blockspace import (
     BochnerElement,
     CheckResult,
     SpaceSpec,
-    _norm_from_block_norms,  # noqa: F401  perfbench/spans.py wraps norms here too
+    _norm_from_block_norms,  # noqa: F401  perfbench/test_perfbench.py reads it here
     check_shape,
     duality_weights,
 )
-from .errors import NotSmooth, UnsupportedExponent
+from .errors import UnsupportedExponent
 from .ortho import certificate_check
 
 
 def _require_smooth_lp(spec: SpaceSpec):
     if spec.p == 1.0:  # SpaceSpec already keeps p finite
         raise UnsupportedExponent("semi-inner product needs p > 1")
-    if not spec.smooth_inner:
-        raise NotSmooth(f"semi-inner product needs 1 < q < inf, got q={spec.q}")
+    spec.require_smooth_inner()
 
 
 def semi_inner_product(f: BochnerElement, g: BochnerElement,

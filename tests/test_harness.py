@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from bjlab import (
     run,
 )
 from bjlab.cli import main
-from bjlab.harness import trial_rng, with_overrides
+from bjlab.harness import trial_rng
 
 MINIMAL = {
     "spec": {"p": 1, "q": 2, "n": 4, "d": 2, "weights": [1, 1, 1, 1]},
@@ -78,9 +79,10 @@ def test_parse_mode_conflict_and_merge():
 
 
 def test_mode_specific_validation():
-    with pytest.raises(ConfigError, match="1 < q < inf"):
-        parse_config(json.dumps({**MINIMAL, "mode": "check-ortho",
-                                 "spec": {**MINIMAL["spec"], "q": 1}}))
+    for q in (1, "inf"):
+        with pytest.raises(ConfigError, match="^spec: .*1 < q < inf"):
+            parse_config(json.dumps({**MINIMAL, "mode": "check-ortho",
+                                     "spec": {**MINIMAL["spec"], "q": q}}))
     with pytest.raises(ConfigError, match="p > 1"):
         parse_config(config_text("sip", epsilons=[0.1]))
     with pytest.raises(ConfigError, match="partition"):
@@ -184,18 +186,35 @@ def test_summary_accounting_smooth_modes():
         assert s["fail"] == 0
 
 
-def test_csv_deterministic_across_runs_and_threads(tmp_path):
+SUMMARY_KEYS = {"mode", "seed", "trials", "pass", "fail", "boundary",
+                "wall_time_s", "out"}
+
+
+@pytest.mark.parametrize("mode,extra,added", [
+    ("check-ortho", {}, set()),
+    ("sip", {**SMOOTH, "epsilons": [0.2]}, set()),
+    ("axioms", SMOOTH, set()),
+    ("preserver-sweep", {"epsilons": [0.3]}, set()),
+    ("isometry-test", {"factors": [1, 1, 1, 1]},
+     {"scalar_multiple_of_isometry", "ratio_spread"}),
+])
+def test_summary_key_set(mode, extra, added):
+    summary = run_quiet(parse_config(config_text(mode, **extra))).summary
+    assert set(summary) == SUMMARY_KEYS | added
+
+
+def test_csv_deterministic_across_runs(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     text = config_text("preserver-sweep", epsilons=[0.5], trials=20)
-    run_quiet(with_overrides(parse_config(text), out=str(out1)))
-    run_quiet(with_overrides(parse_config(text), out=str(out2)))
+    run_quiet(dataclasses.replace(parse_config(text), out=str(out1)))
+    run_quiet(dataclasses.replace(parse_config(text), out=str(out2)))
     assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_csv_format(tmp_path):
     out = tmp_path / "rows.csv"
-    cfg = with_overrides(parse_config(config_text("check-ortho")), out=str(out))
+    cfg = dataclasses.replace(parse_config(config_text("check-ortho")), out=str(out))
     run_quiet(cfg)
     raw = out.read_bytes()
     assert b"\r" not in raw
@@ -207,7 +226,7 @@ def test_csv_format(tmp_path):
     first = lines[1].split(",")
     assert first[7] in ("true", "false")
 
-    sweep = with_overrides(
+    sweep = dataclasses.replace(
         parse_config(config_text("preserver-sweep", epsilons=[0.1], trials=2)),
         out=str(tmp_path / "sweep.csv"))
     run_quiet(sweep)
@@ -218,7 +237,7 @@ def test_csv_format(tmp_path):
 def test_seed_changes_rows():
     text = config_text("check-ortho", trials=10)
     r1 = run_quiet(parse_config(text))
-    r2 = run_quiet(with_overrides(parse_config(text), seed=123))
+    r2 = run_quiet(dataclasses.replace(parse_config(text), seed=123))
     assert r1.rows != r2.rows
 
 

@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 
 from bjlab import ortho
 from bjlab import (
-    ApproxParam,
     AtomPartition,
     BadSpec,
     BochnerElement,
@@ -112,7 +111,7 @@ def test_approx_check_true_for_orthogonal_pairs_any_eps():
 def test_approx_check_collinear_analytic():
     spec = SpaceSpec(2, 2, 1, 2, (1.0,))
     x = single_block(1.0, 0.0)
-    res = is_approx_bj_orthogonal(x, x, ApproxParam(0.5), spec)
+    res = is_approx_bj_orthogonal(x, x, 0.5, spec)
     assert not res.verdict
     # gap at a = -0.5: 0.25 - 1 + 0.5
     assert res.margin == pytest.approx(-0.25, abs=1e-9)
@@ -396,11 +395,26 @@ def test_boundary_flag_semantics_near_critical_pair():
 
 
 def test_approx_param_validation():
-    with pytest.raises(BadSpec):
-        ApproxParam(1.0)
-    with pytest.raises(BadSpec):
-        ApproxParam(-0.1)
-    assert float(ApproxParam(0.25)) == 0.25
+    spec = SpaceSpec(2, 2, 1, 2, (1.0,))
+    x, y = single_block(1.0, 0.0), single_block(0.0, 1.0)
+    for eps in (1.0, -0.1, math.nan):
+        with pytest.raises(BadSpec, match="epsilon"):
+            is_approx_bj_orthogonal(x, y, eps, spec)
+
+
+@pytest.mark.parametrize("p,q", [(3.0, 1.5), (1.5, 3.0)])
+@pytest.mark.parametrize("x_norm", [1e200, 1e-200, 1e154])
+def test_extreme_scales_raise_typed_errors(p, q, x_norm):
+    # ||x||^2 overflows (1e200) or underflows to 0 (1e-200); at 1e154 it
+    # fits but ||x + a y||^2 overflows inside the minimization
+    spec = SpaceSpec.sequence(p, q, 6, 3)
+    x, y = draw_orthogonal_pair(spec, rng_for("extreme_scales"))
+    s = x_norm / bochner_norm(x, spec)
+    x, y = s * x, s * y
+    with pytest.raises(NonFiniteValue):
+        is_approx_bj_orthogonal(x, y, 0.3, spec)
+    assert is_bj_orthogonal(x, y, spec).verdict
+    assert certificate_check(x, y, 0.3, spec).verdict
 
 
 def probe_schedule(radius):

@@ -1,0 +1,32 @@
+import ast
+from pathlib import Path
+
+import bjlab
+
+PACKAGE = Path(bjlab.__file__).parent
+
+
+def unused_imports(path: Path) -> list[str]:
+    """'file:line name' for each name a module imports and never reads.
+    __future__ imports and lines marked `# noqa: F401` are exempt."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__.py imports names to re-export them
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert [hit for path in modules for hit in unused_imports(path)] == []

@@ -215,18 +215,28 @@ def inner_norm(v, q: float) -> float:
     return float(block_norms(row, q)[0]) if row.size else 0.0
 
 
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """Row maxima of a 2-d array of blocks."""
+    # exact in any order; a column-major copy reduces ~8x faster than short C rows
+    return np.asfortranarray(a).max(axis=1)
+
+
 def block_norms(blocks: np.ndarray, q: float) -> np.ndarray:
     """Row-wise l^q norms, scaled to avoid overflow for large q."""
-    a = np.abs(blocks)
-    if math.isinf(q):
-        return a.max(axis=1)
-    if q == 1.0:
-        return a.sum(axis=1)
     if q == 2.0:
         return np.sqrt(np.einsum("ij,ij->i", blocks, blocks))
-    m = a.max(axis=1)
+    a = np.abs(blocks)  # an owned copy: the powers below work in place on it
+    if math.isinf(q):
+        return _row_max(a)
+    if q == 1.0:
+        return a.sum(axis=1)
+    m = _row_max(a)
     safe = np.where(m > 0.0, m, 1.0)  # zero rows stay zero: 0 ** (1/q) = 0
-    return safe * ((a / safe[:, None]) ** q).sum(axis=1) ** (1.0 / q)
+    a /= safe[:, None]
+    a **= q
+    # summed along C-ordered rows: NumPy's pairwise order there is part of
+    # the result's last bit
+    return safe * a.sum(axis=1) ** (1.0 / q)
 
 
 def inner_duality_map(v, q: float) -> np.ndarray:
@@ -253,11 +263,15 @@ def _duality_rows(blocks: np.ndarray, q: float, active: np.ndarray,
     """
     out = np.zeros_like(blocks)
     if active.any():
-        sub = blocks[active]
-        m = np.abs(sub).max(axis=1, keepdims=True)
-        sub = sub / m
-        bn = norms[active] / m[:, 0]
-        out[active] = np.sign(sub) * np.abs(sub) ** (q - 1.0) / bn[:, None] ** (q - 1.0)
+        sub = blocks[active]  # a copy, scaled in place
+        m = _row_max(np.abs(sub))
+        sub /= m[:, None]
+        bn = norms[active] / m
+        a = np.abs(sub)
+        a **= q - 1.0
+        a *= np.sign(sub)
+        a /= bn[:, None] ** (q - 1.0)
+        out[active] = a
     return out
 
 

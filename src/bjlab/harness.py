@@ -21,6 +21,7 @@ from .ortho import epsilon_value, is_approx_bj_orthogonal, is_bj_orthogonal
 from .preserver import (
     AtomPartition,
     ScalingOperator,
+    _require_isometry_trials,
     draw_orthogonal_pair,
     is_scalar_multiple_of_isometry,
     preservation_trial,
@@ -121,8 +122,7 @@ class ExperimentConfig:
             if len(self.epsilons) > 1:
                 raise ConfigError("epsilons: isometry-test reads one epsilon, "
                                   f"got {len(self.epsilons)}")
-            if self.trials < 2:
-                raise ConfigError("trials: isometry-test needs at least 2")
+            _value("trials", _require_isometry_trials, self.trials)
         if self.epsilons and self.mode in ("preserver-sweep", "isometry-test"):
             self._operator(min(self.epsilons))  # the pairing; only eps = 0 can fail
 

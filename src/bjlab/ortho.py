@@ -213,7 +213,7 @@ def is_bj_orthogonal(x: BochnerElement, y: BochnerElement, spec: SpaceSpec,
     radius = 4.0 * nx / ny
 
     def phi(a: float) -> float:
-        return _norm_arr(xb + a * yb, spec)
+        return nx if a == 0.0 else _norm_arr(xb + a * yb, spec)
 
     return _one_sided_check(phi, radius, nx, (1.0 - ONE_SIDED_NOISE_FLOOR) * nx,
                             nx, tol)
@@ -239,6 +239,8 @@ def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
         raise NonFiniteValue(f"||x||^2 = {nx2} is outside the float range")
 
     def psi(a: float) -> float:
+        if a == 0.0:  # what evaluating gives, as ||x + 0 y|| is nx to the bit
+            return nx ** 2 - nx2
         return _norm_arr(xb + a * yb, spec) ** 2 - nx2 + kink * abs(a)
 
     radius = 4.0 * nx / ny
@@ -257,8 +259,10 @@ def _certificate(x: BochnerElement, y: BochnerElement,
     s = _pairing(T, yb, spec)
     by = block_norms(yb, spec.q)
     ny = _norm_from_block_norms(by, spec)
+    if spec.p > 1.0:
+        return abs(s), T, ny
     free = ~T.any(axis=1)  # the zero blocks of x (at p = 1 every weight is 1)
-    if spec.p > 1.0 or not free.any():
+    if not free.any():
         return abs(s), T, ny
     c = (spec.mu * by)[free]  # reach of each free block
     taken = np.clip(abs(s) - (np.cumsum(c) - c), 0.0, c)

@@ -93,6 +93,13 @@ def _operator_epsilon(eps) -> float:
     return eps
 
 
+def _require_isometry_trials(trials: int) -> None:
+    """Raise BadSpec unless is_scalar_multiple_of_isometry gets at least 2
+    random trials."""
+    if trials < 2:
+        raise BadSpec(f"need at least 2 random trials, got {trials}")
+
+
 def u_eps_l1(eps, spec: SpaceSpec) -> ScalingOperator:
     """Sequence-space operator: shrink the first coordinate block by 1 - eps.
 
@@ -191,8 +198,7 @@ def is_scalar_multiple_of_isometry(U: ScalingOperator, spec: SpaceSpec,
     elements.  Returns (spread <= tol, spread) with
     spread = (max ratio - min ratio)/max ratio.
     """
-    if trials < 2:
-        raise BadSpec(f"need at least 2 random trials, got {trials}")
+    _require_isometry_trials(trials)
     U.check_fits(spec)
     if rng is None:
         rng = np.random.default_rng(0)

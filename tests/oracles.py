@@ -20,6 +20,36 @@ def naive_inner_norm(v, q: float) -> float:
     return float((np.abs(v) ** q).sum() ** (1.0 / q))
 
 
+def reference_block_norms(blocks: np.ndarray, q: float) -> np.ndarray:
+    """Row-wise l^q norms by the max-scaled power sum, every step on a fresh
+    temporary: the formula blockspace.block_norms must match bit for bit."""
+    a = np.abs(blocks)
+    if math.isinf(q):
+        return a.max(axis=1)
+    if q == 1.0:
+        return a.sum(axis=1)
+    if q == 2.0:
+        return np.sqrt(np.einsum("ij,ij->i", blocks, blocks))
+    m = a.max(axis=1)
+    safe = np.where(m > 0.0, m, 1.0)
+    return safe * ((a / safe[:, None]) ** q).sum(axis=1) ** (1.0 / q)
+
+
+def reference_duality_rows(blocks: np.ndarray, q: float, active: np.ndarray,
+                           norms: np.ndarray) -> np.ndarray:
+    """Row-wise duality map sign(v)|v|^(q-1)/||v||_q^(q-1) on max-scaled
+    rows, zero outside active: the formula blockspace._duality_rows must
+    match bit for bit."""
+    out = np.zeros_like(blocks)
+    if active.any():
+        sub = blocks[active]
+        m = np.abs(sub).max(axis=1, keepdims=True)
+        sub = sub / m
+        bn = norms[active] / m[:, 0]
+        out[active] = np.sign(sub) * np.abs(sub) ** (q - 1.0) / bn[:, None] ** (q - 1.0)
+    return out
+
+
 def naive_batch_norm(arr: np.ndarray, spec: SpaceSpec) -> np.ndarray:
     """Norms of a (B, n, d) stack of elements via the plain formulas."""
     a = np.abs(arr)

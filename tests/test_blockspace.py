@@ -25,8 +25,15 @@ from bjlab import (
     support_functional,
     zero_set,
 )
+from bjlab.blockspace import _duality_rows, block_norms
 from conftest import SMOOTH_QS, rng_for, spec_with_elements, specs
-from oracles import forward_diff_gradient, mc_dual_norm, naive_norm
+from oracles import (
+    forward_diff_gradient,
+    mc_dual_norm,
+    naive_norm,
+    reference_block_norms,
+    reference_duality_rows,
+)
 
 
 def test_inner_norm_examples():
@@ -112,6 +119,41 @@ def test_duality_map_gradient_and_homogeneity(vals, q, a):
     if abs(a) > 1e-3:
         np.testing.assert_allclose(inner_duality_map(a * v, q),
                                    math.copysign(1.0, a) * F, rtol=1e-10, atol=1e-12)
+
+
+def _kernel_inputs(n: int, d: int, rng) -> list[np.ndarray]:
+    """Gaussian blocks, then the same with a zero row and a subnormal row,
+    then with rows scaled by 1e150 and 1e-150."""
+    plain = rng.standard_normal((n, d))
+    tiny = plain.copy()
+    tiny[0] = 0.0
+    tiny[1] = rng.choice((-1.0, 1.0), d) * rng.integers(1, 10, d) * 5e-324
+    scaled = plain.copy()
+    scaled[0] *= 1e150
+    scaled[-1] *= 1e-150
+    return [plain, tiny, scaled]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("n, d", [(6, 3), (4096, 8), (5, 1), (3, 17)])
+def test_kernels_match_reference_formulas_bit_for_bit(n, d, q):
+    # the kernels power in place on their own copies: same bits, input untouched
+    rng = rng_for(f"kernel_bits_{n}_{d}_{q}")
+    for blocks in _kernel_inputs(n, d, rng):
+        kept = blocks.copy()
+        norms = block_norms(blocks, q)
+        assert _same_bits(norms, reference_block_norms(blocks, q))
+        assert np.array_equal(blocks, kept)
+        nonzero = norms > 0.0
+        for active in (nonzero, nonzero & (rng.random(n) < 0.5),
+                       np.zeros(n, dtype=bool)):
+            rows = _duality_rows(blocks, q, active, norms)
+            assert _same_bits(rows, reference_duality_rows(blocks, q, active, norms))
+            assert np.array_equal(blocks, kept)
 
 
 def test_zero_set_examples():

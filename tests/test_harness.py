@@ -91,7 +91,7 @@ def test_mode_specific_validation():
             "epsilons": [0.5],
             "spec": {"p": 2, "q": 2, "n": 4, "d": 2, "weights": [1, 1, 1, 1]},
         }))
-    with pytest.raises(ConfigError, match="trials"):
+    with pytest.raises(ConfigError, match="^trials: need at least 2"):
         parse_config(config_text("isometry-test", factors=[1, 1, 1, 1], trials=1))
 
 

@@ -497,9 +497,14 @@ def test_preserved_pair_is_certified_by_the_probes(monkeypatch):
         ux, uy = apply_operator(U, x), apply_operator(U, y)
         calls.clear()
         res = is_approx_bj_orthogonal(ux, uy, 0.3, spec)
-        assert len(calls) <= 15  # ||x||, ||y|| and 13 probes
+        assert len(calls) <= 14  # ||x||, ||y|| and the 12 nonzero probes
         assert res.verdict and not res.boundary
         assert res.margin == 0.0 and res.alpha_star == 0.0
+        calls.clear()
+        exact = is_bj_orthogonal(x, y, spec)
+        assert len(calls) <= 14
+        assert exact.verdict and not exact.boundary
+        assert exact.margin == 0.0 and exact.alpha_star == 0.0
 
 
 def golden_section_only():

@@ -46,6 +46,7 @@ from .preserver import (
     h_alpha_witness,
     is_scalar_multiple_of_isometry,
     preservation_trial,
+    preservation_trials,
     random_element,
     u_eps_L1,
     u_eps_l1,

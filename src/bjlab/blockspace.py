@@ -123,7 +123,7 @@ def _as_blocks(blocks, what: str) -> np.ndarray:
     arr = np.asarray(blocks, dtype=float)
     if arr.ndim != 2:
         raise ShapeMismatch(f"{what} must be a 2-d array of blocks, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteValue(f"{what} contains non-finite entries")
     return arr
 
@@ -261,18 +261,29 @@ def _duality_rows(blocks: np.ndarray, q: float, active: np.ndarray,
 
     norms holds the rows' l^q norms, block_norms(blocks, q).
     """
+    # when every row is active the rows are computed in place of the
+    # output: a boolean gather and scatter cost twice the formula at n=4096
+    every = active.all()
+    sub, norms = (blocks, norms) if every else (blocks[active], norms[active])
+    m = _row_max(np.abs(sub))
+    sub = sub / m[:, None]
+    bn = norms / m
+    a = np.abs(sub)
+    a **= q - 1.0
+    a *= np.sign(sub)
+    a /= bn[:, None] ** (q - 1.0)
+    if every:
+        return a
     out = np.zeros_like(blocks)
-    if active.any():
-        sub = blocks[active]  # a copy, scaled in place
-        m = _row_max(np.abs(sub))
-        sub /= m[:, None]
-        bn = norms[active] / m
-        a = np.abs(sub)
-        a **= q - 1.0
-        a *= np.sign(sub)
-        a /= bn[:, None] ** (q - 1.0)
-        out[active] = a
+    out[active] = a
     return out
+
+
+def _scaled_root(m: float, s: float, p: float) -> float:
+    """m s^(1/p), the last step of the max-scaled l^p aggregate, on Python
+    floats: NumPy's vector power differs from Python's in the last bit on
+    some values."""
+    return m * s ** (1.0 / p)
 
 
 def _weighted_lp(b: np.ndarray, mu: np.ndarray, p: float) -> float:
@@ -285,7 +296,25 @@ def _weighted_lp(b: np.ndarray, mu: np.ndarray, p: float) -> float:
     m = float(b.max())
     if m == 0.0 or math.isinf(p):
         return m
-    return m * float(mu @ (b / m) ** p) ** (1.0 / p)
+    return _scaled_root(m, float(mu @ (b / m) ** p), p)
+
+
+def _dot_rows(a: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """mu @ a[i] for each row of a 2-d array, bit for bit (a @ mu sums in
+    another order)."""
+    return np.matmul(a[:, None, :], mu)[:, 0]
+
+
+def _weighted_lp_rows(b: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
+    """_weighted_lp of each row of a 2-d array b, bit for bit, for p < inf."""
+    if p == 1.0:
+        return _dot_rows(b, mu)
+    if p == 2.0:
+        return np.sqrt(_dot_rows(b * b, mu))
+    m = b.max(axis=1)
+    s = _dot_rows((b / np.where(m > 0.0, m, 1.0)[:, None]) ** p, mu)
+    return np.array([mi and _scaled_root(mi, si, p)
+                     for mi, si in zip(m.tolist(), s.tolist())])
 
 
 def _norm_from_block_norms(b: np.ndarray, spec: SpaceSpec) -> float:
@@ -295,6 +324,19 @@ def _norm_from_block_norms(b: np.ndarray, spec: SpaceSpec) -> float:
 def _norm_arr(blocks: np.ndarray, spec: SpaceSpec) -> float:
     """bochner norm on a raw block array (hot path, no validation)."""
     return _norm_from_block_norms(block_norms(blocks, spec.q), spec)
+
+
+def _take(stack: np.ndarray, rows) -> np.ndarray:
+    """stack[rows] for increasing row indices; stack itself, not a copy,
+    when they are all of its rows."""
+    return stack if len(rows) == len(stack) else stack[rows]
+
+
+def _norm_rows(stack: np.ndarray, spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(block norms (B, n), Bochner norms (B,)) of a (B, n, d) stack of block
+    arrays, each row's bits those of _norm_arr on it."""
+    b = block_norms(stack.reshape(-1, spec.d), spec.q).reshape(stack.shape[:2])
+    return b, _weighted_lp_rows(b, spec.mu, spec.p)
 
 
 def bochner_norm(f: BochnerElement, spec: SpaceSpec) -> float:
@@ -335,14 +377,27 @@ def duality_weights(blocks: np.ndarray, spec: SpaceSpec
     return nf, b, (b / nf) ** (spec.p - 1.0), F
 
 
-def _support_rows(blocks: np.ndarray, spec: SpaceSpec) -> tuple[float, np.ndarray]:
-    """(||f||, blocks of the support functional of f); raises NotSmooth
-    unless 1 < q < inf and ZeroElement at f = 0."""
+def _support_stack(stack: np.ndarray, b: np.ndarray, norms: np.ndarray,
+                   spec: SpaceSpec) -> np.ndarray:
+    """Blocks of the support functionals of a (B, n, d) stack of nonzero
+    elements, given _norm_rows(stack): the norming functional of each block
+    above DEFAULT_ZERO_TOL (relative to the row's largest block norm),
+    weighted by (||f_i||_q / ||f||)^(p-1), and zero rows elsewhere."""
+    active = b > DEFAULT_ZERO_TOL * b.max(axis=1, keepdims=True)
+    F = _duality_rows(stack.reshape(-1, spec.d), spec.q, active.ravel(), b.ravel())
+    w = (b / norms[:, None]) ** (spec.p - 1.0)
+    return w[:, :, None] * F.reshape(stack.shape)
+
+
+def _support_norms(stack: np.ndarray, spec: SpaceSpec
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """_norm_rows of a (B, n, d) stack whose support functionals are wanted;
+    raises NotSmooth unless 1 < q < inf, then ZeroElement at a zero row."""
     spec.require_smooth_inner()
-    nf, _, w, F = duality_weights(blocks, spec)
-    if nf == 0.0:
+    b, norms = _norm_rows(stack, spec)
+    if not norms.all():
         raise ZeroElement("support functional undefined at 0")
-    return nf, w[:, None] * F
+    return b, norms
 
 
 def support_functional(f: BochnerElement, spec: SpaceSpec) -> BlockFunctional:
@@ -354,12 +409,18 @@ def support_functional(f: BochnerElement, spec: SpaceSpec) -> BlockFunctional:
     fixed to 0 here; ortho.min_certificate_value optimizes over that freedom
     instead.
     """
-    return BlockFunctional(_support_rows(check_shape(f, spec), spec)[1])
+    stack = check_shape(f, spec)[None]
+    return BlockFunctional(_support_stack(stack, *_support_norms(stack, spec), spec)[0])
 
 
 def _pairing(tb: np.ndarray, gb: np.ndarray, spec: SpaceSpec) -> float:
     """sum_i mu_i T_i.g_i on raw block arrays."""
     return float(spec.mu @ np.einsum("ij,ij->i", tb, gb))
+
+
+def _pairing_rows(T: np.ndarray, G: np.ndarray, spec: SpaceSpec) -> np.ndarray:
+    """_pairing of each row of two (B, n, d) stacks, bit for bit."""
+    return _dot_rows(np.einsum("bij,bij->bi", T, G), spec.mu)
 
 
 def apply_functional(T: BlockFunctional, g: BochnerElement, spec: SpaceSpec) -> float:

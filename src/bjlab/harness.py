@@ -1,9 +1,11 @@
 """Experiment runner: parses configs, seeds per-trial RNG streams, dispatches
 to the core modules, and emits deterministic CSV reports.
 
-Rows run in one serial loop.  Each row draws from its own counter-based
-generator (Philox keyed on (seed, row index)), so any row can be recomputed
-on its own and no row's output depends on the rows before it.
+Rows run in one loop over stacks of rows: a preserver sweep runs each
+stack through the stacked trial as one (B, n, d) array, and the other modes
+row by row.  Each row draws from its own counter-based generator (Philox
+keyed on (seed, row index)), so any row can be recomputed on its own and no
+row's output depends on the rows before it or on the stack it ran in.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .preserver import (
     _require_isometry_trials,
     draw_orthogonal_pair,
     is_scalar_multiple_of_isometry,
-    preservation_trial,
+    preservation_trials,
     random_element,
     u_eps_L1,
     u_eps_l1,
@@ -47,6 +49,11 @@ _MODES_NEEDING_EPS = ("check-approx", "sip", "preserver-sweep")
 # distance to the boundary, so verdicts cannot be matched closer than the
 # square root of the decision tolerance.
 CROSS_ROUTE_BAND = 1e-3
+
+# Entries (rows x n x d) of one stack of rows: 256 KiB of float64, so the
+# few stacks a sweep keeps live fit a core's L2 cache.  A stack holds
+# max(1, STACK_ENTRIES // (n d)) rows.
+STACK_ENTRIES = 2**15
 
 TRIAL_COLUMNS = ("trial", "seed", "p", "q", "n", "d", "epsilon",
                  "direct_verdict", "direct_margin", "second_route",
@@ -198,8 +205,9 @@ def _fmt(v) -> str:
 
 # A row function measures one row from its generator and returns the row's
 # columns after the shared (trial, seed, p, q, n, d) prefix and its outcome
-# (pass | fail | boundary).  operator is the sweep's operator at eps; the
-# other modes ignore it.
+# (pass | fail | boundary).  A stack function does that for an iterator of
+# generators, made one at a time as it is read.  operator is the sweep's operator at eps; the other modes
+# ignore it.
 
 def _ortho_row(cfg: ExperimentConfig, rng, eps, operator):
     """Draw an orthogonal pair and check it (exactly when eps is None)."""
@@ -243,37 +251,48 @@ def _axiom_row(cfg: ExperimentConfig, rng, eps, operator):
             "pass" if ok else "fail")
 
 
-def _sweep_row(cfg: ExperimentConfig, rng, eps, operator):
-    rec = preservation_trial(operator, eps, cfg.spec, rng, cfg.tol)
-    return ((eps, rec.direct.verdict, rec.direct.margin, rec.second_route,
-             rec.second.verdict, rec.second.margin, rec.outcome == "boundary"),
-            rec.outcome)
+def _sweep_stack(cfg: ExperimentConfig, rngs, eps, operator):
+    return [((eps, rec.direct.verdict, rec.direct.margin, rec.second_route,
+              rec.second.verdict, rec.second.margin, rec.outcome == "boundary"),
+             rec.outcome)
+            for rec in preservation_trials(operator, eps, cfg.spec, list(rngs), cfg.tol)]
 
 
-_ROW_FUNCTIONS = {
-    "check-ortho": _ortho_row,
-    "check-approx": _ortho_row,
-    "sip": _sip_row,
-    "axioms": _axiom_row,
-    "preserver-sweep": _sweep_row,
+def _row_by_row(row_function):
+    """The stack function that runs row_function on each generator."""
+    def stack_function(cfg, rngs, eps, operator):
+        return [row_function(cfg, rng, eps, operator) for rng in rngs]
+    return stack_function
+
+
+_STACK_FUNCTIONS = {
+    "check-ortho": _row_by_row(_ortho_row),
+    "check-approx": _row_by_row(_ortho_row),
+    "sip": _row_by_row(_sip_row),
+    "axioms": _row_by_row(_axiom_row),
+    "preserver-sweep": _sweep_stack,
 }
 
 
 def _trial_rows(cfg: ExperimentConfig) -> list[tuple[tuple, str]]:
     """Rows in order: cfg.trials per epsilon (one pass without epsilons for
-    check-ortho and axioms), row k*trials + i seeded by (seed, that index)."""
-    row_function = _ROW_FUNCTIONS[cfg.mode]
+    check-ortho and axioms), row k*trials + i seeded by (seed, that index),
+    in stacks of max(1, STACK_ENTRIES // (n d)) rows."""
+    stack_function = _STACK_FUNCTIONS[cfg.mode]
     epsilons = cfg.epsilons or (None,)
     s = cfg.spec
+    size = max(1, STACK_ENTRIES // (s.n * s.d))
     rows = []
     for k, eps in enumerate(epsilons):
         operator = cfg._operator(eps) if cfg.mode == "preserver-sweep" else None
-        for trial in range(cfg.trials):
-            index = k * cfg.trials + trial
-            values, row_outcome = row_function(
-                cfg, trial_rng(cfg.seed, index), eps, operator)
-            rows.append(((trial, f"{cfg.seed}:{index}", s.p, s.q, s.n, s.d)
-                         + values, row_outcome))
+        for start in range(0, cfg.trials, size):
+            trials = range(start, min(start + size, cfg.trials))
+            indices = [k * cfg.trials + trial for trial in trials]
+            rngs = (trial_rng(cfg.seed, index) for index in indices)
+            for trial, index, (values, row_outcome) in zip(
+                    trials, indices, stack_function(cfg, rngs, eps, operator)):
+                rows.append(((trial, f"{cfg.seed}:{index}", s.p, s.q, s.n, s.d)
+                             + values, row_outcome))
     return rows
 
 

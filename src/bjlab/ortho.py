@@ -1,9 +1,12 @@
 """Exact and approximate Birkhoff-James orthogonality checks.
 
+Every check runs over a (B, n, d) stack of pairs, each row with the bits it
+gets on its own; the one-pair functions are B = 1 calls.
+
 Two routes: convex scalar minimization of the defining inequality (13
 probes that certify most orthogonal pairs outright, then golden section on
 the rest), and norm-one support-functional certificates built on the duality kernel
-(blockspace.duality_weights), with the closed-form minimum over the zero-block
+(blockspace._support_stack), with the closed-form minimum over the zero-block
 freedom when p = 1.  For p > 1 the certificate value is the
 semi-inner-product value |[y, x]|/||x||, so certificate_check is also the
 semi-inner-product criterion (sip.sip_orthogonality_criterion calls it) and
@@ -26,13 +29,14 @@ from .blockspace import (
     SpaceSpec,
     _duality_rows,
     _norm_arr,
-    _norm_from_block_norms,
-    _pairing,
-    _support_rows,
-    block_norms,
+    _norm_rows,
+    _pairing_rows,
+    _support_norms,
+    _support_stack,
+    _take,
     check_shape,
 )
-from .errors import BadSpec, NonFiniteValue, ZeroElement
+from .errors import BadSpec, BjlabError, NonFiniteValue, ZeroElement
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -46,6 +50,14 @@ def epsilon_value(eps) -> float:
     return eps
 
 
+def _non_finite(value: float, alpha: float, overflowed: bool) -> NonFiniteValue:
+    """The error of an objective value at alpha that is not finite or whose
+    Python float power overflowed."""
+    if overflowed:
+        return NonFiniteValue(f"objective overflowed at alpha={alpha}")
+    return NonFiniteValue(f"objective returned {value} at alpha={alpha}")
+
+
 def _finite(phi):
     """phi as a float-valued function that raises NonFiniteValue on inf/nan
     or overflow."""
@@ -53,9 +65,9 @@ def _finite(phi):
         try:
             val = float(phi(alpha))
         except OverflowError as exc:  # a Python float power out of range
-            raise NonFiniteValue(f"objective overflowed at alpha={alpha}") from exc
+            raise _non_finite(math.inf, alpha, True) from exc
         if not math.isfinite(val):
-            raise NonFiniteValue(f"objective returned {val} at alpha={alpha}")
+            raise _non_finite(val, alpha, False)
         return val
     return f
 
@@ -99,36 +111,55 @@ def minimize_convex_1d(phi, radius: float, tol: float = 1e-12,
     return best_a, best_v
 
 
-def _secant_lower_bound(alphas, values) -> float:
-    """Lower bound on the minimum over [alphas[0], alphas[-1]] of a convex
-    function sampled at increasing alphas.
+def _py_max(a, b):
+    """Python's max(a, b) on floats, lane by lane: b only where b > a."""
+    return np.where(b > a, b, a)
+
+
+def _py_min(a, b):
+    """Python's min(a, b) on floats, lane by lane: b only where b < a."""
+    return np.where(b < a, b, a)
+
+
+def _secant_lower_bound(alphas, values) -> np.ndarray:
+    """Lower bounds on the minima over [alphas[:, 0], alphas[:, -1]] of convex
+    functions, one per row of 2-d arrays (1-d sequences are one row), each
+    sampled at increasing alphas.
 
     A convex function lies above every secant extended beyond its own
     interval, so on each interval it lies above the larger of the two
     neighbouring secants; the smallest value of that maximum sits at an
-    endpoint or where the two lines cross.  Returns -inf when a slope is not
-    finite.
+    endpoint or where the two lines cross.  A row whose slopes are not all
+    finite gets -inf.  Each step is the IEEE operation, max, min or
+    first-of-equals choice that a loop over the intervals makes on Python
+    floats, so every row's bound has that loop's bits.
     """
-    m = len(alphas) - 1
-    widths = [alphas[j + 1] - alphas[j] for j in range(m)]
-    slopes = [(values[j + 1] - values[j]) / widths[j] for j in range(m)]
-    if not all(map(math.isfinite, slopes)):
-        return -math.inf
-    bound = math.inf
-    for i in range(m):
-        w = widths[i]
-        # the neighbouring secants as (value at alphas[i], slope); an edge
-        # interval has one neighbour, which then stands for both
-        left = (values[i], slopes[i - 1]) if i > 0 else None
-        right = ((values[i + 1] - slopes[i + 1] * w, slopes[i + 1])
-                 if i + 1 < m else None)
-        (c0, k0), (c1, k1) = left or right, right or left
-        low = min(max(c0, c1), max(c0 + k0 * w, c1 + k1 * w))
-        if k1 != k0:  # the lines cross
-            u = min(max((c0 - c1) / (k1 - k0), 0.0), w)
-            low = min(low, max(c0 + k0 * u, c1 + k1 * u))
-        bound = min(bound, low)
-    return bound
+    A = np.atleast_2d(np.asarray(alphas, dtype=float))
+    V = np.atleast_2d(np.asarray(values, dtype=float))
+    # Python floats overflow to inf without a warning; rows whose slopes are
+    # not finite are masked out at the end
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = A[:, 1:] - A[:, :-1]
+        slopes = (V[:, 1:] - V[:, :-1]) / w
+        # the neighbouring secants of each interval as (value at its left
+        # end, slope): the left one of intervals 1.., the right one of
+        # intervals ..m-2; an edge interval has one neighbour, which then
+        # stands for both
+        left_c, left_k = V[:, 1:-1], slopes[:, :-1]
+        right_c, right_k = V[:, 1:-1] - slopes[:, 1:] * w[:, :-1], slopes[:, 1:]
+        c0 = np.concatenate((right_c[:, :1], left_c), axis=1)
+        k0 = np.concatenate((right_k[:, :1], left_k), axis=1)
+        c1 = np.concatenate((right_c, left_c[:, -1:]), axis=1)
+        k1 = np.concatenate((right_k, left_k[:, -1:]), axis=1)
+        low = _py_min(_py_max(c0, c1), _py_max(c0 + k0 * w, c1 + k1 * w))
+        u = _py_min(_py_max((c0 - c1) / (k1 - k0), 0.0), w)  # where the lines cross
+        crossing = _py_max(c0 + k0 * u, c1 + k1 * u)
+        low = np.where(k1 != k0, _py_min(low, crossing), low)
+    # a running min from inf keeps the first of equal values and skips NaN
+    low = np.where(np.isnan(low), math.inf, low)
+    first = np.argmax(low == low.min(axis=1, keepdims=True), axis=1)
+    bound = low[np.arange(len(low)), first]
+    return np.where(np.isfinite(slopes).all(axis=1), bound, -math.inf)
 
 
 # Probe points as fractions of the radius: 0, then pairs on either side of
@@ -138,63 +169,242 @@ def _secant_lower_bound(alphas, values) -> float:
 _PROBE_OFFSETS = (0.0,) + tuple(side * scale
                                 for scale in (1.0, 1e-2, 1e-4, 1e-6, 1e-7, 1e-8)
                                 for side in (-1.0, 1.0))
+_OFFSETS = np.array(_PROBE_OFFSETS)
+# the probes in increasing alpha, at any radius > 0
+_BY_ALPHA = np.array(sorted(range(len(_PROBE_OFFSETS)), key=_PROBE_OFFSETS.__getitem__))
+
+# A row list holds one result per row of a stack, in row order, up to the
+# first row that raised; that row's place holds its error, and the rows
+# after it are left out, as a loop over the rows would never reach them.
 
 
-def _certified_probe(phi, radius: float, level: float
-                     ) -> tuple[float, float] | None:
-    """Certify min phi >= level over [-radius, radius] from 13 probes.
+def _only(results: list):
+    """The result of a one-row row list; raises the row's error."""
+    if isinstance(results[0], BjlabError):
+        raise results[0]
+    return results[0]
 
-    Evaluates a convex phi at radius*_PROBE_OFFSETS, stopping at the first
-    value below level.  If every value reaches level and so does their
-    secant lower bound, returns the best probe (alpha, phi(alpha)), ties
-    going to 0; otherwise None, and the caller minimizes in full.  Any
-    minimizer's value is at least the true minimum, hence at least level, so
-    a certified pair gets the verdict and boundary flag full minimization
-    would give it.
+
+def _merge(out: list, rows: list[int], results: list) -> list:
+    """out with `results`, a row list over its rows `rows`, filled in; cut
+    after the first error."""
+    for i, res in zip(rows, results):
+        out[i] = res
+        if isinstance(res, BjlabError):
+            del out[i + 1:]
+            break
+    return out
+
+
+def _certified_probes(objective, radius: np.ndarray, phi0: np.ndarray,
+                      level: np.ndarray) -> list:
+    """Certify min phi_i >= level_i over [-radius_i, radius_i] from 13 probes,
+    for a stack of convex objectives.
+
+    objective(alphas, rows) returns phi_rows[k](alphas[k]) for every k (rows
+    a slice or indices) as an array, and the mask of the values whose Python
+    power overflowed, or None; phi0 holds each phi_i(0).  Row i probes at radius_i*_PROBE_OFFSETS and
+    stops at its first value below level_i.  If every value reaches level_i
+    and so does their secant lower bound, it gets its best probe (alpha,
+    phi_i(alpha)), ties going to 0: any minimizer's value is at least the
+    true minimum, hence at least level, so a certified row gets the verdict
+    and boundary flag full minimization would give it.  A row with a value
+    that is not finite gets that value's NonFiniteValue, and the rows after
+    it are not probed further; every other row gets None, and the caller
+    minimizes it in full.
     """
-    if not (radius > 0.0 and math.isfinite(radius)):
-        return None  # minimize_convex_1d reports the bad radius
-    f = _finite(phi)
-    probes = []
-    for offset in _PROBE_OFFSETS:
-        alpha = offset * radius
-        value = f(alpha)
-        if value < level:
-            return None
-        probes.append((alpha, value))
-    alphas, values = zip(*sorted(probes))
-    if not all(a < b for a, b in zip(alphas, alphas[1:])):
-        return None  # the smallest offsets underflowed onto each other
-    if not _secant_lower_bound(alphas, values) >= level:
-        return None
-    return min(probes, key=lambda p: p[1])  # the first of equals: alpha = 0
+    out = [None] * len(radius)
+    ok = (radius > 0.0) & (radius < math.inf)  # minimize_convex_1d reports a bad radius
+    if not ok.any():
+        return out
+    alphas = np.where(ok, radius, 0.0)[:, None] * _OFFSETS
+    values = np.empty_like(alphas)
+    live = slice(None) if ok.all() else np.flatnonzero(ok)  # a slice takes views
+    for k in range(len(_OFFSETS)):
+        if k == 0:
+            v, overflowed = phi0[live], None
+        else:
+            v, overflowed = objective(alphas[live, k], live)
+        values[live, k] = v
+        if ((v >= level[live]) & (v < math.inf)).all():  # NaN fails both
+            continue
+        rows = np.arange(len(radius))[live]
+        bad = ~np.isfinite(v)
+        stop = bad | (v < level[live])
+        if bad.any():
+            j = int(np.argmax(bad))
+            i = int(rows[j])
+            out[i] = _non_finite(float(v[j]), float(alphas[i, k]),
+                                 overflowed is not None and bool(overflowed[j]))
+            stop |= rows >= i
+        live = rows[~stop]
+        if not len(live):
+            return out
+    A = alphas[live][:, _BY_ALPHA]
+    # the smallest offsets can underflow onto each other
+    certified = (A[:, 1:] > A[:, :-1]).all(axis=1)
+    certified &= _secant_lower_bound(A, values[live][:, _BY_ALPHA]) >= level[live]
+    best = values[live].argmin(axis=1)  # the first of equals: alpha = 0
+    rows = np.arange(len(radius))[live]
+    for i, j in zip(rows[certified].tolist(), best[certified].tolist()):
+        out[i] = (float(alphas[i, j]), float(values[i, j]))
+    return out
 
 
-def _one_sided_check(objective, radius: float, at_zero: float, level: float,
-                     scale: float, tol: float) -> CheckResult:
-    """Verdict on min objective >= at_zero over [-radius, radius], at_zero
-    being the exact objective(0): certified probes at level, else golden
-    section.  margin = (min - at_zero)/scale is <= 0 up to rounding, so only
-    the uncertain-fail zone below the noise floor is a boundary case."""
-    alpha, val = (_certified_probe(objective, radius, level)
-                  or minimize_convex_1d(objective, radius))
-    val = min(val, at_zero)  # clamp at the exact value; as evaluated it can sit an ulp below
-    margin = (val - at_zero) / scale
-    boundary = -BOUNDARY_BAND * tol < margin < -ONE_SIDED_NOISE_FLOOR
-    return CheckResult(verdict=margin >= -tol, margin=margin,
-                       alpha_star=alpha, boundary=boundary)
+def _one_sided_checks(objective, row_objective, radius: np.ndarray,
+                      phi0: np.ndarray, at_zero: list[float], level: np.ndarray,
+                      scale: np.ndarray, tol: float) -> list:
+    """Verdicts on min phi_i >= at_zero_i over [-radius_i, radius_i] for a
+    stack of convex objectives, at_zero_i being the exact phi_i(0) and phi0_i
+    the value evaluating gives, as a row list: certified probes at level
+    (objective as in _certified_probes), else golden section on
+    row_objective(i), phi_i as a float function.
+    margin = (min - at_zero)/scale is <= 0 up to rounding, so only the
+    uncertain-fail zone below the noise floor is a boundary case."""
+    found = _certified_probes(objective, radius, phi0, level)
+    out = []
+    for i, (hit, r, zero, s) in enumerate(zip(found, radius.tolist(), at_zero,
+                                              scale.tolist())):
+        if isinstance(hit, BjlabError):
+            out.append(hit)
+            break
+        try:
+            alpha, val = hit or minimize_convex_1d(row_objective(i), r)
+        except BjlabError as exc:
+            out.append(exc)
+            break
+        val = min(val, zero)  # clamp at the exact value; as evaluated it can sit an ulp below
+        margin = (val - zero) / s
+        boundary = -BOUNDARY_BAND * tol < margin < -ONE_SIDED_NOISE_FLOOR
+        out.append(CheckResult(verdict=margin >= -tol, margin=margin,
+                               alpha_star=alpha, boundary=boundary))
+    return out
+
+
+def _pair_rows(nx: np.ndarray, ny: np.ndarray) -> tuple[list, list[int]]:
+    """The prologue of both checks over a stack: a row list holding
+    ZeroElement at the first x = 0, the exact pass at y = 0 and None
+    elsewhere, and the rows left to minimize."""
+    out, rows = [], []
+    for i, (a, b) in enumerate(zip(nx.tolist(), ny.tolist())):
+        if a == 0.0:
+            out.append(ZeroElement("orthogonality from the zero element is degenerate"))
+            break
+        if b == 0.0:
+            out.append(CheckResult(verdict=True, margin=0.0, alpha_star=0.0))
+        else:
+            out.append(None)
+            rows.append(i)
+    return out, rows
+
+
+def _line_points(xs: np.ndarray, ys: np.ndarray, alphas: np.ndarray,
+                 rows) -> np.ndarray:
+    """The stack of x_i + alphas[k] y_i for the rows i = rows[k] (a slice or
+    indices)."""
+    points = ys[rows] * alphas[:, None, None]
+    points += xs[rows]
+    return points
+
+
+def _squares(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """v ** 2 taken on Python floats, whose power differs from NumPy's square
+    in the last bit on some values, and the mask of the lanes whose power
+    overflowed, which hold inf (None when none did)."""
+    vals = v.tolist()
+    try:
+        return np.array([a ** 2 for a in vals]), None
+    except OverflowError:
+        pass
+    squares, overflowed = [], []
+    for a in vals:
+        try:
+            squares.append(a ** 2)
+            overflowed.append(False)
+        except OverflowError:
+            squares.append(math.inf)
+            overflowed.append(True)
+    return np.array(squares), np.array(overflowed)
+
+
+def _gap(squared_norm, nx2, kink, alpha):
+    """psi(alpha) = ||x + alpha y||^2 - ||x||^2 + 2 eps ||x|| ||y|| |alpha|,
+    from the squared norm, on floats or arrays alike."""
+    return squared_norm - nx2 + kink * abs(alpha)
+
+
+def _exact_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
+                  ny: np.ndarray, spec: SpaceSpec, tol: float) -> list:
+    """is_bj_orthogonal of each pair of a (B, n, d) stack, given its rows'
+    norms, as a row list."""
+    out, rows = _pair_rows(nx, ny)
+    if not rows:
+        return out
+    X, Y = _take(xs, rows), _take(ys, rows)
+    norms = nx[rows].tolist()
+    radius = np.array([4.0 * a / b for a, b in zip(norms, ny[rows].tolist())])
+    at_zero = np.array(norms)
+
+    def norm_at(alphas, live):
+        return _norm_rows(_line_points(X, Y, alphas, live), spec)[1], None
+
+    def row_norm(j):
+        x, y, zero = X[j], Y[j], norms[j]
+        return lambda a: zero if a == 0.0 else _norm_arr(x + a * y, spec)
+
+    return _merge(out, rows, _one_sided_checks(
+        norm_at, row_norm, radius, at_zero, norms,
+        (1.0 - ONE_SIDED_NOISE_FLOOR) * at_zero, at_zero, tol))
+
+
+def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
+                   ny: np.ndarray, eps: float, spec: SpaceSpec,
+                   tol: float) -> list:
+    """is_approx_bj_orthogonal of each pair of a (B, n, d) stack, given its
+    rows' norms, as a row list."""
+    out, need = _pair_rows(nx, ny)
+    rows, params = [], []
+    norms_x, norms_y = nx.tolist(), ny.tolist()
+    for i in need:
+        a, b = norms_x[i], norms_y[i]
+        nx2 = a * a
+        if not 0.0 < nx2 < math.inf:  # nx * nx underflowed or overflowed
+            out[i] = NonFiniteValue(f"||x||^2 = {nx2} is outside the float range")
+            del out[i + 1:]
+            break
+        rows.append(i)
+        # psi(0) = a ** 2 - nx2 is what evaluating gives, as ||x + 0 y|| is
+        # ||x|| to the bit
+        params.append((2.0 * eps * a * b, nx2, 4.0 * a / b, a ** 2 - nx2))
+    if not rows:
+        return out
+    X, Y = _take(xs, rows), _take(ys, rows)
+    kink, nx2, radius, psi0 = map(np.array, zip(*params))
+
+    def gap(alphas, live):
+        squares, overflowed = _squares(_norm_rows(_line_points(X, Y, alphas, live),
+                                                  spec)[1])
+        # a lane that overflows is not finite, and its row fails
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _gap(squares, nx2[live], kink[live], alphas), overflowed
+
+    def row_gap(j):
+        x, y, (k, n2, _, zero) = X[j], Y[j], params[j]
+        return lambda a: zero if a == 0.0 else _gap(
+            _norm_arr(x + a * y, spec) ** 2, n2, k, a)
+
+    return _merge(out, rows, _one_sided_checks(
+        gap, row_gap, radius, psi0, [0.0] * len(rows), -ONE_SIDED_NOISE_FLOOR * nx2,
+        nx2, tol))
 
 
 def _operands(x: BochnerElement, y: BochnerElement, spec: SpaceSpec
-              ) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(x blocks, y blocks, ||x||, ||y||) after checking both shapes; raises
-    ZeroElement at x = 0."""
-    xb = check_shape(x, spec)
-    yb = check_shape(y, spec)
-    nx = _norm_arr(xb, spec)
-    if nx == 0.0:
-        raise ZeroElement("orthogonality from the zero element is degenerate")
-    return xb, yb, nx, _norm_arr(yb, spec)
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """x and y as one-row stacks and their norms, after checking both
+    shapes."""
+    xs = check_shape(x, spec)[None]
+    ys = check_shape(y, spec)[None]
+    return xs, ys, _norm_rows(xs, spec)[1], _norm_rows(ys, spec)[1]
 
 
 def is_bj_orthogonal(x: BochnerElement, y: BochnerElement, spec: SpaceSpec,
@@ -205,18 +415,10 @@ def is_bj_orthogonal(x: BochnerElement, y: BochnerElement, spec: SpaceSpec,
     lies within 2||x||/||y|| by the reverse triangle inequality; doubled to
     absorb rounding).  margin = (min - ||x||)/||x||, always <= 0 since a = 0
     attains ||x||.  A pair whose probes certify min >= (1 - floor)||x||
-    (floor = ONE_SIDED_NOISE_FLOOR) skips the golden section.
+    (floor = ONE_SIDED_NOISE_FLOOR) skips the golden section.  Raises
+    ZeroElement at x = 0.
     """
-    xb, yb, nx, ny = _operands(x, y, spec)
-    if ny == 0.0:
-        return CheckResult(verdict=True, margin=0.0, alpha_star=0.0)
-    radius = 4.0 * nx / ny
-
-    def phi(a: float) -> float:
-        return nx if a == 0.0 else _norm_arr(xb + a * yb, spec)
-
-    return _one_sided_check(phi, radius, nx, (1.0 - ONE_SIDED_NOISE_FLOOR) * nx,
-                            nx, tol)
+    return _only(_exact_checks(*_operands(x, y, spec), spec, tol))
 
 
 def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
@@ -230,46 +432,64 @@ def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
     (floor = ONE_SIDED_NOISE_FLOOR) skips the golden section.
     """
     eps = epsilon_value(eps)
-    xb, yb, nx, ny = _operands(x, y, spec)
-    if ny == 0.0:
-        return CheckResult(verdict=True, margin=0.0, alpha_star=0.0)
-    kink = 2.0 * eps * nx * ny
-    nx2 = nx * nx
-    if not 0.0 < nx2 < math.inf:  # nx * nx underflowed or overflowed
-        raise NonFiniteValue(f"||x||^2 = {nx2} is outside the float range")
-
-    def psi(a: float) -> float:
-        if a == 0.0:  # what evaluating gives, as ||x + 0 y|| is nx to the bit
-            return nx ** 2 - nx2
-        return _norm_arr(xb + a * yb, spec) ** 2 - nx2 + kink * abs(a)
-
-    radius = 4.0 * nx / ny
-    return _one_sided_check(psi, radius, 0.0, -ONE_SIDED_NOISE_FLOOR * nx2,
-                            nx2, tol)
+    return _only(_approx_checks(*_operands(x, y, spec), eps, spec, tol))
 
 
-def _certificate(x: BochnerElement, y: BochnerElement,
-                 spec: SpaceSpec) -> tuple[float, np.ndarray, float]:
-    """(min_certificate_value, blocks of a T attaining it, ||y||).  At p = 1
-    the zero blocks of x take, in order, clamped multiples of -sign(S) F_{y_i}
-    until they have cancelled as much of S as they can."""
-    xb = check_shape(x, spec)
-    yb = check_shape(y, spec)
-    _, T = _support_rows(xb, spec)
-    s = _pairing(T, yb, spec)
-    by = block_norms(yb, spec.q)
-    ny = _norm_from_block_norms(by, spec)
+def _support_operands(x: BochnerElement, y: BochnerElement, spec: SpaceSpec
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """x and y as one-row stacks and _norm_rows of x, after checking both
+    shapes and the support functional's preconditions: NotSmooth unless
+    1 < q < inf, then ZeroElement at x = 0."""
+    xs = check_shape(x, spec)[None]
+    ys = check_shape(y, spec)[None]
+    return xs, ys, *_support_norms(xs, spec)
+
+
+def _certificates(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
+                  nx: np.ndarray, by: np.ndarray, spec: SpaceSpec
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(min_certificate_value, blocks of a T attaining it) for each pair of a
+    (B, n, d) stack with nonzero x rows, given _norm_rows of the x rows and
+    the y rows' block norms.  At p = 1 the zero blocks of x take, in order,
+    clamped multiples of -sign(S) F_{y_i} until they have cancelled as much
+    of S as they can."""
+    T = _support_stack(xs, bx, nx, spec)
+    s = _pairing_rows(T, ys, spec)
+    mcv = np.abs(s)
     if spec.p > 1.0:
-        return abs(s), T, ny
-    free = ~T.any(axis=1)  # the zero blocks of x (at p = 1 every weight is 1)
-    if not free.any():
-        return abs(s), T, ny
-    c = (spec.mu * by)[free]  # reach of each free block
-    taken = np.clip(abs(s) - (np.cumsum(c) - c), 0.0, c)
-    t = np.divide(taken, c, out=np.zeros_like(c), where=c > 0.0)
-    Fy = _duality_rows(yb[free], spec.q, c > 0.0, by[free])
-    T[free] = -np.sign(s) * t[:, None] * Fy
-    return max(0.0, abs(s) - float(c.sum())), T, ny
+        return mcv, T
+    free = ~T.any(axis=2)  # the zero blocks of x (at p = 1 every weight is 1)
+    for i in np.flatnonzero(free.any(axis=1)).tolist():
+        f, si = free[i], float(s[i])
+        c = (spec.mu * by[i])[f]  # reach of each free block
+        taken = np.clip(abs(si) - (np.cumsum(c) - c), 0.0, c)
+        t = np.divide(taken, c, out=np.zeros_like(c), where=c > 0.0)
+        Fy = _duality_rows(ys[i][f], spec.q, c > 0.0, by[i][f])
+        T[i][f] = -np.sign(si) * t[:, None] * Fy
+        mcv[i] = max(0.0, abs(si) - float(c.sum()))
+    return mcv, T
+
+
+def _certificate_checks(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
+                        nx: np.ndarray, by: np.ndarray, ny: np.ndarray,
+                        eps: float, spec: SpaceSpec, tol: float) -> list:
+    """certificate_check of each pair of a (B, n, d) stack with nonzero x
+    rows, given _norm_rows of both stacks, as a row list."""
+    mcv, T = _certificates(xs, ys, bx, nx, by, spec)
+    out = []
+    for blocks, m, n in zip(T, mcv.tolist(), ny.tolist()):
+        try:
+            cert = BlockFunctional(blocks)
+        except BjlabError as exc:
+            out.append(exc)
+            break
+        if n == 0.0:
+            out.append(CheckResult(verdict=True, margin=0.0, certificate=cert))
+            continue
+        margin = (eps * n - m) / n
+        out.append(CheckResult(verdict=margin >= -tol, margin=margin, certificate=cert,
+                               boundary=abs(margin) < BOUNDARY_BAND * tol))
+    return out
 
 
 def min_certificate_value(x: BochnerElement, y: BochnerElement,
@@ -282,7 +502,9 @@ def min_certificate_value(x: BochnerElement, y: BochnerElement,
     max(0, |S| - half-width).  p > 1: the space is smooth, the support
     functional is unique, and the value is |T_x(y)| = |[y, x]|/||x||.
     """
-    return _certificate(x, y, spec)[0]
+    xs, ys, bx, nx = _support_operands(x, y, spec)
+    by = _norm_rows(ys, spec)[0]
+    return float(_certificates(xs, ys, bx, nx, by, spec)[0][0])
 
 
 def certificate_check(x: BochnerElement, y: BochnerElement, eps,
@@ -294,13 +516,17 @@ def certificate_check(x: BochnerElement, y: BochnerElement, eps,
     T attaining the minimum.
     """
     eps = epsilon_value(eps)
-    mcv, T, ny = _certificate(x, y, spec)
-    cert = BlockFunctional(T)
-    if ny == 0.0:
-        return CheckResult(verdict=True, margin=0.0, certificate=cert)
-    margin = (eps * ny - mcv) / ny
-    return CheckResult(verdict=margin >= -tol, margin=margin, certificate=cert,
-                       boundary=abs(margin) < BOUNDARY_BAND * tol)
+    xs, ys, bx, nx = _support_operands(x, y, spec)
+    return _only(_certificate_checks(xs, ys, bx, nx, *_norm_rows(ys, spec),
+                                     eps, spec, tol))
+
+
+def _partners(xs: np.ndarray, zs: np.ndarray, bx: np.ndarray, nx: np.ndarray,
+              spec: SpaceSpec) -> np.ndarray:
+    """z_i - (T_i(z_i)/||x_i||) x_i for each pair of a (B, n, d) stack, T_i the
+    support functional of x_i, given _norm_rows of the nonzero x rows."""
+    T = _support_stack(xs, bx, nx, spec)
+    return zs - (_pairing_rows(T, zs, spec) / nx)[:, None, None] * xs
 
 
 def make_orthogonal_partner(x: BochnerElement, z: BochnerElement,
@@ -310,7 +536,4 @@ def make_orthogonal_partner(x: BochnerElement, z: BochnerElement,
     With T the support functional of x, y = z - (T(z)/||x||) x satisfies
     T(y) = 0, which certifies x orthogonal to y.
     """
-    xb = check_shape(x, spec)
-    zb = check_shape(z, spec)
-    nx, T = _support_rows(xb, spec)
-    return BochnerElement(zb - (_pairing(T, zb, spec) / nx) * xb)
+    return BochnerElement(_partners(*_support_operands(x, z, spec), spec)[0])

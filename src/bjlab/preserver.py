@@ -15,16 +15,21 @@ from .blockspace import (
     SpaceSpec,
     _is_int,
     _norm_arr,
+    _norm_rows,
+    _take,
     inner_norm,
     outcome,
 )
-from .errors import BadSpec, DegenerateDraw, ShapeMismatch
+from .errors import BadSpec, BjlabError, DegenerateDraw, NonFiniteValue, ShapeMismatch
 from .ortho import (
-    certificate_check,
+    _approx_checks,
+    _certificate_checks,
+    _partners,
     epsilon_value,
-    is_approx_bj_orthogonal,
-    make_orthogonal_partner,
 )
+
+# Smallest norm of a usable random element; a draw below it is redrawn.
+_USABLE_NORM = 1e-6
 
 # log-spaced scalars for the two-set witness family; exposes both ratio
 # endpoints of a diagonal operator
@@ -158,28 +163,83 @@ def h_alpha_witness(alpha: float, part: AtomPartition, x0,
     return BochnerElement(blocks)
 
 
+def _draw_usable(out: np.ndarray, rows: np.ndarray, rngs, spec: SpaceSpec,
+                 min_norm: float) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """Fill out[i] for each of the increasing rows i with i.i.d. standard
+    normal blocks from rngs[i], redrawing a row until its norm reaches
+    min_norm, at most 100 draws.  Returns _norm_rows of those rows and the
+    first row left without a usable draw, or None."""
+    for i in rows.tolist():
+        rngs[i].standard_normal(out=out[i])
+    b, norms = _norm_rows(_take(out, rows), spec)
+    pending = np.flatnonzero(~(norms >= min_norm))
+    for _ in range(99):
+        if not len(pending):
+            break
+        redraw = rows[pending]
+        for i in redraw.tolist():
+            rngs[i].standard_normal(out=out[i])
+        b[pending], norms[pending] = _norm_rows(out[redraw], spec)
+        pending = pending[~(norms[pending] >= min_norm)]
+    return b, norms, None if not len(pending) else int(rows[pending[0]])
+
+
 def random_element(spec: SpaceSpec, rng: np.random.Generator,
-                   min_norm: float = 1e-6) -> BochnerElement:
+                   min_norm: float = _USABLE_NORM) -> BochnerElement:
     """Blocks with i.i.d. standard normal entries; redraws degenerate ones
     (none at min_norm <= 0, where every draw is usable)."""
+    if min_norm <= 0.0:
+        return BochnerElement(rng.standard_normal((spec.n, spec.d)))
+    out = np.empty((1, spec.n, spec.d))
+    if _draw_usable(out, np.zeros(1, dtype=int), [rng], spec, min_norm)[2] is not None:
+        raise DegenerateDraw("could not draw an element of usable norm")
+    return BochnerElement(out[0])
+
+
+def _draw_pairs(spec: SpaceSpec, rngs) -> tuple[np.ndarray, np.ndarray,
+                                                 BjlabError | None]:
+    """draw_orthogonal_pair from each generator in turn, as (B, n, d) stacks
+    of x and y for the rows before the first whose draw raised, and that
+    row's error (None when no row's did).  Each row takes its draws from its
+    own generator in the order the one-pair draw takes them."""
+    shape = (len(rngs), spec.n, spec.d)
+    xs, zs, ys = np.empty(shape), np.empty(shape), None
+    end, error = len(rngs), None
+    todo = np.arange(end)
     for _ in range(100):
-        blocks = rng.standard_normal((spec.n, spec.d))
-        if min_norm <= 0.0 or _norm_arr(blocks, spec) >= min_norm:
-            return BochnerElement(blocks)
-    raise DegenerateDraw("could not draw an element of usable norm")
+        bx, nx, failed = _draw_usable(xs, todo, rngs, spec, _USABLE_NORM)
+        if failed is not None:  # the rows after it are never drawn
+            end, error = failed, DegenerateDraw("could not draw an element of usable norm")
+            keep = todo < end
+            todo, bx, nx = todo[keep], bx[keep], nx[keep]
+            if not len(todo):  # the first row failed: nothing was projected
+                return xs[:0], xs[:0], error
+        for i in todo.tolist():
+            rngs[i].standard_normal(out=zs[i])
+        Z = _take(zs, todo)
+        Y = _partners(_take(xs, todo), Z, bx, nx, spec)
+        if len(todo) == len(xs):  # every row projected: no copy
+            ys = Y
+        else:
+            ys = np.empty(shape) if ys is None else ys
+            ys[todo] = Y
+        # redraw the rows whose partner collapsed to zero
+        todo = todo[~(_norm_rows(Y, spec)[1] > 1e-9 * _norm_rows(Z, spec)[1])]
+        if not len(todo):
+            return xs[:end], ys[:end], error
+    end = int(todo[0])
+    return xs[:end], ys[:end], DegenerateDraw("partner collapsed to zero on every redraw")
 
 
 def draw_orthogonal_pair(spec: SpaceSpec, rng: np.random.Generator,
                          ) -> tuple[BochnerElement, BochnerElement]:
     """Random x plus a partner y built by projection, so x is exactly
     orthogonal to y; redraws when the partner collapses to zero."""
-    for _ in range(100):
-        x = random_element(spec, rng)
-        z = random_element(spec, rng, min_norm=0.0)
-        y = make_orthogonal_partner(x, z, spec)
-        if _norm_arr(y.blocks, spec) > 1e-9 * _norm_arr(z.blocks, spec):
-            return x, y
-    raise DegenerateDraw("partner collapsed to zero on every redraw")
+    spec.require_smooth_inner()
+    xs, ys, error = _draw_pairs(spec, [rng])
+    if error is not None:
+        raise error
+    return BochnerElement(xs[0]), BochnerElement(ys[0])
 
 
 def _ratio(U: ScalingOperator, blocks: np.ndarray, spec: SpaceSpec) -> float:
@@ -236,6 +296,41 @@ class TrialRecord:
         self.outcome = outcome(self.direct, self.second)
 
 
+def preservation_trials(U: ScalingOperator, eps, spec: SpaceSpec, rngs,
+                        tol: float = DEFAULT_TOL) -> list[TrialRecord]:
+    """preservation_trial on each generator of rngs in turn, run as one
+    (B, n, d) stack through the kernels of the one-pair checks, with every
+    record's bits.  When a row's trial raises, the rows before it have run
+    and its error is raised, as in a loop over the rows."""
+    eps = epsilon_value(eps)
+    U.check_fits(spec)
+    spec.require_smooth_inner()  # the partner projection's, before any draw
+    xs, ys, error = _draw_pairs(spec, rngs)
+    ux, uy = U.factors[:, None] * xs, U.factors[:, None] * ys
+    if not (np.isfinite(ux).all() and np.isfinite(uy).all()):
+        # the check on each image's entries that makes it an element
+        end = int(np.argmin(np.isfinite(ux).all(axis=(1, 2))
+                            & np.isfinite(uy).all(axis=(1, 2))))
+        ux, uy, error = ux[:end], uy[:end], NonFiniteValue(
+            "element contains non-finite entries")
+    bx, nx = _norm_rows(ux, spec)
+    by, ny = _norm_rows(uy, spec)
+    direct = _approx_checks(ux, uy, nx, ny, eps, spec, tol)
+    if direct and isinstance(direct[-1], BjlabError):
+        error = direct.pop()
+    end = len(direct)
+    second = _certificate_checks(ux[:end], uy[:end], bx[:end], nx[:end], by[:end],
+                                 ny[:end], eps, spec, tol)
+    if second and isinstance(second[-1], BjlabError):
+        error = second.pop()
+    if error is not None:
+        raise error
+    route = "certificate" if spec.p == 1.0 else "sip"  # the sip criterion for p > 1
+    return [TrialRecord(x=BochnerElement(x), y=BochnerElement(y), direct=d,
+                        second_route=route, second=c)
+            for x, y, d, c in zip(xs, ys, direct, second)]
+
+
 def preservation_trial(U: ScalingOperator, eps, spec: SpaceSpec,
                        rng: np.random.Generator, tol: float = DEFAULT_TOL,
                        ) -> TrialRecord:
@@ -245,12 +340,4 @@ def preservation_trial(U: ScalingOperator, eps, spec: SpaceSpec,
     exact check on (x, y) is true by construction; the operators under test
     should make every route's verdict true on (U x, U y).
     """
-    eps = epsilon_value(eps)
-    U.check_fits(spec)
-    x, y = draw_orthogonal_pair(spec, rng)
-    ux = apply_operator(U, x)
-    uy = apply_operator(U, y)
-    direct = is_approx_bj_orthogonal(ux, uy, eps, spec, tol)
-    second = certificate_check(ux, uy, eps, spec, tol)  # the sip criterion for p > 1
-    route = "certificate" if spec.p == 1.0 else "sip"
-    return TrialRecord(x=x, y=y, direct=direct, second_route=route, second=second)
+    return preservation_trials(U, eps, spec, [rng], tol)[0]

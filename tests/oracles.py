@@ -1,7 +1,9 @@
 """Independent oracles the tests check the library against: dense grids,
 exhaustive enumeration, finite differences, and Monte-Carlo duality.  These
 recompute norms from the plain power-sum formulas so they share no code path
-with the implementation under test."""
+with the implementation under test.  The reference_* functions are the
+one-row formulas and loops that the library's kernels and stacked paths
+must match bit for bit."""
 
 from __future__ import annotations
 
@@ -10,7 +12,17 @@ from itertools import product
 
 import numpy as np
 
-from bjlab import BochnerElement, SpaceSpec
+from bjlab import BochnerElement, DegenerateDraw, SpaceSpec
+from bjlab.blockspace import (
+    BOUNDARY_BAND,
+    ONE_SIDED_NOISE_FLOOR,
+    _norm_arr,
+    _norm_from_block_norms,
+    _pairing,
+    block_norms,
+    duality_weights,
+)
+from bjlab.ortho import _PROBE_OFFSETS, _finite, minimize_convex_1d
 
 
 def naive_inner_norm(v, q: float) -> float:
@@ -198,3 +210,102 @@ def mc_dual_norm(T, spec: SpaceSpec, samples: int,
     pair = np.einsum("i,ij,kij->k", spec.mu, tb, arr)
     good = norms > 0.0
     return float((np.abs(pair[good]) / norms[good]).max())
+
+
+def reference_secant_lower_bound(alphas, values) -> float:
+    """The convex secant lower bound as a loop over the intervals on Python
+    floats: the bits ortho._secant_lower_bound must give for each row."""
+    m = len(alphas) - 1
+    widths = [alphas[j + 1] - alphas[j] for j in range(m)]
+    slopes = [(values[j + 1] - values[j]) / widths[j] for j in range(m)]
+    if not all(map(math.isfinite, slopes)):
+        return -math.inf
+    bound = math.inf
+    for i in range(m):
+        w = widths[i]
+        left = (values[i], slopes[i - 1]) if i > 0 else None
+        right = ((values[i + 1] - slopes[i + 1] * w, slopes[i + 1])
+                 if i + 1 < m else None)
+        (c0, k0), (c1, k1) = left or right, right or left
+        low = min(max(c0, c1), max(c0 + k0 * w, c1 + k1 * w))
+        if k1 != k0:
+            u = min(max((c0 - c1) / (k1 - k0), 0.0), w)
+            low = min(low, max(c0 + k0 * u, c1 + k1 * u))
+        bound = min(bound, low)
+    return bound
+
+
+def _reference_one_sided(phi, radius, at_zero, level, scale, tol):
+    """(verdict, margin, boundary) of the one-sided check of one pair: the 13
+    probes one at a time, then golden section when they do not certify."""
+    f = _finite(phi)
+    probes = []
+    for offset in _PROBE_OFFSETS if 0.0 < radius < math.inf else ():
+        alpha = offset * radius
+        value = f(alpha)
+        if value < level:
+            break
+        probes.append((alpha, value))
+    if len(probes) == len(_PROBE_OFFSETS):
+        alphas, values = zip(*sorted(probes))
+        if not (all(a < b for a, b in zip(alphas, alphas[1:]))
+                and reference_secant_lower_bound(alphas, values) >= level):
+            probes = []
+    if len(probes) == len(_PROBE_OFFSETS):
+        alpha, val = min(probes, key=lambda p: p[1])
+    else:
+        alpha, val = minimize_convex_1d(phi, radius)
+    margin = (min(val, at_zero) - at_zero) / scale
+    return margin >= -tol, margin, -BOUNDARY_BAND * tol < margin < -ONE_SIDED_NOISE_FLOOR
+
+
+def reference_sweep_row(U, eps: float, spec: SpaceSpec, rng: np.random.Generator,
+                        tol: float = 1e-9) -> tuple:
+    """One preservation trial as a scalar pipeline on one pair: draw x until
+    its norm reaches 1e-6, then z, project z against x, redraw on a
+    collapsed partner; apply U; the approximate check by probes and golden
+    section; the certificate margin.  Returns (direct verdict, direct
+    margin, second verdict, second margin, outcome), what a sweep row of the
+    stacked trial must equal."""
+    for _ in range(100):
+        for _ in range(100):
+            xb = rng.standard_normal((spec.n, spec.d))
+            if _norm_arr(xb, spec) >= 1e-6:
+                break
+        else:
+            raise DegenerateDraw("could not draw an element of usable norm")
+        zb = rng.standard_normal((spec.n, spec.d))
+        nx, _, w, F = duality_weights(xb, spec)
+        yb = zb - (_pairing(w[:, None] * F, zb, spec) / nx) * xb
+        if _norm_arr(yb, spec) > 1e-9 * _norm_arr(zb, spec):
+            break
+    else:
+        raise DegenerateDraw("partner collapsed to zero on every redraw")
+    ux, uy = U.factors[:, None] * xb, U.factors[:, None] * yb
+    nx, ny = _norm_arr(ux, spec), _norm_arr(uy, spec)
+    kink, nx2 = 2.0 * eps * nx * ny, nx * nx
+
+    def psi(a):
+        if a == 0.0:
+            return nx ** 2 - nx2
+        return _norm_arr(ux + a * uy, spec) ** 2 - nx2 + kink * abs(a)
+
+    direct = _reference_one_sided(psi, 4.0 * nx / ny, 0.0,
+                                  -ONE_SIDED_NOISE_FLOOR * nx2, nx2, tol)
+    _, _, w, F = duality_weights(ux, spec)
+    T = w[:, None] * F
+    s = _pairing(T, uy, spec)
+    by = block_norms(uy, spec.q)
+    ny = _norm_from_block_norms(by, spec)
+    free = ~T.any(axis=1)
+    if spec.p == 1.0 and free.any():
+        mcv = max(0.0, abs(s) - float((spec.mu * by)[free].sum()))
+    else:
+        mcv = abs(s)
+    margin = (eps * ny - mcv) / ny
+    second = (margin >= -tol, margin, abs(margin) < BOUNDARY_BAND * tol)
+    if direct[2] or second[2]:
+        row_outcome = "boundary"
+    else:
+        row_outcome = "pass" if direct[0] and second[0] else "fail"
+    return direct[0], direct[1], second[0], second[1], row_outcome

@@ -421,6 +421,16 @@ def probe_schedule(radius):
     return sorted(offset * radius for offset in ortho._PROBE_OFFSETS)
 
 
+def probe_one(f, radius, level):
+    """_certified_probes on the one-row stack of the float function f."""
+    def objective(alphas, rows):
+        assert np.arange(1)[rows].tolist() == [0]
+        return np.array([f(a) for a in alphas.tolist()]), None
+
+    return ortho._certified_probes(objective, np.array([radius]), np.array([f(0.0)]),
+                                   np.array([level]))[0]
+
+
 @given(st.floats(min_value=0.1, max_value=10.0),
        st.lists(st.tuples(st.floats(min_value=-5.0, max_value=5.0),
                           st.floats(min_value=-5.0, max_value=5.0)),
@@ -448,7 +458,7 @@ def test_dip_between_probes_is_not_certified():
         return depth * (abs(a - centre) / half_width - 1.0)
 
     assert min(map(f, probe_schedule(r))) > 0.0
-    assert ortho._certified_probe(f, r, -ortho.ONE_SIDED_NOISE_FLOOR) is None
+    assert probe_one(f, r, -ortho.ONE_SIDED_NOISE_FLOOR) is None
 
 
 def test_probes_stop_at_the_first_value_below_the_level():
@@ -458,7 +468,7 @@ def test_probes_stop_at_the_first_value_below_the_level():
         seen.append(a)
         return a  # below the level at -r, the second probe
 
-    assert ortho._certified_probe(f, 2.0, -1e-13) is None
+    assert probe_one(f, 2.0, -1e-13) is None
     assert seen == [0.0, -2.0]
 
 
@@ -488,10 +498,12 @@ def test_preserved_pair_is_certified_by_the_probes(monkeypatch):
     rng = rng_for("certified_probes")
     spec = SpaceSpec(3, 1.5, 6, 3, (1.0,) * 6)
     U = u_eps_Lp(0.3, AtomPartition((0, 1, 2), 6), spec)
-    calls = []
-    norm = ortho._norm_arr
+    calls = []  # one entry per Bochner norm, a stack counting its rows
+    norm, norm_rows = ortho._norm_arr, ortho._norm_rows
     monkeypatch.setattr(ortho, "_norm_arr",
                         lambda blocks, s: calls.append(1) or norm(blocks, s))
+    monkeypatch.setattr(ortho, "_norm_rows",
+                        lambda stack, s: calls.extend([1] * len(stack)) or norm_rows(stack, s))
     for _ in range(20):
         x, y = draw_orthogonal_pair(spec, rng)
         ux, uy = apply_operator(U, x), apply_operator(U, y)
@@ -508,7 +520,8 @@ def test_preserved_pair_is_certified_by_the_probes(monkeypatch):
 
 
 def golden_section_only():
-    return mock.patch.object(ortho, "_certified_probe", lambda *args: None)
+    return mock.patch.object(ortho, "_certified_probes",
+                             lambda objective, radius, *args: [None] * len(radius))
 
 
 def test_failing_pair_keeps_the_golden_section_result():

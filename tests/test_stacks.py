@@ -1,0 +1,182 @@
+"""Stacked paths against their one-row references: the secant bound over
+(rows x intervals), preserver-sweep rows run as (B, n, d) stacks, and the
+errors a stack raises."""
+
+import dataclasses
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import bjlab.harness as harness
+from bjlab import (
+    AtomPartition,
+    BochnerElement,
+    NonFiniteValue,
+    ScalingOperator,
+    SpaceSpec,
+    bochner_norm,
+    parse_config,
+    preservation_trial,
+    preservation_trials,
+    run,
+    u_eps_Lp,
+)
+from bjlab import ortho, preserver
+from bjlab.harness import trial_rng
+from conftest import rng_for
+from oracles import reference_secant_lower_bound, reference_sweep_row
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+SWEEPS = ("l1_sweep", "lp_sweep", "weighted_L1_sweep")
+
+
+def bits(v: float) -> str:
+    return float(v).hex()
+
+
+def secant_cases(rng, count: int):
+    """(alphas, values) rows on the 13-probe grid: convex quadratics, kinked
+    |a| + c a, random values, and values near overflow."""
+    offsets = np.array(sorted(ortho._PROBE_OFFSETS))
+    radius = 10.0 ** rng.uniform(-3.0, 3.0, (count, 1))
+    alphas = offsets * radius
+    kind = rng.integers(0, 4, (count, 1))
+    a0 = rng.uniform(-1.0, 1.0, (count, 1)) * radius
+    scale = 10.0 ** rng.uniform(-6.0, 6.0, (count, 1))
+    quadratic = scale * ((alphas - a0) ** 2 - rng.uniform(0.0, 1.0, (count, 1)) * radius ** 2)
+    kinked = scale * (np.abs(alphas) + rng.uniform(-1.0, 1.0, (count, 1)) * alphas)
+    noise = rng.standard_normal(alphas.shape) * scale
+    huge = rng.choice([-1.0, 1.0], alphas.shape) * 10.0 ** rng.uniform(307.0, 308.2, alphas.shape)
+    values = np.select([kind == 0, kind == 1, kind == 2], [quadratic, kinked, noise], huge)
+    return alphas, values
+
+
+def test_secant_bound_matches_the_interval_loop_bit_for_bit():
+    alphas, values = secant_cases(rng_for("secant_bits"), 20_000)
+    stacked = ortho._secant_lower_bound(alphas, values)
+    reference = [reference_secant_lower_bound(a, v)
+                 for a, v in zip(alphas.tolist(), values.tolist())]
+    assert [bits(b) for b in stacked] == [bits(b) for b in reference]
+    level = -1e-13 * np.abs(values).max(axis=1)
+    assert ((stacked >= level) == (np.array(reference) >= level)).all()
+    # each kind reaches the comparison: finite bounds, certified and not,
+    # and rows whose slopes are not finite
+    assert np.isfinite(stacked).sum() > 10_000
+    assert 0 < (stacked >= level).sum() < len(stacked)
+    assert (stacked == -math.inf).sum() > 1_000
+    # a row's bound does not depend on the rows beside it
+    for a, v, b in zip(alphas[:200], values[:200], stacked[:200]):
+        assert bits(ortho._secant_lower_bound(a, v)[0]) == bits(b)
+
+
+def sweep_config(stem: str, trials: int):
+    data = json.loads((CONFIGS / f"{stem}.json").read_text(encoding="utf-8"))
+    return dataclasses.replace(parse_config(json.dumps(data)), trials=trials, out=None)
+
+
+def assert_rows_match_reference(report, cfg):
+    col = {name: i for i, name in enumerate(harness.TRIAL_COLUMNS)}
+    for row in report.rows:
+        seed, index = map(int, row[col["seed"]].split(":"))
+        eps = row[col["epsilon"]]
+        ref = reference_sweep_row(cfg._operator(eps), eps, cfg.spec,
+                                  trial_rng(seed, index), cfg.tol)
+        got = (row[col["direct_verdict"]], bits(row[col["direct_margin"]]),
+               row[col["second_verdict"]], bits(row[col["second_margin"]]),
+               row[col["boundary"]])
+        assert got == (ref[0], bits(ref[1]), ref[2], bits(ref[3]),
+                       ref[4] == "boundary"), row
+
+
+@pytest.mark.parametrize("stem", SWEEPS)
+def test_stacked_sweep_rows_equal_the_per_row_pipeline(stem):
+    cfg = sweep_config(stem, 60)
+    assert_rows_match_reference(run(cfg, echo=False), cfg)
+
+
+def test_stacks_split_into_pieces_give_the_same_rows(monkeypatch):
+    cfg = sweep_config("lp_sweep", 20)
+    whole = run(cfg, echo=False).csv_text()
+    monkeypatch.setattr(harness, "STACK_ENTRIES", 7 * cfg.spec.n * cfg.spec.d)
+    sizes = []
+    stacked = preserver.preservation_trials
+    monkeypatch.setattr(harness, "preservation_trials",
+                        lambda U, eps, spec, rngs, tol: sizes.append(len(rngs))
+                        or stacked(U, eps, spec, rngs, tol))
+    report = run(cfg, echo=False)
+    assert sizes == [7, 7, 6] * len(cfg.epsilons)
+    assert report.csv_text() == whole
+    assert_rows_match_reference(report, cfg)
+
+
+def test_non_preserving_operator_rows_equal_the_per_row_pipeline(monkeypatch):
+    # atom 0 shrunk to 5%: far below the theorem's factor, so some rows fail
+    # and some are not certified by the probes
+    spec = SpaceSpec.sequence(1, 2, 8, 3)
+    U = ScalingOperator([0.05] + [1.0] * 7)
+    golden = []
+    minimize = ortho.minimize_convex_1d
+    monkeypatch.setattr(ortho, "minimize_convex_1d",
+                        lambda phi, r: golden.append(r) or minimize(phi, r))
+    rngs = [trial_rng(5, i) for i in range(80)]
+    records = preservation_trials(U, 0.1, spec, rngs)
+    assert len(records) == 80
+    outcomes = []
+    for i, rec in enumerate(records):
+        ref = reference_sweep_row(U, 0.1, spec, trial_rng(5, i))
+        got = (rec.direct.verdict, bits(rec.direct.margin), rec.second.verdict,
+               bits(rec.second.margin), rec.outcome)
+        assert got == (ref[0], bits(ref[1]), ref[2], bits(ref[3]), ref[4]), i
+        outcomes.append(rec.outcome)
+    assert outcomes.count("fail") > 0 and outcomes.count("pass") > 0
+    assert 0 < len(golden) < 80
+
+
+def scaled_draws(monkeypatch, norms: dict):
+    """Patch the pair draw so each row drawn from a generator in `norms`
+    comes out rescaled, y with x, to give x that norm."""
+    draw = preserver._draw_pairs
+
+    def scaled(spec, rngs):
+        xs, ys, error = draw(spec, rngs)
+        for i, rng in enumerate(rngs[:len(xs)]):
+            if id(rng) in norms:
+                s = norms[id(rng)] / bochner_norm(BochnerElement(xs[i]), spec)
+                xs[i] *= s
+                ys[i] *= s
+        return xs, ys, error
+
+    monkeypatch.setattr(preserver, "_draw_pairs", scaled)
+
+
+SPACE = SpaceSpec(3, 1.5, 6, 3, (1.0,) * 6)
+OPERATOR = u_eps_Lp(0.3, AtomPartition((0, 1, 2), 6), SPACE)
+# ||Ux||^2 overflows at 1e200; at 1e154 it fits, but the squared norms of
+# the first probes overflow
+MESSAGES = {1e200: r"^\|\|x\|\|\^2 = inf is outside the float range$",
+            1e154: r"^objective overflowed at alpha=-"}
+
+
+@pytest.mark.parametrize("norm", [1e200, 1e154])
+def test_a_stack_raises_the_error_of_its_failing_row(monkeypatch, norm):
+    # two good rows before it and one after it
+    rngs = [trial_rng(9, i) for i in range(4)]
+    rng = trial_rng(9, 2)  # the failing row's stream, for the row alone
+    scaled_draws(monkeypatch, {id(rngs[2]): norm, id(rng): norm})
+    with pytest.raises(NonFiniteValue, match=MESSAGES[norm]) as stacked:
+        preservation_trials(OPERATOR, 0.3, SPACE, rngs)
+    with pytest.raises(NonFiniteValue) as alone:
+        preservation_trial(OPERATOR, 0.3, SPACE, rng)
+    assert type(stacked.value) is type(alone.value)
+    assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("first,later", [(1e154, 1e200), (1e200, 1e154)])
+def test_the_first_failing_row_decides_the_error(monkeypatch, first, later):
+    rngs = [trial_rng(9, i) for i in range(5)]
+    scaled_draws(monkeypatch, {id(rngs[1]): first, id(rngs[3]): later})
+    with pytest.raises(NonFiniteValue, match=MESSAGES[first]):
+        preservation_trials(OPERATOR, 0.3, SPACE, rngs)

@@ -358,35 +358,25 @@ def zero_set(f: BochnerElement, tol: float | None = None, q: float = 2.0) -> fro
     return frozenset(int(i) for i in np.nonzero(b <= tol)[0])
 
 
-def duality_weights(blocks: np.ndarray, spec: SpaceSpec
-                    ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """The blockwise duality map of f: (||f||, b, w, F).
-
-    b holds the block norms ||f_i||_q, w the row weights (b_i/||f||)^(p-1)
-    and F the norming functionals of the blocks above DEFAULT_ZERO_TOL
-    (relative to the largest block norm), zero rows elsewhere.  The support
-    functional of f is w[:, None] * F, and the semi-inner product is
-    [g, f] = ||f|| sum_i mu_i w_i F_i.g_i.  At f = 0 the norm is 0 and w, F
-    are zero.
-    """
-    b = block_norms(blocks, spec.q)
-    nf = _norm_from_block_norms(b, spec)
-    if nf == 0.0:
-        return 0.0, b, np.zeros_like(b), np.zeros_like(blocks)
-    F = _duality_rows(blocks, spec.q, b > DEFAULT_ZERO_TOL * float(b.max()), b)
-    return nf, b, (b / nf) ** (spec.p - 1.0), F
+def _duality_stack(stack: np.ndarray, b: np.ndarray, norms: np.ndarray,
+                   spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(w, F) of a (B, n, d) stack, given its block norms b and a positive
+    divisor per row (the row's norm when nonzero): w holds the row weights
+    (b_i / divisor)^(p-1), F the norming functional of each block above
+    DEFAULT_ZERO_TOL (relative to the row's largest block norm) and zero
+    blocks elsewhere.  A row f's support functional is w[:, None] * F, and
+    [g, f] = ||f|| sum_i mu_i w_i F_i.g_i."""
+    active = b > DEFAULT_ZERO_TOL * b.max(axis=1, keepdims=True)
+    F = _duality_rows(stack.reshape(-1, spec.d), spec.q, active.ravel(), b.ravel())
+    return (b / norms[:, None]) ** (spec.p - 1.0), F.reshape(stack.shape)
 
 
 def _support_stack(stack: np.ndarray, b: np.ndarray, norms: np.ndarray,
                    spec: SpaceSpec) -> np.ndarray:
-    """Blocks of the support functionals of a (B, n, d) stack of nonzero
-    elements, given _norm_rows(stack): the norming functional of each block
-    above DEFAULT_ZERO_TOL (relative to the row's largest block norm),
-    weighted by (||f_i||_q / ||f||)^(p-1), and zero rows elsewhere."""
-    active = b > DEFAULT_ZERO_TOL * b.max(axis=1, keepdims=True)
-    F = _duality_rows(stack.reshape(-1, spec.d), spec.q, active.ravel(), b.ravel())
-    w = (b / norms[:, None]) ** (spec.p - 1.0)
-    return w[:, :, None] * F.reshape(stack.shape)
+    """Blocks of the support functionals w[:, None] * F (_duality_stack) of a
+    (B, n, d) stack of nonzero elements, given _norm_rows(stack)."""
+    w, F = _duality_stack(stack, b, norms, spec)
+    return w[:, :, None] * F
 
 
 def _support_norms(stack: np.ndarray, spec: SpaceSpec
@@ -413,19 +403,16 @@ def support_functional(f: BochnerElement, spec: SpaceSpec) -> BlockFunctional:
     return BlockFunctional(_support_stack(stack, *_support_norms(stack, spec), spec)[0])
 
 
-def _pairing(tb: np.ndarray, gb: np.ndarray, spec: SpaceSpec) -> float:
-    """sum_i mu_i T_i.g_i on raw block arrays."""
-    return float(spec.mu @ np.einsum("ij,ij->i", tb, gb))
-
-
 def _pairing_rows(T: np.ndarray, G: np.ndarray, spec: SpaceSpec) -> np.ndarray:
-    """_pairing of each row of two (B, n, d) stacks, bit for bit."""
+    """sum_i mu_i T_i.g_i for each row of two (B, n, d) stacks, each row with
+    the bits of mu @ its blockwise dot products."""
     return _dot_rows(np.einsum("bij,bij->bi", T, G), spec.mu)
 
 
 def apply_functional(T: BlockFunctional, g: BochnerElement, spec: SpaceSpec) -> float:
     """Dual pairing sum_i mu_i T_i.g_i."""
-    return _pairing(check_shape(T, spec, "functional"), check_shape(g, spec), spec)
+    return float(_pairing_rows(check_shape(T, spec, "functional")[None],
+                               check_shape(g, spec)[None], spec)[0])
 
 
 def functional_norm(T: BlockFunctional, spec: SpaceSpec) -> float:

@@ -1,11 +1,11 @@
 """Experiment runner: parses configs, seeds per-trial RNG streams, dispatches
 to the core modules, and emits deterministic CSV reports.
 
-Rows run in one loop over stacks of rows: a preserver sweep runs each
-stack through the stacked trial as one (B, n, d) array, and the other modes
-row by row.  Each row draws from its own counter-based generator (Philox
-keyed on (seed, row index)), so any row can be recomputed on its own and no
-row's output depends on the rows before it or on the stack it ran in.
+Rows run in one loop over stacks of rows: every mode runs each stack
+through its draws and checks as (B, n, d) arrays.  Each row draws from its
+own counter-based generator (Philox keyed on (seed, row index)), so any row
+can be recomputed on its own and no row's output depends on the rows before
+it or on the stack it ran in.
 """
 
 from __future__ import annotations
@@ -17,22 +17,22 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .blockspace import SpaceSpec, _is_int, outcome
+from .blockspace import SpaceSpec, _is_int, _norm_rows, outcome
 from .errors import BjlabError, ConfigError
-from .ortho import epsilon_value, is_approx_bj_orthogonal, is_bj_orthogonal
+from .ortho import _approx_checks, _exact_checks, _results, _route_checks, epsilon_value
 from .preserver import (
     AtomPartition,
     ScalingOperator,
+    _draw_elements,
+    _draw_pairs,
     _require_isometry_trials,
-    draw_orthogonal_pair,
     is_scalar_multiple_of_isometry,
     preservation_trials,
-    random_element,
     u_eps_L1,
     u_eps_l1,
     u_eps_Lp,
 )
-from .sip import _require_smooth_lp, sip_axiom_report, sip_orthogonality_criterion
+from .sip import _axiom_reports, _require_smooth_lp
 
 # The optional operand keys each mode reads.  isometry-test reads factors,
 # or epsilons and partition to build the sweep's operator.
@@ -97,8 +97,8 @@ class ExperimentConfig:
             raise ConfigError(f"mode: must be one of {', '.join(MODES)}, got {self.mode!r}")
         if not _is_int(self.trials) or self.trials < 1:
             raise ConfigError(f"trials: must be a positive integer, got {self.trials!r}")
-        if not _is_int(self.seed) or abs(self.seed) >= 2**63:
-            raise ConfigError(f"seed: must be a 64-bit integer, got {self.seed!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**63:
+            raise ConfigError(f"seed: must be a non-negative 64-bit integer, got {self.seed!r}")
         object.__setattr__(self, "epsilons", _value("epsilons", _epsilon_list,
                                                     self.epsilons))
         object.__setattr__(self, "tol", _value("tol", float, self.tol))
@@ -203,73 +203,69 @@ def _fmt(v) -> str:
     return str(v)
 
 
-# A row function measures one row from its generator and returns the row's
-# columns after the shared (trial, seed, p, q, n, d) prefix and its outcome
-# (pass | fail | boundary).  A stack function does that for an iterator of
-# generators, made one at a time as it is read.  operator is the sweep's operator at eps; the other modes
-# ignore it.
+# A stack function measures the rows of a list of generators, one row per
+# generator, and returns each row's columns after the shared (trial, seed,
+# p, q, n, d) prefix and its outcome (pass | fail | boundary).  When a row
+# raises, the stack raises that error, as a loop over the rows would.
 
-def _ortho_row(cfg: ExperimentConfig, rng, eps, operator):
-    """Draw an orthogonal pair and check it (exactly when eps is None)."""
-    x, y = draw_orthogonal_pair(cfg.spec, rng)
+def _check_stack(cfg: ExperimentConfig, rngs, eps):
+    """Draw an orthogonal pair per row and check it (exactly at eps None)."""
+    xs, ys, error = _draw_pairs(cfg.spec, rngs)
+    nx, ny = _norm_rows(xs, cfg.spec)[1], _norm_rows(ys, cfg.spec)[1]
     if eps is None:
-        res = is_bj_orthogonal(x, y, cfg.spec, cfg.tol)
+        results = _exact_checks(xs, ys, nx, ny, cfg.spec, cfg.tol)
     else:
-        res = is_approx_bj_orthogonal(x, y, eps, cfg.spec, cfg.tol)
+        results = _approx_checks(xs, ys, nx, ny, eps, cfg.spec, cfg.tol)
     shown_eps = 0.0 if eps is None else eps
-    return ((shown_eps, res.verdict, res.margin, "none", "", "", res.boundary),
-            outcome(res))
+    return [((shown_eps, res.verdict, res.margin, "none", "", "", res.boundary),
+             outcome(res))
+            for res in _results(results, error)]
 
 
-def _sip_row(cfg: ExperimentConfig, rng, eps, operator):
+def _sip_stack(cfg: ExperimentConfig, rngs, eps):
     """Random (not constructed) pairs: the direct check and the semi-inner
     product criterion must agree outside the cross-route band."""
-    x = random_element(cfg.spec, rng)
-    y = random_element(cfg.spec, rng)
-    direct = is_approx_bj_orthogonal(x, y, eps, cfg.spec, cfg.tol)
-    crit = sip_orthogonality_criterion(x, y, eps, cfg.spec, cfg.tol)
-    # the routes must agree (not hold), so blockspace.outcome does not apply
-    if direct.boundary or crit.boundary or abs(crit.margin) < CROSS_ROUTE_BAND:
-        agreement = "boundary"
-    else:
-        agreement = "pass" if direct.verdict == crit.verdict else "fail"
-    return ((eps, direct.verdict, direct.margin, "sip", crit.verdict,
-             crit.margin, agreement == "boundary"),
-            agreement)
+    (xs, ys), error = _draw_elements(cfg.spec, rngs, 2)
+    rows = []
+    for direct, crit in _route_checks(xs, ys, eps, cfg.spec, cfg.tol, error):
+        # the routes must agree (not hold), so blockspace.outcome does not apply
+        if direct.boundary or crit.boundary or abs(crit.margin) < CROSS_ROUTE_BAND:
+            agreement = "boundary"
+        else:
+            agreement = "pass" if direct.verdict == crit.verdict else "fail"
+        rows.append(((eps, direct.verdict, direct.margin, "sip", crit.verdict,
+                      crit.margin, agreement == "boundary"), agreement))
+    return rows
 
 
-def _axiom_row(cfg: ExperimentConfig, rng, eps, operator):
-    f = random_element(cfg.spec, rng, min_norm=0.0)
-    g = random_element(cfg.spec, rng, min_norm=0.0)
-    h = random_element(cfg.spec, rng, min_norm=0.0)
-    a, b = rng.standard_normal(2)
-    rep = sip_axiom_report(f, g, h, a, b, cfg.spec)
-    ok = rep.passes(cfg.tol)
-    return ((float(a), float(b), rep.first_slot_linearity,
-             rep.second_slot_homogeneity, rep.cauchy_schwarz,
-             rep.norm_compatibility, rep.scale, ok),
-            "pass" if ok else "fail")
+def _axiom_stack(cfg: ExperimentConfig, rngs, eps):
+    """Draw f, g, h and scalars (a, b) per row and measure the residuals of
+    the four semi-inner-product axioms on them."""
+    (F, G, H), _ = _draw_elements(cfg.spec, rngs, 3, min_norm=0.0)  # never redrawn
+    ab = np.array([rng.standard_normal(2) for rng in rngs])
+    reports = _axiom_reports(F, G, H, ab[:, 0], ab[:, 1], cfg.spec)
+    rows = []
+    for (a, b), rep in zip(ab.tolist(), reports):
+        ok = rep.passes(cfg.tol)
+        rows.append(((a, b, rep.first_slot_linearity, rep.second_slot_homogeneity,
+                      rep.cauchy_schwarz, rep.norm_compatibility, rep.scale, ok),
+                     "pass" if ok else "fail"))
+    return rows
 
 
-def _sweep_stack(cfg: ExperimentConfig, rngs, eps, operator):
+def _sweep_stack(cfg: ExperimentConfig, rngs, eps):
     return [((eps, rec.direct.verdict, rec.direct.margin, rec.second_route,
               rec.second.verdict, rec.second.margin, rec.outcome == "boundary"),
              rec.outcome)
-            for rec in preservation_trials(operator, eps, cfg.spec, list(rngs), cfg.tol)]
-
-
-def _row_by_row(row_function):
-    """The stack function that runs row_function on each generator."""
-    def stack_function(cfg, rngs, eps, operator):
-        return [row_function(cfg, rng, eps, operator) for rng in rngs]
-    return stack_function
+            for rec in preservation_trials(cfg._operator(eps), eps, cfg.spec, rngs,
+                                           cfg.tol)]
 
 
 _STACK_FUNCTIONS = {
-    "check-ortho": _row_by_row(_ortho_row),
-    "check-approx": _row_by_row(_ortho_row),
-    "sip": _row_by_row(_sip_row),
-    "axioms": _row_by_row(_axiom_row),
+    "check-ortho": _check_stack,
+    "check-approx": _check_stack,
+    "sip": _sip_stack,
+    "axioms": _axiom_stack,
     "preserver-sweep": _sweep_stack,
 }
 
@@ -284,13 +280,12 @@ def _trial_rows(cfg: ExperimentConfig) -> list[tuple[tuple, str]]:
     size = max(1, STACK_ENTRIES // (s.n * s.d))
     rows = []
     for k, eps in enumerate(epsilons):
-        operator = cfg._operator(eps) if cfg.mode == "preserver-sweep" else None
         for start in range(0, cfg.trials, size):
             trials = range(start, min(start + size, cfg.trials))
             indices = [k * cfg.trials + trial for trial in trials]
-            rngs = (trial_rng(cfg.seed, index) for index in indices)
+            rngs = [trial_rng(cfg.seed, index) for index in indices]
             for trial, index, (values, row_outcome) in zip(
-                    trials, indices, stack_function(cfg, rngs, eps, operator)):
+                    trials, indices, stack_function(cfg, rngs, eps)):
                 rows.append(((trial, f"{cfg.seed}:{index}", s.p, s.q, s.n, s.d)
                              + values, row_outcome))
     return rows

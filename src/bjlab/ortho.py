@@ -178,11 +178,14 @@ _BY_ALPHA = np.array(sorted(range(len(_PROBE_OFFSETS)), key=_PROBE_OFFSETS.__get
 # after it are left out, as a loop over the rows would never reach them.
 
 
-def _only(results: list):
-    """The result of a one-row row list; raises the row's error."""
-    if isinstance(results[0], BjlabError):
-        raise results[0]
-    return results[0]
+def _results(results: list, error: BjlabError | None = None) -> list:
+    """The results of a row list; raises its trailing error, else error,
+    the error of a row after them (None when there is none)."""
+    if results and isinstance(results[-1], BjlabError):
+        raise results[-1]
+    if error is not None:
+        raise error
+    return results
 
 
 def _merge(out: list, rows: list[int], results: list) -> list:
@@ -418,7 +421,7 @@ def is_bj_orthogonal(x: BochnerElement, y: BochnerElement, spec: SpaceSpec,
     (floor = ONE_SIDED_NOISE_FLOOR) skips the golden section.  Raises
     ZeroElement at x = 0.
     """
-    return _only(_exact_checks(*_operands(x, y, spec), spec, tol))
+    return _results(_exact_checks(*_operands(x, y, spec), spec, tol))[0]
 
 
 def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
@@ -432,7 +435,7 @@ def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
     (floor = ONE_SIDED_NOISE_FLOOR) skips the golden section.
     """
     eps = epsilon_value(eps)
-    return _only(_approx_checks(*_operands(x, y, spec), eps, spec, tol))
+    return _results(_approx_checks(*_operands(x, y, spec), eps, spec, tol))[0]
 
 
 def _support_operands(x: BochnerElement, y: BochnerElement, spec: SpaceSpec
@@ -492,6 +495,22 @@ def _certificate_checks(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
     return out
 
 
+def _route_checks(xs: np.ndarray, ys: np.ndarray, eps: float, spec: SpaceSpec,
+                  tol: float, error: BjlabError | None = None) -> list:
+    """(is_approx_bj_orthogonal, certificate_check) of each pair of a
+    (B, n, d) stack, checked in that order row by row; raises the first
+    failing row's error, else error, that of a row after the stack's."""
+    bx, nx = _norm_rows(xs, spec)
+    by, ny = _norm_rows(ys, spec)
+    direct = _approx_checks(xs, ys, nx, ny, eps, spec, tol)
+    if direct and isinstance(direct[-1], BjlabError):
+        error = direct.pop()
+    end = len(direct)  # a row whose direct check raised runs no certificate
+    second = _certificate_checks(xs[:end], ys[:end], bx[:end], nx[:end], by[:end],
+                                 ny[:end], eps, spec, tol)
+    return list(zip(direct, _results(second, error)))
+
+
 def min_certificate_value(x: BochnerElement, y: BochnerElement,
                           spec: SpaceSpec) -> float:
     """min over norm-one T with T(x) = ||x|| of |T(y)|.
@@ -517,8 +536,8 @@ def certificate_check(x: BochnerElement, y: BochnerElement, eps,
     """
     eps = epsilon_value(eps)
     xs, ys, bx, nx = _support_operands(x, y, spec)
-    return _only(_certificate_checks(xs, ys, bx, nx, *_norm_rows(ys, spec),
-                                     eps, spec, tol))
+    return _results(_certificate_checks(xs, ys, bx, nx, *_norm_rows(ys, spec),
+                                        eps, spec, tol))[0]
 
 
 def _partners(xs: np.ndarray, zs: np.ndarray, bx: np.ndarray, nx: np.ndarray,

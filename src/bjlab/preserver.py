@@ -14,19 +14,13 @@ from .blockspace import (
     CheckResult,
     SpaceSpec,
     _is_int,
-    _norm_arr,
     _norm_rows,
     _take,
     inner_norm,
     outcome,
 )
 from .errors import BadSpec, BjlabError, DegenerateDraw, NonFiniteValue, ShapeMismatch
-from .ortho import (
-    _approx_checks,
-    _certificate_checks,
-    _partners,
-    epsilon_value,
-)
+from .ortho import _partners, _route_checks, epsilon_value
 
 # Smallest norm of a usable random element; a draw below it is redrawn.
 _USABLE_NORM = 1e-6
@@ -188,12 +182,25 @@ def random_element(spec: SpaceSpec, rng: np.random.Generator,
                    min_norm: float = _USABLE_NORM) -> BochnerElement:
     """Blocks with i.i.d. standard normal entries; redraws degenerate ones
     (none at min_norm <= 0, where every draw is usable)."""
-    if min_norm <= 0.0:
-        return BochnerElement(rng.standard_normal((spec.n, spec.d)))
-    out = np.empty((1, spec.n, spec.d))
-    if _draw_usable(out, np.zeros(1, dtype=int), [rng], spec, min_norm)[2] is not None:
-        raise DegenerateDraw("could not draw an element of usable norm")
+    (out,), error = _draw_elements(spec, [rng], 1, min_norm)
+    if error is not None:
+        raise error
     return BochnerElement(out[0])
+
+
+def _draw_elements(spec: SpaceSpec, rngs, count: int, min_norm: float = _USABLE_NORM
+                   ) -> tuple[list[np.ndarray], BjlabError | None]:
+    """random_element drawn count times from each generator in turn, as
+    count (B, n, d) stacks for the rows before the first whose draw raised,
+    and that row's error (None when no row's did)."""
+    stacks, end, error = [], len(rngs), None
+    for _ in range(count):
+        out = np.empty((len(rngs), spec.n, spec.d))
+        failed = _draw_usable(out, np.arange(end), rngs, spec, min_norm)[2]
+        if failed is not None:  # the rows after it are never drawn
+            end, error = failed, DegenerateDraw("could not draw an element of usable norm")
+        stacks.append(out)
+    return [out[:end] for out in stacks], error
 
 
 def _draw_pairs(spec: SpaceSpec, rngs) -> tuple[np.ndarray, np.ndarray,
@@ -212,8 +219,6 @@ def _draw_pairs(spec: SpaceSpec, rngs) -> tuple[np.ndarray, np.ndarray,
             end, error = failed, DegenerateDraw("could not draw an element of usable norm")
             keep = todo < end
             todo, bx, nx = todo[keep], bx[keep], nx[keep]
-            if not len(todo):  # the first row failed: nothing was projected
-                return xs[:0], xs[:0], error
         for i in todo.tolist():
             rngs[i].standard_normal(out=zs[i])
         Z = _take(zs, todo)
@@ -242,10 +247,6 @@ def draw_orthogonal_pair(spec: SpaceSpec, rng: np.random.Generator,
     return BochnerElement(xs[0]), BochnerElement(ys[0])
 
 
-def _ratio(U: ScalingOperator, blocks: np.ndarray, spec: SpaceSpec) -> float:
-    return _norm_arr(U.factors[:, None] * blocks, spec) / _norm_arr(blocks, spec)
-
-
 def is_scalar_multiple_of_isometry(U: ScalingOperator, spec: SpaceSpec,
                                    trials: int = 16, tol: float = DEFAULT_TOL,
                                    rng: np.random.Generator | None = None,
@@ -264,18 +265,16 @@ def is_scalar_multiple_of_isometry(U: ScalingOperator, spec: SpaceSpec,
         rng = np.random.default_rng(0)
     x0 = np.zeros(spec.d)
     x0[0] = 1.0
-    ratios = []
-    for i in range(spec.n):
-        blocks = np.zeros((spec.n, spec.d))
-        blocks[i] = x0
-        ratios.append(_ratio(U, blocks, spec))
+    singles = np.zeros((spec.n, spec.n, spec.d))
+    singles[np.arange(spec.n), np.arange(spec.n)] = x0
+    probes = list(singles)
     hi = np.flatnonzero(U.factors == U.factors.max())
     if len(hi) < spec.n:
         part = AtomPartition(hi.tolist(), spec.n)
-        for alpha in WITNESS_ALPHAS:
-            ratios.append(_ratio(U, h_alpha_witness(alpha, part, x0, spec).blocks, spec))
-    for _ in range(trials):
-        ratios.append(_ratio(U, random_element(spec, rng).blocks, spec))
+        probes += [h_alpha_witness(alpha, part, x0, spec).blocks for alpha in WITNESS_ALPHAS]
+    probes += [random_element(spec, rng).blocks for _ in range(trials)]
+    P = np.array(probes)
+    ratios = (_norm_rows(U.factors[:, None] * P, spec)[1] / _norm_rows(P, spec)[1]).tolist()
     spread = (max(ratios) - min(ratios)) / max(ratios)
     return spread <= tol, spread
 
@@ -313,22 +312,10 @@ def preservation_trials(U: ScalingOperator, eps, spec: SpaceSpec, rngs,
                             & np.isfinite(uy).all(axis=(1, 2))))
         ux, uy, error = ux[:end], uy[:end], NonFiniteValue(
             "element contains non-finite entries")
-    bx, nx = _norm_rows(ux, spec)
-    by, ny = _norm_rows(uy, spec)
-    direct = _approx_checks(ux, uy, nx, ny, eps, spec, tol)
-    if direct and isinstance(direct[-1], BjlabError):
-        error = direct.pop()
-    end = len(direct)
-    second = _certificate_checks(ux[:end], uy[:end], bx[:end], nx[:end], by[:end],
-                                 ny[:end], eps, spec, tol)
-    if second and isinstance(second[-1], BjlabError):
-        error = second.pop()
-    if error is not None:
-        raise error
     route = "certificate" if spec.p == 1.0 else "sip"  # the sip criterion for p > 1
     return [TrialRecord(x=BochnerElement(x), y=BochnerElement(y), direct=d,
                         second_route=route, second=c)
-            for x, y, d, c in zip(xs, ys, direct, second)]
+            for x, y, (d, c) in zip(xs, ys, _route_checks(ux, uy, eps, spec, tol, error))]
 
 
 def preservation_trial(U: ScalingOperator, eps, spec: SpaceSpec,

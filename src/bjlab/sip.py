@@ -22,9 +22,10 @@ from .blockspace import (
     BochnerElement,
     CheckResult,
     SpaceSpec,
+    _duality_stack,
     _norm_from_block_norms,  # noqa: F401  perfbench/test_perfbench.py reads it here
+    _norm_rows,
     check_shape,
-    duality_weights,
 )
 from .errors import UnsupportedExponent
 from .ortho import certificate_check
@@ -45,18 +46,19 @@ def semi_inner_product(f: BochnerElement, g: BochnerElement,
     """
     _require_smooth_lp(spec)
     fb = check_shape(f, spec)
-    gb = check_shape(g, spec)
-    ng, W = _sip_weights(gb, spec)
-    if ng == 0.0:
-        return 0.0
-    return float(np.einsum("ij,ij->", W, fb))
+    W = _sip_weight_rows(check_shape(g, spec)[None], spec)[1][0]
+    return float(np.einsum("ij,ij->", W, fb))  # W = 0 at g = 0
 
 
-def _sip_weights(gb: np.ndarray, spec: SpaceSpec) -> tuple[float, np.ndarray]:
-    """(||g||, W) with [f, g] = sum_ij W_ij f_ij: the duality kernel's rows
-    of g scaled by ||g|| mu_i (||g_i||/||g||)^(p-1)."""
-    ng, _, w, F = duality_weights(gb, spec)
-    return ng, (ng * spec.mu * w)[:, None] * F
+def _sip_weight_rows(stack: np.ndarray, spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(||g||, W) for each row g of a (B, n, d) stack, with
+    [f, g] = sum_ij W_ij f_ij: the duality kernel's rows of g scaled by
+    ||g|| mu_i (||g_i||/||g||)^(p-1), and W = 0 at g = 0."""
+    b, norms = _norm_rows(stack, spec)
+    # a zero row divides by 1: its block norms and functionals are all zero
+    w, F = _duality_stack(stack, b, np.where(norms > 0.0, norms, 1.0), spec)
+    # w and F multiply into W separately: w * F first rounds differently
+    return norms, (norms[:, None] * spec.mu * w)[..., None] * F
 
 
 @dataclass(frozen=True)
@@ -79,31 +81,41 @@ class SipAxiomReport:
         return self.max_relative() <= tol
 
 
-def sip_axiom_report(f: BochnerElement, g: BochnerElement, h: BochnerElement,
-                     a: float, b: float, spec: SpaceSpec) -> SipAxiomReport:
-    """Evaluate all four axiom residuals on one sample (f, g, h, a, b)."""
-    _require_smooth_lp(spec)
-    a = float(a)
-    b = float(b)
-    fb = check_shape(f, spec)
-    gb = check_shape(g, spec)
-    hb = check_shape(h, spec)
-    nf, w_f = _sip_weights(fb, spec)
-    ng, w_g = _sip_weights(gb, spec)
-    nh, w_h = _sip_weights(hb, spec)
-    _, w_ag = _sip_weights(a * gb, spec)
-    scale = (1.0 + nf) * (1.0 + ng) * (1.0 + nh) * (1.0 + abs(a) + abs(b)) ** 2
+def _axiom_reports(F: np.ndarray, G: np.ndarray, H: np.ndarray, a: np.ndarray,
+                   b: np.ndarray, spec: SpaceSpec) -> list[SipAxiomReport]:
+    """sip_axiom_report of each sample of (B, n, d) stacks f, g, h and (B,)
+    scalars a, b: one weight kernel call for all 4B elements, then each
+    sample's full contractions on Python floats, which keep its bits."""
+    B = len(F)
+    norms, W = _sip_weight_rows(np.concatenate((F, G, H, a[:, None, None] * G)), spec)
+    w_f, w_g, w_h, w_ag = W[:B], W[B:2 * B], W[2 * B:3 * B], W[3 * B:]
+    norms_f, norms_g, norms_h, _ = norms.reshape(4, B).tolist()
 
     def pair(w, blocks):
         return float(np.einsum("ij,ij->", w, blocks))
 
-    lin = abs(pair(w_h, a * fb + b * gb) - a * pair(w_h, fb) - b * pair(w_h, gb))
-    hom = abs(pair(w_ag, fb) - a * pair(w_g, fb))
-    cs = max(0.0, abs(pair(w_g, fb)) - nf * ng)
-    norm_gap = abs(pair(w_f, fb) - nf * nf)
-    return SipAxiomReport(first_slot_linearity=lin, second_slot_homogeneity=hom,
-                          cauchy_schwarz=cs, norm_compatibility=norm_gap,
-                          scale=scale)
+    reports = []
+    for k, (ak, bk, nf, ng, nh) in enumerate(zip(a.tolist(), b.tolist(),
+                                                norms_f, norms_g, norms_h)):
+        fb, gb, wh = F[k], G[k], w_h[k]
+        fg = pair(w_g[k], fb)
+        scale = (1.0 + nf) * (1.0 + ng) * (1.0 + nh) * (1.0 + abs(ak) + abs(bk)) ** 2
+        lin = abs(pair(wh, ak * fb + bk * gb) - ak * pair(wh, fb) - bk * pair(wh, gb))
+        hom = abs(pair(w_ag[k], fb) - ak * fg)
+        cs = max(0.0, abs(fg) - nf * ng)
+        norm_gap = abs(pair(w_f[k], fb) - nf * nf)
+        reports.append(SipAxiomReport(
+            first_slot_linearity=lin, second_slot_homogeneity=hom,
+            cauchy_schwarz=cs, norm_compatibility=norm_gap, scale=scale))
+    return reports
+
+
+def sip_axiom_report(f: BochnerElement, g: BochnerElement, h: BochnerElement,
+                     a: float, b: float, spec: SpaceSpec) -> SipAxiomReport:
+    """Evaluate all four axiom residuals on one sample (f, g, h, a, b)."""
+    _require_smooth_lp(spec)
+    f, g, h = (check_shape(e, spec)[None] for e in (f, g, h))
+    return _axiom_reports(f, g, h, np.array([float(a)]), np.array([float(b)]), spec)[0]
 
 
 def sip_orthogonality_criterion(x: BochnerElement, y: BochnerElement, eps,

@@ -15,13 +15,14 @@ import numpy as np
 from bjlab import BochnerElement, DegenerateDraw, SpaceSpec
 from bjlab.blockspace import (
     BOUNDARY_BAND,
+    DEFAULT_ZERO_TOL,
     ONE_SIDED_NOISE_FLOOR,
+    _duality_rows,
     _norm_arr,
     _norm_from_block_norms,
-    _pairing,
     block_norms,
-    duality_weights,
 )
+from bjlab.harness import CROSS_ROUTE_BAND
 from bjlab.ortho import _PROBE_OFFSETS, _finite, minimize_convex_1d
 
 
@@ -259,6 +260,102 @@ def _reference_one_sided(phi, radius, at_zero, level, scale, tol):
     return margin >= -tol, margin, -BOUNDARY_BAND * tol < margin < -ONE_SIDED_NOISE_FLOOR
 
 
+def reference_duality_weights(blocks: np.ndarray, spec: SpaceSpec
+                              ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The blockwise duality map of f: (||f||, b, w, F).
+
+    b holds the block norms ||f_i||_q, w the row weights (b_i/||f||)^(p-1)
+    and F the norming functionals of the blocks above DEFAULT_ZERO_TOL
+    (relative to the largest block norm), zero rows elsewhere.  The support
+    functional of f is w[:, None] * F, and the semi-inner product is
+    [g, f] = ||f|| sum_i mu_i w_i F_i.g_i.  At f = 0 the norm is 0 and w, F
+    are zero.
+    """
+    b = block_norms(blocks, spec.q)
+    nf = _norm_from_block_norms(b, spec)
+    if nf == 0.0:
+        return 0.0, b, np.zeros_like(b), np.zeros_like(blocks)
+    F = _duality_rows(blocks, spec.q, b > DEFAULT_ZERO_TOL * float(b.max()), b)
+    return nf, b, (b / nf) ** (spec.p - 1.0), F
+
+
+def reference_pairing(tb: np.ndarray, gb: np.ndarray, spec: SpaceSpec) -> float:
+    """sum_i mu_i T_i.g_i on raw block arrays."""
+    return float(spec.mu @ np.einsum("ij,ij->i", tb, gb))
+
+
+def _reference_usable(rng: np.random.Generator, spec: SpaceSpec) -> np.ndarray:
+    """Standard normal blocks, redrawn until their norm reaches 1e-6."""
+    for _ in range(100):
+        xb = rng.standard_normal((spec.n, spec.d))
+        if _norm_arr(xb, spec) >= 1e-6:
+            return xb
+    raise DegenerateDraw("could not draw an element of usable norm")
+
+
+def _reference_pair(rng: np.random.Generator, spec: SpaceSpec
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """A usable x, then z projected against x, redrawn on a collapsed
+    partner."""
+    for _ in range(100):
+        xb = _reference_usable(rng, spec)
+        zb = rng.standard_normal((spec.n, spec.d))
+        nx, _, w, F = reference_duality_weights(xb, spec)
+        yb = zb - (reference_pairing(w[:, None] * F, zb, spec) / nx) * xb
+        if _norm_arr(yb, spec) > 1e-9 * _norm_arr(zb, spec):
+            return xb, yb
+    raise DegenerateDraw("partner collapsed to zero on every redraw")
+
+
+def _reference_exact(xb, yb, spec: SpaceSpec, tol: float) -> tuple:
+    """(verdict, margin, boundary) of the exact check by probes and golden
+    section."""
+    nx, ny = _norm_arr(xb, spec), _norm_arr(yb, spec)
+
+    def phi(a):
+        return nx if a == 0.0 else _norm_arr(xb + a * yb, spec)
+
+    return _reference_one_sided(phi, 4.0 * nx / ny, nx,
+                                (1.0 - ONE_SIDED_NOISE_FLOOR) * nx, nx, tol)
+
+
+def _reference_approx(xb, yb, eps: float, spec: SpaceSpec, tol: float) -> tuple:
+    """(verdict, margin, boundary) of the approximate check by probes and
+    golden section."""
+    nx, ny = _norm_arr(xb, spec), _norm_arr(yb, spec)
+    kink, nx2 = 2.0 * eps * nx * ny, nx * nx
+
+    def psi(a):
+        if a == 0.0:
+            return nx ** 2 - nx2
+        return _norm_arr(xb + a * yb, spec) ** 2 - nx2 + kink * abs(a)
+
+    return _reference_one_sided(psi, 4.0 * nx / ny, 0.0,
+                                -ONE_SIDED_NOISE_FLOOR * nx2, nx2, tol)
+
+
+def _reference_certificate(xb, yb, eps: float, spec: SpaceSpec, tol: float) -> tuple:
+    """(verdict, margin, boundary) of the certificate check."""
+    _, _, w, F = reference_duality_weights(xb, spec)
+    T = w[:, None] * F
+    s = reference_pairing(T, yb, spec)
+    by = block_norms(yb, spec.q)
+    ny = _norm_from_block_norms(by, spec)
+    free = ~T.any(axis=1)
+    if spec.p == 1.0 and free.any():
+        mcv = max(0.0, abs(s) - float((spec.mu * by)[free].sum()))
+    else:
+        mcv = abs(s)
+    margin = (eps * ny - mcv) / ny
+    return margin >= -tol, margin, abs(margin) < BOUNDARY_BAND * tol
+
+
+def _reference_outcome(*results) -> str:
+    if any(r[2] for r in results):
+        return "boundary"
+    return "pass" if all(r[0] for r in results) else "fail"
+
+
 def reference_sweep_row(U, eps: float, spec: SpaceSpec, rng: np.random.Generator,
                         tol: float = 1e-9) -> tuple:
     """One preservation trial as a scalar pipeline on one pair: draw x until
@@ -267,45 +364,64 @@ def reference_sweep_row(U, eps: float, spec: SpaceSpec, rng: np.random.Generator
     section; the certificate margin.  Returns (direct verdict, direct
     margin, second verdict, second margin, outcome), what a sweep row of the
     stacked trial must equal."""
-    for _ in range(100):
-        for _ in range(100):
-            xb = rng.standard_normal((spec.n, spec.d))
-            if _norm_arr(xb, spec) >= 1e-6:
-                break
-        else:
-            raise DegenerateDraw("could not draw an element of usable norm")
-        zb = rng.standard_normal((spec.n, spec.d))
-        nx, _, w, F = duality_weights(xb, spec)
-        yb = zb - (_pairing(w[:, None] * F, zb, spec) / nx) * xb
-        if _norm_arr(yb, spec) > 1e-9 * _norm_arr(zb, spec):
-            break
-    else:
-        raise DegenerateDraw("partner collapsed to zero on every redraw")
+    xb, yb = _reference_pair(rng, spec)
     ux, uy = U.factors[:, None] * xb, U.factors[:, None] * yb
-    nx, ny = _norm_arr(ux, spec), _norm_arr(uy, spec)
-    kink, nx2 = 2.0 * eps * nx * ny, nx * nx
+    direct = _reference_approx(ux, uy, eps, spec, tol)
+    second = _reference_certificate(ux, uy, eps, spec, tol)
+    return direct[0], direct[1], second[0], second[1], _reference_outcome(direct, second)
 
-    def psi(a):
-        if a == 0.0:
-            return nx ** 2 - nx2
-        return _norm_arr(ux + a * uy, spec) ** 2 - nx2 + kink * abs(a)
 
-    direct = _reference_one_sided(psi, 4.0 * nx / ny, 0.0,
-                                  -ONE_SIDED_NOISE_FLOOR * nx2, nx2, tol)
-    _, _, w, F = duality_weights(ux, spec)
-    T = w[:, None] * F
-    s = _pairing(T, uy, spec)
-    by = block_norms(uy, spec.q)
-    ny = _norm_from_block_norms(by, spec)
-    free = ~T.any(axis=1)
-    if spec.p == 1.0 and free.any():
-        mcv = max(0.0, abs(s) - float((spec.mu * by)[free].sum()))
+def reference_check_row(eps, spec: SpaceSpec, rng: np.random.Generator,
+                        tol: float = 1e-9) -> tuple:
+    """A check-ortho (eps None) or check-approx row after its (trial, seed,
+    p, q, n, d) prefix, and its outcome."""
+    xb, yb = _reference_pair(rng, spec)
+    if eps is None:
+        res = _reference_exact(xb, yb, spec, tol)
     else:
-        mcv = abs(s)
-    margin = (eps * ny - mcv) / ny
-    second = (margin >= -tol, margin, abs(margin) < BOUNDARY_BAND * tol)
-    if direct[2] or second[2]:
-        row_outcome = "boundary"
+        res = _reference_approx(xb, yb, eps, spec, tol)
+    return ((0.0 if eps is None else eps, res[0], res[1], "none", "", "", res[2]),
+            _reference_outcome(res))
+
+
+def reference_sip_row(eps: float, spec: SpaceSpec, rng: np.random.Generator,
+                      tol: float = 1e-9) -> tuple:
+    """A sip row after its prefix, and its outcome: the direct check and
+    the certificate on two usable random elements, which must agree outside
+    the cross-route band."""
+    xb = _reference_usable(rng, spec)
+    yb = _reference_usable(rng, spec)
+    direct = _reference_approx(xb, yb, eps, spec, tol)
+    crit = _reference_certificate(xb, yb, eps, spec, tol)
+    if direct[2] or crit[2] or abs(crit[1]) < CROSS_ROUTE_BAND:
+        agreement = "boundary"
     else:
-        row_outcome = "pass" if direct[0] and second[0] else "fail"
-    return direct[0], direct[1], second[0], second[1], row_outcome
+        agreement = "pass" if direct[0] == crit[0] else "fail"
+    return ((eps, direct[0], direct[1], "sip", crit[0], crit[1], agreement == "boundary"),
+            agreement)
+
+
+def reference_axiom_row(spec: SpaceSpec, rng: np.random.Generator,
+                        tol: float = 1e-9) -> tuple:
+    """An axioms row after its prefix, and its outcome: the four axiom
+    residuals of one sample, each semi-inner product a full contraction
+    with the weights ||g|| mu_i (||g_i||/||g||)^(p-1) F_{g_i}."""
+    fb, gb, hb = (rng.standard_normal((spec.n, spec.d)) for _ in range(3))
+    a, b = rng.standard_normal(2).tolist()
+
+    def weights(blocks):
+        ng, _, w, F = reference_duality_weights(blocks, spec)
+        return ng, (ng * spec.mu * w)[:, None] * F
+
+    def pair(w, blocks):
+        return float(np.einsum("ij,ij->", w, blocks))
+
+    (nf, w_f), (ng, w_g), (nh, w_h) = weights(fb), weights(gb), weights(hb)
+    w_ag = weights(a * gb)[1]
+    scale = (1.0 + nf) * (1.0 + ng) * (1.0 + nh) * (1.0 + abs(a) + abs(b)) ** 2
+    lin = abs(pair(w_h, a * fb + b * gb) - a * pair(w_h, fb) - b * pair(w_h, gb))
+    hom = abs(pair(w_ag, fb) - a * pair(w_g, fb))
+    cs = max(0.0, abs(pair(w_g, fb)) - nf * ng)
+    norm_gap = abs(pair(w_f, fb) - nf * nf)
+    ok = max(lin, hom, cs, norm_gap) / scale <= tol
+    return (a, b, lin, hom, cs, norm_gap, scale, ok), "pass" if ok else "fail"

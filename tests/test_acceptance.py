@@ -22,12 +22,13 @@ from bjlab import (
     is_scalar_multiple_of_isometry,
     min_certificate_value,
     random_element,
-    sip_axiom_report,
     u_eps_L1,
     u_eps_l1,
     u_eps_Lp,
 )
+from bjlab.blockspace import _norm_rows
 from bjlab.harness import TRIAL_COLUMNS, ExperimentConfig, run, trial_rng
+from bjlab.sip import _axiom_reports
 from oracles import brute_min_certificate, central_diff_gradient
 
 EPS_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
@@ -152,15 +153,19 @@ def test_criterion_5_giles_axiom_grid():
     samples = 10_000
     for k, (p, q) in enumerate(product((1.5, 2.0, 3.0, 4.0), (1.5, 2.0, 3.0))):
         spec = SpaceSpec(p, q, 3, 2, (1.0, 0.5, 2.0))
+        # the cell's samples drawn from its one generator in turn: f, g and
+        # h as random_element(min_norm=0) draws them, then (a, b)
         rng = trial_rng(1005, k)
-        for _ in range(samples):
-            f = random_element(spec, rng, min_norm=0.0)
-            g = random_element(spec, rng, min_norm=0.0)
-            h = random_element(spec, rng, min_norm=0.0)
-            a, b = rng.standard_normal(2) * 1.5
-            rep = sip_axiom_report(f, g, h, a, b, spec)
+        F, G, H = (np.empty((samples, spec.n, spec.d)) for _ in range(3))
+        ab = np.empty((samples, 2))
+        for i in range(samples):
+            for out in (F[i], G[i], H[i]):
+                rng.standard_normal(out=out)
+            ab[i] = rng.standard_normal(2) * 1.5
+        reports = _axiom_reports(F, G, H, ab[:, 0], ab[:, 1], spec)
+        for rep, nf in zip(reports, _norm_rows(F, spec)[1].tolist()):
             worst_rel = max(worst_rel, rep.max_relative())
-            nf2 = bochner_norm(f, spec) ** 2
+            nf2 = nf ** 2
             if nf2 > 0.0:
                 worst_norm_rel = max(worst_norm_rel,
                                      rep.norm_compatibility / nf2)

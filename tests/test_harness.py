@@ -317,6 +317,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert err.startswith("bjlab: error: DegenerateDraw: ") and "Traceback" not in err
 
     assert main(["check-ortho", "--config", str(tmp_path / "missing.json")]) == 1
+    capsys.readouterr()
+
+    # the per-row generators are keyed on non-negative seeds only
+    assert main(["check-ortho", "--config", str(good), "--seed", "-5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bjlab: config error: seed: ") and "Traceback" not in err
 
 
 def test_cli_seed_and_out_overrides(tmp_path):
@@ -332,8 +338,8 @@ def test_cli_seed_and_out_overrides(tmp_path):
 
 def test_cli_exit_two_on_failed_trials(tmp_path, monkeypatch, capsys):
     # force a failing verdict to exercise the unexplained-failure path
-    monkeypatch.setattr(harness, "is_bj_orthogonal",
-                        lambda *a, **k: CheckResult(False, -0.5))
+    monkeypatch.setattr(harness, "_exact_checks",
+                        lambda xs, *a: [CheckResult(False, -0.5)] * len(xs))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(config_text("check-ortho"), encoding="utf-8")
     assert main(["check-ortho", "--config", str(cfg_path)]) == 2
@@ -355,5 +361,9 @@ def test_direct_experiment_config_validation():
         ExperimentConfig(mode="check-ortho", spec=spec, trials=True, seed=1)
     with pytest.raises(ConfigError, match="seed"):
         ExperimentConfig(mode="check-ortho", spec=spec, trials=1, seed=2**70)
+    with pytest.raises(ConfigError) as err:
+        parse_config(config_text("check-ortho", seed=-5))
+    assert str(err.value) == "seed: must be a non-negative 64-bit integer, got -5"
+    assert ExperimentConfig(mode="check-ortho", spec=spec, trials=1, seed=0).seed == 0
     with pytest.raises(ConfigError, match="mode"):
         ExperimentConfig(mode="explore", spec=spec, trials=1, seed=1)

@@ -30,3 +30,27 @@ def test_no_module_imports_a_name_it_does_not_use():
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [hit for path in modules for hit in unused_imports(path)] == []
+
+
+def unreferenced_private_definitions(paths) -> list[str]:
+    """'file name' for each top-level private function or class that no
+    module among paths names: a call, an attribute or an import."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return [f"{name} {node.name}" for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in referenced]
+
+
+def test_no_private_definition_is_left_unreferenced():
+    # a scalar twin left behind its stacked kernel, called by nothing
+    assert unreferenced_private_definitions(sorted(PACKAGE.glob("*.py"))) == []

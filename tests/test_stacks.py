@@ -1,6 +1,6 @@
 """Stacked paths against their one-row references: the secant bound over
-(rows x intervals), preserver-sweep rows run as (B, n, d) stacks, and the
-errors a stack raises."""
+(rows x intervals), the rows of every harness mode run as (B, n, d) stacks,
+and the errors a stack raises."""
 
 import dataclasses
 import json
@@ -14,6 +14,7 @@ import bjlab.harness as harness
 from bjlab import (
     AtomPartition,
     BochnerElement,
+    DegenerateDraw,
     NonFiniteValue,
     ScalingOperator,
     SpaceSpec,
@@ -27,7 +28,13 @@ from bjlab import (
 from bjlab import ortho, preserver
 from bjlab.harness import trial_rng
 from conftest import rng_for
-from oracles import reference_secant_lower_bound, reference_sweep_row
+from oracles import (
+    reference_axiom_row,
+    reference_check_row,
+    reference_secant_lower_bound,
+    reference_sip_row,
+    reference_sweep_row,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 SWEEPS = ("l1_sweep", "lp_sweep", "weighted_L1_sweep")
@@ -180,3 +187,103 @@ def test_the_first_failing_row_decides_the_error(monkeypatch, first, later):
     scaled_draws(monkeypatch, {id(rngs[1]): first, id(rngs[3]): later})
     with pytest.raises(NonFiniteValue, match=MESSAGES[first]):
         preservation_trials(OPERATOR, 0.3, SPACE, rngs)
+
+
+SPACES = {
+    "A": {"p": 1, "q": 2, "n": 4, "d": 2, "weights": [1, 2, 0.5, 1]},
+    "B": {"p": 2.5, "q": 1.5, "n": 4, "d": 2, "weights": [1, 0.3, 1.5, 2]},
+    "C": {"p": 3, "q": 2, "n": 6, "d": 3, "weights": [1] * 6},
+}
+
+
+def mode_config(mode: str, space: str, trials: int):
+    data = {"mode": mode, "spec": SPACES[space], "trials": trials, "seed": 11}
+    if mode in ("check-approx", "sip"):
+        data["epsilons"] = [0, 0.1, 0.5]
+    return parse_config(json.dumps(data))
+
+
+def reference_row(cfg, eps, rng) -> tuple:
+    if cfg.mode == "sip":
+        return reference_sip_row(eps, cfg.spec, rng, cfg.tol)
+    if cfg.mode == "axioms":
+        return reference_axiom_row(cfg.spec, rng, cfg.tol)
+    return reference_check_row(eps, cfg.spec, rng, cfg.tol)
+
+
+def typed_bits(values) -> list:
+    """Each value's type and, for floats, its bits: what the CSV writes."""
+    return [(type(v), bits(v) if isinstance(v, float) else v) for v in values]
+
+
+@pytest.mark.parametrize("mode,space", [
+    ("check-ortho", "A"), ("check-ortho", "C"), ("check-approx", "A"),
+    ("check-approx", "B"), ("sip", "B"), ("sip", "C"), ("axioms", "B"),
+    ("axioms", "C")])
+def test_mode_rows_equal_the_per_row_pipeline(monkeypatch, mode, space):
+    cfg = mode_config(mode, space, 30)
+    report = run(cfg, echo=False)
+    s = cfg.spec
+    outcomes = []
+    for k, eps in enumerate(cfg.epsilons or (None,)):
+        for trial in range(cfg.trials):
+            index = k * cfg.trials + trial
+            values, row_outcome = reference_row(cfg, eps, trial_rng(cfg.seed, index))
+            row = report.rows[index]
+            assert row[:6] == (trial, f"11:{index}", s.p, s.q, s.n, s.d)
+            assert typed_bits(row[6:]) == typed_bits(values), row
+            outcomes.append(row_outcome)
+    assert len(report.rows) == len(outcomes)
+    for key in ("pass", "fail", "boundary"):
+        assert report.summary[key] == outcomes.count(key)
+    # stacks of 7 rows give the same CSV
+    monkeypatch.setattr(harness, "STACK_ENTRIES", 7 * s.n * s.d)
+    sizes = []
+    stack_function = harness._STACK_FUNCTIONS[mode]
+    monkeypatch.setitem(harness._STACK_FUNCTIONS, mode,
+                        lambda cfg, rngs, eps: sizes.append(len(rngs))
+                        or stack_function(cfg, rngs, eps))
+    assert run(cfg, echo=False).csv_text() == report.csv_text()
+    assert sizes == [7, 7, 7, 7, 2] * len(cfg.epsilons or (None,))
+
+
+class ScaledDraws:
+    """A generator whose normal draws come out multiplied by factor: at 0
+    every draw is degenerate, and at 1e200 ||x||^2 overflows."""
+
+    def __init__(self, rng, factor: float):
+        self.rng, self.factor = rng, factor
+
+    def standard_normal(self, size=None, out=None):
+        values = self.rng.standard_normal(size, out=out)
+        values *= self.factor
+        return values
+
+
+DEGENERATE = (DegenerateDraw, "^could not draw an element of usable norm$")
+OVERFLOW = (NonFiniteValue, MESSAGES[1e200])
+
+
+@pytest.mark.parametrize("mode,factors,expected", [
+    ("check-ortho", {2: 0.0}, DEGENERATE),
+    ("check-approx", {2: 0.0, 3: 1e200}, DEGENERATE),
+    ("check-approx", {2: 1e200, 3: 0.0}, OVERFLOW),
+    ("sip", {2: 0.0, 3: 1e200}, DEGENERATE),
+    ("sip", {2: 1e200, 3: 0.0}, OVERFLOW),
+])
+def test_a_mode_stack_raises_the_error_of_its_first_failing_row(monkeypatch, mode,
+                                                                 factors, expected):
+    # rows 0-4 of the first stack; axioms rows draw with no redraw and no
+    # check that can raise, so that mode has no failing row
+    cfg = mode_config(mode, "B", 5)
+    make = harness.trial_rng
+    monkeypatch.setattr(harness, "trial_rng", lambda seed, index: (
+        ScaledDraws(make(seed, index), factors[index]) if index in factors
+        else make(seed, index)))
+    error, message = expected
+    with pytest.raises(error, match=message):
+        run(cfg, echo=False)
+    # the same error when each row runs alone, as in a loop over the rows
+    monkeypatch.setattr(harness, "STACK_ENTRIES", 1)
+    with pytest.raises(error, match=message):
+        run(cfg, echo=False)

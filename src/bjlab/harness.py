@@ -241,7 +241,9 @@ def _sip_stack(cfg: ExperimentConfig, rngs, eps):
 def _axiom_stack(cfg: ExperimentConfig, rngs, eps):
     """Draw f, g, h and scalars (a, b) per row and measure the residuals of
     the four semi-inner-product axioms on them."""
-    (F, G, H), _ = _draw_elements(cfg.spec, rngs, 3, min_norm=0.0)  # never redrawn
+    (F, G, H), error = _draw_elements(cfg.spec, rngs, 3, min_norm=0.0)
+    if error is not None:  # never at min_norm = 0, where every draw is usable
+        raise error
     ab = np.array([rng.standard_normal(2) for rng in rngs])
     reports = _axiom_reports(F, G, H, ab[:, 0], ab[:, 1], cfg.spec)
     rows = []
@@ -285,7 +287,7 @@ def _trial_rows(cfg: ExperimentConfig) -> list[tuple[tuple, str]]:
             indices = [k * cfg.trials + trial for trial in trials]
             rngs = [trial_rng(cfg.seed, index) for index in indices]
             for trial, index, (values, row_outcome) in zip(
-                    trials, indices, stack_function(cfg, rngs, eps)):
+                    trials, indices, stack_function(cfg, rngs, eps), strict=True):
                 rows.append(((trial, f"{cfg.seed}:{index}", s.p, s.q, s.n, s.d)
                              + values, row_outcome))
     return rows

@@ -14,6 +14,7 @@ from .blockspace import (
     CheckResult,
     SpaceSpec,
     _is_int,
+    _norm_arr,
     _norm_rows,
     _take,
     inner_norm,
@@ -247,6 +248,10 @@ def draw_orthogonal_pair(spec: SpaceSpec, rng: np.random.Generator,
     return BochnerElement(xs[0]), BochnerElement(ys[0])
 
 
+def _ratio(U: ScalingOperator, blocks: np.ndarray, spec: SpaceSpec) -> float:
+    return _norm_arr(U.factors[:, None] * blocks, spec) / _norm_arr(blocks, spec)
+
+
 def is_scalar_multiple_of_isometry(U: ScalingOperator, spec: SpaceSpec,
                                    trials: int = 16, tol: float = DEFAULT_TOL,
                                    rng: np.random.Generator | None = None,
@@ -265,16 +270,18 @@ def is_scalar_multiple_of_isometry(U: ScalingOperator, spec: SpaceSpec,
         rng = np.random.default_rng(0)
     x0 = np.zeros(spec.d)
     x0[0] = 1.0
-    singles = np.zeros((spec.n, spec.n, spec.d))
-    singles[np.arange(spec.n), np.arange(spec.n)] = x0
-    probes = list(singles)
+    ratios = []
+    for i in range(spec.n):
+        blocks = np.zeros((spec.n, spec.d))
+        blocks[i] = x0
+        ratios.append(_ratio(U, blocks, spec))
     hi = np.flatnonzero(U.factors == U.factors.max())
     if len(hi) < spec.n:
         part = AtomPartition(hi.tolist(), spec.n)
-        probes += [h_alpha_witness(alpha, part, x0, spec).blocks for alpha in WITNESS_ALPHAS]
-    probes += [random_element(spec, rng).blocks for _ in range(trials)]
-    P = np.array(probes)
-    ratios = (_norm_rows(U.factors[:, None] * P, spec)[1] / _norm_rows(P, spec)[1]).tolist()
+        for alpha in WITNESS_ALPHAS:
+            ratios.append(_ratio(U, h_alpha_witness(alpha, part, x0, spec).blocks, spec))
+    for _ in range(trials):
+        ratios.append(_ratio(U, random_element(spec, rng).blocks, spec))
     spread = (max(ratios) - min(ratios)) / max(ratios)
     return spread <= tol, spread
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,23 @@ def test_isometry_detector_rejects_u_eps_operators():
     ok1, spread1 = is_scalar_multiple_of_isometry(u_eps_l1(0.5, seq), seq)
     assert not ok1
     assert spread1 == pytest.approx(0.5, rel=1e-9)
+
+
+def test_isometry_detector_holds_one_probe_at_a_time():
+    # each probe is one (n, d) element: a stack of all n + 21 + trials probes
+    # would take 17 MiB per copy at n = 512, d = 8 (the loop peaks near 1 MiB)
+    spec = SpaceSpec.sequence(3, 1.5, 512, 8)
+    U = u_eps_Lp(0.3, AtomPartition(tuple(range(256)), 512), spec)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ok, spread = is_scalar_multiple_of_isometry(U, spec, rng=trial_rng(3, 0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert not ok and spread == pytest.approx(0.1, rel=1e-9)  # 1 - eps/p and 1
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])

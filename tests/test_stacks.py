@@ -287,3 +287,31 @@ def test_a_mode_stack_raises_the_error_of_its_first_failing_row(monkeypatch, mod
     monkeypatch.setattr(harness, "STACK_ENTRIES", 1)
     with pytest.raises(error, match=message):
         run(cfg, echo=False)
+
+
+def test_a_stack_that_loses_rows_is_an_error(monkeypatch):
+    # a stack function that returned fewer rows than it was given, without
+    # raising, would otherwise write a short CSV
+    draw = harness._draw_pairs
+
+    def draw_dropping_its_error(spec, rngs):
+        xs, ys, _ = draw(spec, rngs)
+        return xs[:2], ys[:2], None
+
+    monkeypatch.setattr(harness, "_draw_pairs", draw_dropping_its_error)
+    with pytest.raises(ValueError, match="shorter"):
+        run(mode_config("check-ortho", "B", 5), echo=False)
+
+
+def test_an_axiom_stack_raises_its_draw_error(monkeypatch):
+    # axiom draws are never redrawn, so their draw cannot fail; if it did,
+    # the stack raises the draw's error
+    draw = harness._draw_elements
+
+    def failing_draw(spec, rngs, count, min_norm):
+        stacks, _ = draw(spec, rngs, count, min_norm)
+        return [out[:2] for out in stacks], DegenerateDraw("no usable draw in row 2")
+
+    monkeypatch.setattr(harness, "_draw_elements", failing_draw)
+    with pytest.raises(DegenerateDraw, match="^no usable draw in row 2$"):
+        run(mode_config("axioms", "B", 5), echo=False)

@@ -279,26 +279,6 @@ def _duality_rows(blocks: np.ndarray, q: float, active: np.ndarray,
     return out
 
 
-def _scaled_root(m: float, s: float, p: float) -> float:
-    """m s^(1/p), the last step of the max-scaled l^p aggregate, on Python
-    floats: NumPy's vector power differs from Python's in the last bit on
-    some values."""
-    return m * s ** (1.0 / p)
-
-
-def _weighted_lp(b: np.ndarray, mu: np.ndarray, p: float) -> float:
-    """(sum_i mu_i b_i^p)^(1/p) of nonnegative b, scaled by max(b) to avoid
-    overflow; max(b) at p = inf."""
-    if p == 1.0:
-        return float(mu @ b)
-    if p == 2.0:
-        return float(np.sqrt(mu @ (b * b)))
-    m = float(b.max())
-    if m == 0.0 or math.isinf(p):
-        return m
-    return _scaled_root(m, float(mu @ (b / m) ** p), p)
-
-
 def _dot_rows(a: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """mu @ a[i] for each row of a 2-d array, bit for bit (a @ mu sums in
     another order)."""
@@ -306,19 +286,23 @@ def _dot_rows(a: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 
 def _weighted_lp_rows(b: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
-    """_weighted_lp of each row of a 2-d array b, bit for bit, for p < inf."""
+    """(sum_i mu_i b_i^p)^(1/p) of each nonnegative row of a 2-d array b,
+    scaled by the row's max m to avoid overflow; m itself at p = inf."""
+    if math.isinf(p):
+        return b.max(axis=1)
     if p == 1.0:
         return _dot_rows(b, mu)
     if p == 2.0:
         return np.sqrt(_dot_rows(b * b, mu))
     m = b.max(axis=1)
     s = _dot_rows((b / np.where(m > 0.0, m, 1.0)[:, None]) ** p, mu)
-    return np.array([mi and _scaled_root(mi, si, p)
-                     for mi, si in zip(m.tolist(), s.tolist())])
+    # m s^(1/p) on Python floats: NumPy's vector power differs from Python's
+    # in the last bit on some values
+    return np.array([mi and mi * si ** (1.0 / p) for mi, si in zip(m.tolist(), s.tolist())])
 
 
 def _norm_from_block_norms(b: np.ndarray, spec: SpaceSpec) -> float:
-    return _weighted_lp(b, spec.mu, spec.p)
+    return float(_weighted_lp_rows(b[None], spec.mu, spec.p)[0])
 
 
 def _norm_arr(blocks: np.ndarray, spec: SpaceSpec) -> float:
@@ -420,8 +404,8 @@ def functional_norm(T: BlockFunctional, spec: SpaceSpec) -> float:
     the block dual norms ||T_i||_{q*}, the discrete L^{p*} duality (the max
     at p = 1, since the dual of L^1 is L^inf)."""
     tb = check_shape(T, spec, "functional")
-    return _weighted_lp(block_norms(tb, dual_exponent(spec.q)), spec.mu,
-                        dual_exponent(spec.p))
+    b = block_norms(tb, dual_exponent(spec.q))
+    return float(_weighted_lp_rows(b[None], spec.mu, dual_exponent(spec.p))[0])
 
 
 def outcome(*results: CheckResult) -> str:

@@ -4,8 +4,9 @@ Every check runs over a (B, n, d) stack of pairs, each row with the bits it
 gets on its own; the one-pair functions are B = 1 calls.
 
 Two routes: convex scalar minimization of the defining inequality (13
-probes that certify most orthogonal pairs outright, then golden section on
-the rest), and norm-one support-functional certificates built on the duality kernel
+probes that certify most orthogonal pairs outright, then golden section run
+in lockstep over the stack's uncertified rows), and norm-one
+support-functional certificates built on the duality kernel
 (blockspace._support_stack), with the closed-form minimum over the zero-block
 freedom when p = 1.  For p > 1 the certificate value is the
 semi-inner-product value |[y, x]|/||x||, so certificate_check is also the
@@ -28,7 +29,6 @@ from .blockspace import (
     CheckResult,
     SpaceSpec,
     _duality_rows,
-    _norm_arr,
     _norm_rows,
     _pairing_rows,
     _support_norms,
@@ -58,57 +58,32 @@ def _non_finite(value: float, alpha: float, overflowed: bool) -> NonFiniteValue:
     return NonFiniteValue(f"objective returned {value} at alpha={alpha}")
 
 
-def _finite(phi):
-    """phi as a float-valued function that raises NonFiniteValue on inf/nan
-    or overflow."""
-    def f(alpha: float) -> float:
-        try:
-            val = float(phi(alpha))
-        except OverflowError as exc:  # a Python float power out of range
-            raise _non_finite(math.inf, alpha, True) from exc
-        if not math.isfinite(val):
-            raise _non_finite(val, alpha, False)
-        return val
-    return f
+# Golden section's final bracket width, relative to the radius, and step limit
+GOLDEN_TOL = 1e-12
+GOLDEN_MAX_ITER = 200
 
 
-def minimize_convex_1d(phi, radius: float, tol: float = 1e-12,
-                       max_iter: int = 200) -> tuple[float, float]:
+def minimize_convex_1d(phi, radius: float) -> tuple[float, float]:
     """Golden-section minimum of a convex phi over [-radius, radius].
 
-    tol is the terminal bracket width relative to radius.  Returns the best
-    (alpha, phi(alpha)) over all probe points, endpoints and 0 included, so
-    the reported value never exceeds any evaluated one.
+    Returns the best (alpha, phi(alpha)) over all probe points, endpoints and
+    0 included, so the reported value never exceeds any evaluated one.
+    Raises NonFiniteValue at the first value that is not finite or whose
+    Python float power overflowed.
     """
     if not (radius > 0.0 and math.isfinite(radius)):
         raise BadSpec(f"radius must be positive and finite, got {radius}")
-    f = _finite(phi)
-    a, b = -radius, radius
-    best_a, best_v = 0.0, f(0.0)  # probe the kink/expansion point first
-    for alpha in (a, b):
-        v = f(alpha)
-        if v < best_v:
-            best_a, best_v = alpha, v
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    width_goal = tol * radius
-    for _ in range(max_iter):
-        if fc < best_v:
-            best_a, best_v = c, fc
-        if fd < best_v:
-            best_a, best_v = d, fd
-        if (b - a) <= width_goal:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    return best_a, best_v
+
+    def objective(alphas, rows):
+        try:
+            return np.array([float(phi(float(alphas[0])))]), None
+        except OverflowError:
+            return np.array([math.inf]), np.array([True])
+
+    phi0, overflowed = objective(np.zeros(1), None)
+    if not math.isfinite(phi0[0]):
+        raise _non_finite(float(phi0[0]), 0.0, overflowed is not None)
+    return _results(_golden_sections(objective, [0], np.array([float(radius)]), phi0))[0]
 
 
 def _py_max(a, b):
@@ -206,23 +181,21 @@ def _certified_probes(objective, radius: np.ndarray, phi0: np.ndarray,
 
     objective(alphas, rows) returns phi_rows[k](alphas[k]) for every k (rows
     a slice or indices) as an array, and the mask of the values whose Python
-    power overflowed, or None; phi0 holds each phi_i(0).  Row i probes at radius_i*_PROBE_OFFSETS and
+    power overflowed, or None; phi0 holds each phi_i(0), and every radius is
+    positive and finite.  Row i probes at radius_i*_PROBE_OFFSETS and
     stops at its first value below level_i.  If every value reaches level_i
     and so does their secant lower bound, it gets its best probe (alpha,
     phi_i(alpha)), ties going to 0: any minimizer's value is at least the
     true minimum, hence at least level, so a certified row gets the verdict
-    and boundary flag full minimization would give it.  A row with a value
-    that is not finite gets that value's NonFiniteValue, and the rows after
-    it are not probed further; every other row gets None, and the caller
-    minimizes it in full.
+    and boundary flag full minimization would give it.  Returns a row list:
+    a row with a value that is not finite gets that value's
+    NonFiniteValue, and every other row gets None, for the caller to
+    minimize in full.
     """
     out = [None] * len(radius)
-    ok = (radius > 0.0) & (radius < math.inf)  # minimize_convex_1d reports a bad radius
-    if not ok.any():
-        return out
-    alphas = np.where(ok, radius, 0.0)[:, None] * _OFFSETS
+    alphas = radius[:, None] * _OFFSETS
     values = np.empty_like(alphas)
-    live = slice(None) if ok.all() else np.flatnonzero(ok)  # a slice takes views
+    live = slice(None)  # a slice takes views
     for k in range(len(_OFFSETS)):
         if k == 0:
             v, overflowed = phi0[live], None
@@ -239,6 +212,7 @@ def _certified_probes(objective, radius: np.ndarray, phi0: np.ndarray,
             i = int(rows[j])
             out[i] = _non_finite(float(v[j]), float(alphas[i, k]),
                                  overflowed is not None and bool(overflowed[j]))
+            del out[i + 1:]
             stop |= rows >= i
         live = rows[~stop]
         if not len(live):
@@ -254,28 +228,100 @@ def _certified_probes(objective, radius: np.ndarray, phi0: np.ndarray,
     return out
 
 
-def _one_sided_checks(objective, row_objective, radius: np.ndarray,
-                      phi0: np.ndarray, at_zero: list[float], level: np.ndarray,
-                      scale: np.ndarray, tol: float) -> list:
+def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray) -> list:
+    """Golden-section minima of the convex phi_i over [-radius_i, radius_i]
+    for the rows `rows` of a stack, run in lockstep, as a row list over rows.
+
+    objective is as in _certified_probes; radius and phi0 hold each row's
+    radius and phi_i(0).  Each row evaluates the points, and makes the float
+    comparisons, of a golden section run on its own: -radius_i, radius_i,
+    then the two inner points, then one point per step until its bracket is
+    GOLDEN_TOL * radius_i wide or GOLDEN_MAX_ITER steps have run.  It gets
+    the best (alpha, phi_i(alpha)) over those points and 0, or the
+    NonFiniteValue of its first value that is not finite.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    out = [None] * len(rows)
+    live = np.arange(len(rows))  # the rows still running, in order
+    best_a, best_v = np.zeros(len(rows)), np.array(phi0, dtype=float)
+
+    def f(alphas, compare=True):
+        """The objective at alphas on the live rows (0 elsewhere), compared
+        with each row's best; a row whose value is not finite gets its error,
+        and the rows after it stop."""
+        nonlocal live
+        if len(live) == len(rows):
+            v, overflowed = objective(alphas, rows)
+        elif len(live):
+            v = np.zeros(len(rows))
+            v[live], overflowed = objective(alphas[live], rows[live])
+        else:
+            return np.zeros(len(rows))
+        finite = np.isfinite(v)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            over = overflowed is not None and bool(overflowed[np.searchsorted(live, i)])
+            out[i] = _non_finite(float(v[i]), float(alphas[i]), over)
+            del out[i + 1:]
+            live = live[live < i]
+        if compare:
+            better = v < best_v
+            np.copyto(best_a, alphas, where=better)
+            np.copyto(best_v, v, where=better)
+        return v
+
+    a, b = -radius, radius
+    f(a)
+    f(b)
+    width = b - a
+    c, d = b - _INV_PHI * width, a + _INV_PHI * width
+    fc, fd = f(c), f(d)
+    width_goal = GOLDEN_TOL * radius
+    for k in range(GOLDEN_MAX_ITER):
+        done = (width <= width_goal)[live]
+        if done.any():
+            for i in live[done].tolist():
+                out[i] = (float(best_a[i]), float(best_v[i]))
+            live = live[~done]
+            if not len(live):
+                return out
+        # left: the minimum lies in [a, d], whose new inner point is c;
+        # else in [c, b], whose new inner point is d
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        width = b - a
+        step = _INV_PHI * width
+        point = np.where(left, b - step, a + step)
+        c, d = np.where(left, point, d), np.where(left, c, point)
+        # a scalar loop compares the new value at its next step, where the
+        # value kept from this one can no longer win; after the last step
+        # there is no next one
+        v = f(point, compare=k + 1 < GOLDEN_MAX_ITER)
+        fc, fd = np.where(left, v, fd), np.where(left, fc, v)
+    for i in live.tolist():
+        out[i] = (float(best_a[i]), float(best_v[i]))
+    return out
+
+
+def _one_sided_checks(objective, radius: np.ndarray, phi0: np.ndarray,
+                      at_zero: list[float], level: np.ndarray, scale: np.ndarray,
+                      tol: float) -> list:
     """Verdicts on min phi_i >= at_zero_i over [-radius_i, radius_i] for a
     stack of convex objectives, at_zero_i being the exact phi_i(0) and phi0_i
     the value evaluating gives, as a row list: certified probes at level
-    (objective as in _certified_probes), else golden section on
-    row_objective(i), phi_i as a float function.
+    (objective as in _certified_probes), else golden section.
     margin = (min - at_zero)/scale is <= 0 up to rounding, so only the
     uncertain-fail zone below the noise floor is a boundary case."""
     found = _certified_probes(objective, radius, phi0, level)
+    todo = [i for i, hit in enumerate(found) if hit is None]
+    if todo:
+        _merge(found, todo, _golden_sections(objective, todo, radius[todo], phi0[todo]))
     out = []
-    for i, (hit, r, zero, s) in enumerate(zip(found, radius.tolist(), at_zero,
-                                              scale.tolist())):
+    for hit, zero, s in zip(found, at_zero, scale.tolist()):
         if isinstance(hit, BjlabError):
             out.append(hit)
             break
-        try:
-            alpha, val = hit or minimize_convex_1d(row_objective(i), r)
-        except BjlabError as exc:
-            out.append(exc)
-            break
+        alpha, val = hit
         val = min(val, zero)  # clamp at the exact value; as evaluated it can sit an ulp below
         margin = (val - zero) / s
         boundary = -BOUNDARY_BAND * tol < margin < -ONE_SIDED_NOISE_FLOOR
@@ -284,21 +330,27 @@ def _one_sided_checks(objective, row_objective, radius: np.ndarray,
     return out
 
 
-def _pair_rows(nx: np.ndarray, ny: np.ndarray) -> tuple[list, list[int]]:
+def _pair_rows(nx: np.ndarray, ny: np.ndarray) -> tuple[list, list[int], np.ndarray]:
     """The prologue of both checks over a stack: a row list holding
-    ZeroElement at the first x = 0, the exact pass at y = 0 and None
-    elsewhere, and the rows left to minimize."""
-    out, rows = [], []
+    ZeroElement at the first x = 0, the exact pass at y = 0, NonFiniteValue
+    at the first search radius 4||x||/||y|| that is 0 or not finite, and None
+    elsewhere; the rows left to minimize, and their radii."""
+    out, rows, radius = [], [], []
     for i, (a, b) in enumerate(zip(nx.tolist(), ny.tolist())):
         if a == 0.0:
             out.append(ZeroElement("orthogonality from the zero element is degenerate"))
             break
         if b == 0.0:
             out.append(CheckResult(verdict=True, margin=0.0, alpha_star=0.0))
-        else:
-            out.append(None)
-            rows.append(i)
-    return out, rows
+            continue
+        r = 4.0 * a / b
+        if not 0.0 < r < math.inf:
+            out.append(NonFiniteValue(f"4||x||/||y|| = {r} is outside the float range"))
+            break
+        out.append(None)
+        rows.append(i)
+        radius.append(r)
+    return out, rows, np.array(radius)
 
 
 def _line_points(xs: np.ndarray, ys: np.ndarray, alphas: np.ndarray,
@@ -330,34 +382,23 @@ def _squares(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return np.array(squares), np.array(overflowed)
 
 
-def _gap(squared_norm, nx2, kink, alpha):
-    """psi(alpha) = ||x + alpha y||^2 - ||x||^2 + 2 eps ||x|| ||y|| |alpha|,
-    from the squared norm, on floats or arrays alike."""
-    return squared_norm - nx2 + kink * abs(alpha)
-
-
 def _exact_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
                   ny: np.ndarray, spec: SpaceSpec, tol: float) -> list:
     """is_bj_orthogonal of each pair of a (B, n, d) stack, given its rows'
     norms, as a row list."""
-    out, rows = _pair_rows(nx, ny)
+    out, rows, radius = _pair_rows(nx, ny)
     if not rows:
         return out
     X, Y = _take(xs, rows), _take(ys, rows)
     norms = nx[rows].tolist()
-    radius = np.array([4.0 * a / b for a, b in zip(norms, ny[rows].tolist())])
     at_zero = np.array(norms)
 
     def norm_at(alphas, live):
         return _norm_rows(_line_points(X, Y, alphas, live), spec)[1], None
 
-    def row_norm(j):
-        x, y, zero = X[j], Y[j], norms[j]
-        return lambda a: zero if a == 0.0 else _norm_arr(x + a * y, spec)
-
     return _merge(out, rows, _one_sided_checks(
-        norm_at, row_norm, radius, at_zero, norms,
-        (1.0 - ONE_SIDED_NOISE_FLOOR) * at_zero, at_zero, tol))
+        norm_at, radius, at_zero, norms, (1.0 - ONE_SIDED_NOISE_FLOOR) * at_zero,
+        at_zero, tol))
 
 
 def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
@@ -365,10 +406,10 @@ def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
                    tol: float) -> list:
     """is_approx_bj_orthogonal of each pair of a (B, n, d) stack, given its
     rows' norms, as a row list."""
-    out, need = _pair_rows(nx, ny)
+    out, need, radii = _pair_rows(nx, ny)
     rows, params = [], []
     norms_x, norms_y = nx.tolist(), ny.tolist()
-    for i in need:
+    for i, r in zip(need, radii.tolist()):
         a, b = norms_x[i], norms_y[i]
         nx2 = a * a
         if not 0.0 < nx2 < math.inf:  # nx * nx underflowed or overflowed
@@ -378,27 +419,22 @@ def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
         rows.append(i)
         # psi(0) = a ** 2 - nx2 is what evaluating gives, as ||x + 0 y|| is
         # ||x|| to the bit
-        params.append((2.0 * eps * a * b, nx2, 4.0 * a / b, a ** 2 - nx2))
+        params.append((2.0 * eps * a * b, nx2, r, a ** 2 - nx2))
     if not rows:
         return out
     X, Y = _take(xs, rows), _take(ys, rows)
     kink, nx2, radius, psi0 = map(np.array, zip(*params))
 
     def gap(alphas, live):
+        """psi(alpha) = ||x + alpha y||^2 - ||x||^2 + 2 eps ||x|| ||y|| |alpha|."""
         squares, overflowed = _squares(_norm_rows(_line_points(X, Y, alphas, live),
                                                   spec)[1])
         # a lane that overflows is not finite, and its row fails
         with np.errstate(over="ignore", invalid="ignore"):
-            return _gap(squares, nx2[live], kink[live], alphas), overflowed
-
-    def row_gap(j):
-        x, y, (k, n2, _, zero) = X[j], Y[j], params[j]
-        return lambda a: zero if a == 0.0 else _gap(
-            _norm_arr(x + a * y, spec) ** 2, n2, k, a)
+            return squares - nx2[live] + kink[live] * abs(alphas), overflowed
 
     return _merge(out, rows, _one_sided_checks(
-        gap, row_gap, radius, psi0, [0.0] * len(rows), -ONE_SIDED_NOISE_FLOOR * nx2,
-        nx2, tol))
+        gap, radius, psi0, [0.0] * len(rows), -ONE_SIDED_NOISE_FLOOR * nx2, nx2, tol))
 
 
 def _operands(x: BochnerElement, y: BochnerElement, spec: SpaceSpec

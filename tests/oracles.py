@@ -19,11 +19,13 @@ from bjlab.blockspace import (
     ONE_SIDED_NOISE_FLOOR,
     _duality_rows,
     _norm_arr,
-    _norm_from_block_norms,
     block_norms,
 )
+from bjlab.errors import BadSpec
 from bjlab.harness import CROSS_ROUTE_BAND
-from bjlab.ortho import _PROBE_OFFSETS, _finite, minimize_convex_1d
+from bjlab.ortho import _PROBE_OFFSETS, _non_finite
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def naive_inner_norm(v, q: float) -> float:
@@ -61,6 +63,20 @@ def reference_duality_rows(blocks: np.ndarray, q: float, active: np.ndarray,
         bn = norms[active] / m[:, 0]
         out[active] = np.sign(sub) * np.abs(sub) ** (q - 1.0) / bn[:, None] ** (q - 1.0)
     return out
+
+
+def reference_weighted_lp(b: np.ndarray, mu: np.ndarray, p: float) -> float:
+    """(sum_i mu_i b_i^p)^(1/p) of nonnegative b, scaled by max(b) to avoid
+    overflow; max(b) at p = inf: the formula of each row of
+    blockspace._weighted_lp_rows, bit for bit."""
+    if p == 1.0:
+        return float(mu @ b)
+    if p == 2.0:
+        return float(np.sqrt(mu @ (b * b)))
+    m = float(b.max())
+    if m == 0.0 or math.isinf(p):
+        return m
+    return m * float(mu @ (b / m) ** p) ** (1.0 / p)
 
 
 def naive_batch_norm(arr: np.ndarray, spec: SpaceSpec) -> np.ndarray:
@@ -236,6 +252,61 @@ def reference_secant_lower_bound(alphas, values) -> float:
     return bound
 
 
+def _finite(phi):
+    """phi as a float-valued function that raises NonFiniteValue on inf/nan
+    or overflow."""
+    def f(alpha: float) -> float:
+        try:
+            val = float(phi(alpha))
+        except OverflowError as exc:  # a Python float power out of range
+            raise _non_finite(math.inf, alpha, True) from exc
+        if not math.isfinite(val):
+            raise _non_finite(val, alpha, False)
+        return val
+    return f
+
+
+def reference_minimize_convex_1d(phi, radius: float, tol: float = 1e-12,
+                                 max_iter: int = 200) -> tuple[float, float]:
+    """Golden-section minimum of a convex phi over [-radius, radius], one
+    point at a time on Python floats: what each row of
+    ortho._golden_sections must give, bit for bit.
+
+    tol is the terminal bracket width relative to radius.  Returns the best
+    (alpha, phi(alpha)) over all probe points, endpoints and 0 included, so
+    the reported value never exceeds any evaluated one.
+    """
+    if not (radius > 0.0 and math.isfinite(radius)):
+        raise BadSpec(f"radius must be positive and finite, got {radius}")
+    f = _finite(phi)
+    a, b = -radius, radius
+    best_a, best_v = 0.0, f(0.0)  # probe the kink/expansion point first
+    for alpha in (a, b):
+        v = f(alpha)
+        if v < best_v:
+            best_a, best_v = alpha, v
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    width_goal = tol * radius
+    for _ in range(max_iter):
+        if fc < best_v:
+            best_a, best_v = c, fc
+        if fd < best_v:
+            best_a, best_v = d, fd
+        if (b - a) <= width_goal:
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    return best_a, best_v
+
+
 def _reference_one_sided(phi, radius, at_zero, level, scale, tol):
     """(verdict, margin, boundary) of the one-sided check of one pair: the 13
     probes one at a time, then golden section when they do not certify."""
@@ -255,7 +326,7 @@ def _reference_one_sided(phi, radius, at_zero, level, scale, tol):
     if len(probes) == len(_PROBE_OFFSETS):
         alpha, val = min(probes, key=lambda p: p[1])
     else:
-        alpha, val = minimize_convex_1d(phi, radius)
+        alpha, val = reference_minimize_convex_1d(phi, radius)
     margin = (min(val, at_zero) - at_zero) / scale
     return margin >= -tol, margin, -BOUNDARY_BAND * tol < margin < -ONE_SIDED_NOISE_FLOOR
 
@@ -272,7 +343,7 @@ def reference_duality_weights(blocks: np.ndarray, spec: SpaceSpec
     are zero.
     """
     b = block_norms(blocks, spec.q)
-    nf = _norm_from_block_norms(b, spec)
+    nf = reference_weighted_lp(b, spec.mu, spec.p)
     if nf == 0.0:
         return 0.0, b, np.zeros_like(b), np.zeros_like(blocks)
     F = _duality_rows(blocks, spec.q, b > DEFAULT_ZERO_TOL * float(b.max()), b)
@@ -340,7 +411,7 @@ def _reference_certificate(xb, yb, eps: float, spec: SpaceSpec, tol: float) -> t
     T = w[:, None] * F
     s = reference_pairing(T, yb, spec)
     by = block_norms(yb, spec.q)
-    ny = _norm_from_block_norms(by, spec)
+    ny = reference_weighted_lp(by, spec.mu, spec.p)
     free = ~T.any(axis=1)
     if spec.p == 1.0 and free.any():
         mcv = max(0.0, abs(s) - float((spec.mu * by)[free].sum()))

@@ -3,7 +3,7 @@ prints one pass/fail line per criterion (visible with pytest -s/-v)."""
 
 import math
 import time
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -13,12 +13,8 @@ from bjlab import (
     BochnerElement,
     ScalingOperator,
     SpaceSpec,
-    bochner_norm,
-    certificate_check,
     draw_orthogonal_pair,
     inner_duality_map,
-    is_approx_bj_orthogonal,
-    is_bj_orthogonal,
     is_scalar_multiple_of_isometry,
     min_certificate_value,
     random_element,
@@ -28,6 +24,7 @@ from bjlab import (
 )
 from bjlab.blockspace import _norm_rows
 from bjlab.harness import TRIAL_COLUMNS, ExperimentConfig, run, trial_rng
+from bjlab.ortho import _approx_checks, _exact_checks, _results
 from bjlab.sip import _axiom_reports
 from oracles import brute_min_certificate, central_diff_gradient
 
@@ -218,6 +215,21 @@ def _pair_stream(spec, seed, limit):
         yield x, y
 
 
+def _checked_stream(spec, seed, limit, checks, size=1000):
+    """(x blocks, y blocks, ||x||, ||y||, *results) for each pair of
+    _pair_stream in stream order.  The pairs are checked as (B, n, d) stacks
+    of up to size pairs, drawn as they are needed: checks(xs, ys, nx, ny)
+    gives one row list per check, and the first failing row raises its
+    error."""
+    pairs = _pair_stream(spec, seed, limit)
+    while chunk := list(islice(pairs, size)):
+        xs = np.stack([x.blocks for x, _ in chunk])
+        ys = np.stack([y.blocks for _, y in chunk])
+        nx, ny = _norm_rows(xs, spec)[1], _norm_rows(ys, spec)[1]
+        yield from zip(xs, ys, nx.tolist(), ny.tolist(),
+                       *map(_results, checks(xs, ys, nx, ny)))
+
+
 def test_criterion_6b_eps_zero_matches_exact_check():
     start = time.perf_counter()
     mismatches = 0
@@ -225,10 +237,12 @@ def test_criterion_6b_eps_zero_matches_exact_check():
     compared = 0
     for k, spec in enumerate((SpaceSpec(1, 2, 4, 2, (1.0, 2.0, 0.5, 1.0)),
                               SpaceSpec(2.5, 1.5, 4, 2, (1.0, 0.3, 1.5, 2.0)))):
+        def checks(xs, ys, nx, ny, spec=spec):
+            return (_exact_checks(xs, ys, nx, ny, spec, TOL),
+                    _approx_checks(xs, ys, nx, ny, 0.0, spec, TOL))
+
         done = 0
-        for x, y in _pair_stream(spec, seed=1007 + k, limit=10_000):
-            exact = is_bj_orthogonal(x, y, spec, TOL)
-            approx = is_approx_bj_orthogonal(x, y, 0.0, spec, TOL)
+        for *_, exact, approx in _checked_stream(spec, 1007 + k, 10_000, checks):
             if exact.boundary or approx.boundary:
                 excluded += 1
                 continue
@@ -253,10 +267,12 @@ def test_criterion_6c_hilbert_reduction():
     mismatches = 0
     excluded = 0
     compared = 0
-    for x, y in _pair_stream(spec, seed=1008, limit=20_000):
-        dot = float(spec.mu @ np.einsum("ij,ij->i", x.blocks, y.blocks))
-        stat = abs(dot) / (bochner_norm(x, spec) * bochner_norm(y, spec))
-        res = is_bj_orthogonal(x, y, spec, TOL)
+    for x, y, nx, ny, res in _checked_stream(
+            spec, 1008, 20_000,
+            lambda xs, ys, nx, ny: (_exact_checks(xs, ys, nx, ny, spec, TOL),)):
+        dot = float(spec.mu @ np.einsum("ij,ij->i", x, y))
+        # the stacked norms have the bits of bochner_norm on each element
+        stat = abs(dot) / (nx * ny)
         # the minimization margin is quadratic in the dot statistic, so the
         # two tests are only comparable outside the square-root band
         if res.boundary or TOL < stat < math.sqrt(20.0 * TOL):

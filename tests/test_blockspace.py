@@ -25,7 +25,7 @@ from bjlab import (
     support_functional,
     zero_set,
 )
-from bjlab.blockspace import _duality_rows, block_norms
+from bjlab.blockspace import _duality_rows, _weighted_lp_rows, block_norms
 from conftest import SMOOTH_QS, rng_for, spec_with_elements, specs
 from oracles import (
     forward_diff_gradient,
@@ -33,6 +33,7 @@ from oracles import (
     naive_norm,
     reference_block_norms,
     reference_duality_rows,
+    reference_weighted_lp,
 )
 
 
@@ -143,17 +144,24 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 def test_kernels_match_reference_formulas_bit_for_bit(n, d, q):
     # the kernels power in place on their own copies: same bits, input untouched
     rng = rng_for(f"kernel_bits_{n}_{d}_{q}")
+    block_norm_rows = [np.zeros(n)]
     for blocks in _kernel_inputs(n, d, rng):
         kept = blocks.copy()
         norms = block_norms(blocks, q)
         assert _same_bits(norms, reference_block_norms(blocks, q))
         assert np.array_equal(blocks, kept)
+        block_norm_rows.append(norms)
         nonzero = norms > 0.0
         for active in (nonzero, nonzero & (rng.random(n) < 0.5),
                        np.zeros(n, dtype=bool)):
             rows = _duality_rows(blocks, q, active, norms)
             assert _same_bits(rows, reference_duality_rows(blocks, q, active, norms))
             assert np.array_equal(blocks, kept)
+    # the outer aggregate of each row, p = inf being functional_norm's at p = 1
+    b, mu = np.array(block_norm_rows), rng.uniform(0.1, 5.0, n)
+    for p in (1.0, 1.5, 2.0, 2.5, 3.0, math.inf):
+        assert _same_bits(_weighted_lp_rows(b, mu, p),
+                          np.array([reference_weighted_lp(row, mu, p) for row in b]))
 
 
 def test_zero_set_examples():

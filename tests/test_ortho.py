@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -31,7 +32,12 @@ from bjlab import (
     u_eps_Lp,
 )
 from conftest import rng_for, spec_with_elements
-from oracles import brute_min_certificate, brute_min_certificate_fullball, grid_min_gap
+from oracles import (
+    brute_min_certificate,
+    brute_min_certificate_fullball,
+    grid_min_gap,
+    grid_min_norm,
+)
 
 HILBERT2 = SpaceSpec(2, 2, 2, 2, (1.0, 1.0))
 ELL1_1D = SpaceSpec(1, 2, 2, 1, (1.0, 1.0))
@@ -144,6 +150,25 @@ def test_approx_check_agrees_with_grid_oracle(data):
     assert res.margin <= grid / nx2 + 1e-12
     if res.verdict and not res.boundary:
         assert grid / nx2 >= -1e-10
+
+
+@given(spec_with_elements(count=2))
+def test_exact_check_agrees_with_grid_oracle(data):
+    spec, x, y = data
+    res = is_bj_orthogonal(x, y, spec)
+    nx, ny = bochner_norm(x, spec), bochner_norm(y, spec)
+    if ny == 0.0:
+        assert res.verdict and res.margin == 0.0
+        return
+    if ny < 1e-30 * (1.0 + nx):
+        return  # plain-formula oracle underflows at this scale
+    grid = (grid_min_norm(x, y, spec, points=4001) - nx) / nx
+    # solver min is never above the grid min, up to golden section's final
+    # bracket (its width times the slope bound ||y||, relative to ||x||, is
+    # 4 GOLDEN_TOL; doubled for rounding); both sit together near passes
+    assert res.margin <= grid + 8.0 * ortho.GOLDEN_TOL
+    if res.verdict and not res.boundary:
+        assert grid >= -1e-10
 
 
 def test_min_certificate_value_examples():
@@ -417,6 +442,33 @@ def test_extreme_scales_raise_typed_errors(p, q, x_norm):
     assert certificate_check(x, y, 0.3, spec).verdict
 
 
+def test_search_radius_outside_the_float_range_is_a_typed_error():
+    # 4||x||/||y|| = 4e310 overflows; the certificate route needs no radius
+    spec = SpaceSpec.sequence(3, 1.5, 6, 3)
+    x, y = draw_orthogonal_pair(spec, rng_for("radius_overflow"))
+    x, y = x * (1.0 / bochner_norm(x, spec)), y * (1e-310 / bochner_norm(y, spec))
+    assert 0.0 < bochner_norm(y, spec) < 1e-300
+    message = r"^4\|\|x\|\|/\|\|y\|\| = inf is outside the float range$"
+    with pytest.raises(NonFiniteValue, match=message):
+        is_bj_orthogonal(x, y, spec)
+    with pytest.raises(NonFiniteValue, match=message):
+        is_approx_bj_orthogonal(x, y, 0.3, spec)
+    assert certificate_check(x, y, 0.3, spec).verdict
+    # as row 2 of a stack, before a row 3 with x = 0: the first failing row
+    # decides, and rows 0 and 1 get their one-pair results
+    good = [draw_orthogonal_pair(spec, rng_for("radius_overflow", k)) for k in range(2)]
+    xs = np.stack([u.blocks for u, _ in good] + [x.blocks, np.zeros((6, 3))])
+    ys = np.stack([v.blocks for _, v in good] + [y.blocks, y.blocks])
+    nx, ny = ortho._norm_rows(xs, spec)[1], ortho._norm_rows(ys, spec)[1]
+    for rows, one_pair in (
+            (ortho._exact_checks(xs, ys, nx, ny, spec, 1e-9), is_bj_orthogonal),
+            (ortho._approx_checks(xs, ys, nx, ny, 0.3, spec, 1e-9),
+             lambda u, v, s: is_approx_bj_orthogonal(u, v, 0.3, s))):
+        assert rows[:2] == [one_pair(u, v, spec) for u, v in good]
+        assert len(rows) == 3 and isinstance(rows[2], NonFiniteValue)
+        assert re.match(message, str(rows[2]))
+
+
 def probe_schedule(radius):
     return sorted(offset * radius for offset in ortho._PROBE_OFFSETS)
 
@@ -499,9 +551,7 @@ def test_preserved_pair_is_certified_by_the_probes(monkeypatch):
     spec = SpaceSpec(3, 1.5, 6, 3, (1.0,) * 6)
     U = u_eps_Lp(0.3, AtomPartition((0, 1, 2), 6), spec)
     calls = []  # one entry per Bochner norm, a stack counting its rows
-    norm, norm_rows = ortho._norm_arr, ortho._norm_rows
-    monkeypatch.setattr(ortho, "_norm_arr",
-                        lambda blocks, s: calls.append(1) or norm(blocks, s))
+    norm_rows = ortho._norm_rows
     monkeypatch.setattr(ortho, "_norm_rows",
                         lambda stack, s: calls.extend([1] * len(stack)) or norm_rows(stack, s))
     for _ in range(20):

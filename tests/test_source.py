@@ -32,25 +32,45 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert [hit for path in modules for hit in unused_imports(path)] == []
 
 
-def unreferenced_private_definitions(paths) -> list[str]:
-    """'file name' for each top-level private function or class that no
-    module among paths names: a call, an attribute or an import."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+def referenced_names(paths) -> set[str]:
+    """Every name that a module among paths reads: a name, an attribute or
+    an import."""
     referenced = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
-    return [f"{name} {node.name}" for name, tree in trees.items() for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name.startswith("_") and not node.name.startswith("__")
-            and node.name not in referenced]
+    return referenced
+
+
+def top_level_definitions(path: Path) -> list[str]:
+    """The names of the functions and classes that a module defines at its
+    top level."""
+    return [node.name for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def unreferenced_private_definitions(paths) -> list[str]:
+    """'file name' for each top-level private function or class that no
+    module among paths names: a call, an attribute or an import."""
+    referenced = referenced_names(paths)
+    return [f"{path.name} {name}" for path in paths for name in top_level_definitions(path)
+            if name.startswith("_") and not name.startswith("__")
+            and name not in referenced]
 
 
 def test_no_private_definition_is_left_unreferenced():
     # a scalar twin left behind its stacked kernel, called by nothing
     assert unreferenced_private_definitions(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_no_oracle_is_left_unreferenced():
+    # a reference helper left behind when the code it checked moved
+    tests = Path(__file__).parent
+    referenced = referenced_names(sorted(tests.glob("*.py")))
+    assert [name for name in top_level_definitions(tests / "oracles.py")
+            if name not in referenced] == []

@@ -3,6 +3,7 @@
 and the errors a stack raises."""
 
 import dataclasses
+import itertools
 import json
 import math
 from pathlib import Path
@@ -31,10 +32,12 @@ from conftest import rng_for
 from oracles import (
     reference_axiom_row,
     reference_check_row,
+    reference_minimize_convex_1d,
     reference_secant_lower_bound,
     reference_sip_row,
     reference_sweep_row,
 )
+from test_acceptance import _pair_stream
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 SWEEPS = ("l1_sweep", "lp_sweep", "weighted_L1_sweep")
@@ -77,6 +80,145 @@ def test_secant_bound_matches_the_interval_loop_bit_for_bit():
     # a row's bound does not depend on the rows beside it
     for a, v, b in zip(alphas[:200], values[:200], stacked[:200]):
         assert bits(ortho._secant_lower_bound(a, v)[0]) == bits(b)
+
+
+def described(results: list) -> list:
+    """A row list with each (alpha, value) as bits and each error as its type
+    and message."""
+    return [(type(r), str(r)) if isinstance(r, Exception) else tuple(map(bits, r))
+            for r in results]
+
+
+def reference_sections(phis, radius, **options) -> list:
+    """reference_minimize_convex_1d on each row in turn, as a row list."""
+    out = []
+    for phi, r in zip(phis, radius):
+        try:
+            out.append(reference_minimize_convex_1d(phi, r, **options))
+        except NonFiniteValue as exc:
+            out.append(exc)
+            break
+    return out
+
+
+def recorded_sections(monkeypatch) -> list:
+    """Patch ortho._golden_sections to record each call: its result and, per
+    row, the reference loop's result on phi(0) and the values the objective
+    gave that row (a KeyError if the loop asks for a point the stack never
+    evaluated)."""
+    calls = []
+    sections = ortho._golden_sections
+
+    def recording(objective, rows, radius, phi0):
+        keys, values = [], []
+
+        def recorded(alphas, live):
+            v, overflowed = objective(alphas, live)
+            keys.extend(zip(np.asarray(live).tolist(), alphas.tolist()))
+            values.extend(zip(v.tolist(), [False] * len(v) if overflowed is None
+                              else overflowed.tolist()))
+            return v, overflowed
+
+        result = sections(recorded, rows, radius, phi0)
+        seen = dict(zip(keys, values))
+
+        def phi(row, zero):
+            def value(a):
+                if a == 0.0:
+                    return zero
+                v, overflowed = seen[row, a]
+                if overflowed:
+                    raise OverflowError
+                return v
+            return value
+
+        calls.append((described(result), described(reference_sections(
+            map(phi, rows, phi0.tolist()), radius.tolist()))))
+        return result
+
+    monkeypatch.setattr(ortho, "_golden_sections", recording)
+    return calls
+
+
+# criterion 6b's two streams and 6c's, each pair checked exactly and at
+# eps = 0 and 0.3
+STREAMS = ((SpaceSpec(1, 2, 4, 2, (1.0, 2.0, 0.5, 1.0)), 1007),
+           (SpaceSpec(2.5, 1.5, 4, 2, (1.0, 0.3, 1.5, 2.0)), 1008),
+           (SpaceSpec(2, 2, 4, 2, (1.0, 0.5, 2.0, 1.0)), 1008))
+
+
+def checked_streams(streams) -> list:
+    """Every check result on the pairs of each (spec, xs, ys) stream, in
+    stream order, run in stacks of max(1, STACK_ENTRIES // (n d)) pairs."""
+    results = []
+    for spec, xs, ys in streams:
+        size = max(1, harness.STACK_ENTRIES // (spec.n * spec.d))
+        for start in range(0, len(xs), size):
+            x, y = xs[start:start + size], ys[start:start + size]
+            nx, ny = ortho._norm_rows(x, spec)[1], ortho._norm_rows(y, spec)[1]
+            checks = (ortho._exact_checks(x, y, nx, ny, spec, 1e-9),
+                      *(ortho._approx_checks(x, y, nx, ny, eps, spec, 1e-9)
+                        for eps in (0.0, 0.3)))
+            results += [(r.verdict, bits(r.margin), bits(r.alpha_star), r.boundary)
+                        for row in zip(*checks, strict=True) for r in row]
+    return results
+
+
+def test_golden_sections_match_the_scalar_loop_bit_for_bit(monkeypatch):
+    streams = []
+    for spec, seed in STREAMS:
+        pairs = list(_pair_stream(spec, seed, 2700))
+        streams.append((spec, np.stack([x.blocks for x, _ in pairs]),
+                        np.stack([y.blocks for _, y in pairs])))
+    calls = recorded_sections(monkeypatch)
+    whole = checked_streams(streams)
+    assert sum(len(got) for got, _ in calls) >= 10_000
+    for got, reference in calls:
+        assert got == reference
+    # stacks of 499 pairs: other rows beside each row, the same results
+    monkeypatch.undo()
+    monkeypatch.setattr(harness, "STACK_ENTRIES", 499 * 4 * 2)
+    assert checked_streams(streams) == whole
+
+
+def golden_rows() -> list:
+    """Five phi rows, over [-1, 1].  Row 1's value falls at every call, so
+    only a value that a scalar loop compares can be its best; row 2
+    overflows once its points close in on 0.5, well inside the bracket;
+    row 3 returns NaN at its second point, earlier in lockstep."""
+    calls = itertools.count(1)
+    return [lambda a: (a - 0.3) ** 2,
+            lambda a: -float(next(calls)),
+            lambda a: ((a - 0.5) * (1e200 if abs(a - 0.5) < 1e-3 else 1.0)) ** 2,
+            lambda a: math.nan if a > 0.0 else a * a,
+            lambda a: a * a]
+
+
+def test_the_first_failing_golden_row_decides_the_error(monkeypatch):
+    # 30 steps: rows 0 and 1 stop at the step limit, row 2 fails before it
+    monkeypatch.setattr(ortho, "GOLDEN_MAX_ITER", 30)
+    phis = golden_rows()
+
+    def objective(alphas, rows):
+        values, overflowed = [], []
+        for a, i in zip(alphas.tolist(), rows.tolist()):
+            try:
+                values.append(phis[i](a))
+                overflowed.append(False)
+            except OverflowError:
+                values.append(math.inf)
+                overflowed.append(True)
+        return np.array(values), np.array(overflowed)
+
+    phi0 = np.array([phi(0.0) for phi in phis])
+    got = described(ortho._golden_sections(objective, range(5), np.ones(5), phi0))
+    assert got == described(reference_sections(golden_rows(), [1.0] * 5, max_iter=30))
+    assert len(got) == 3
+    # row 1 called phi at 0, -1, 1, the two inner points and once per step;
+    # the last step's value is never compared
+    assert got[1][1] == (-4.0 - 30).hex()
+    assert got[2][0] is NonFiniteValue
+    assert got[2][1].startswith("objective overflowed at alpha=0.49")
 
 
 def sweep_config(stem: str, trials: int):
@@ -124,10 +266,11 @@ def test_non_preserving_operator_rows_equal_the_per_row_pipeline(monkeypatch):
     # and some are not certified by the probes
     spec = SpaceSpec.sequence(1, 2, 8, 3)
     U = ScalingOperator([0.05] + [1.0] * 7)
-    golden = []
-    minimize = ortho.minimize_convex_1d
-    monkeypatch.setattr(ortho, "minimize_convex_1d",
-                        lambda phi, r: golden.append(r) or minimize(phi, r))
+    golden = []  # one entry per golden-section row
+    sections = ortho._golden_sections
+    monkeypatch.setattr(ortho, "_golden_sections",
+                        lambda objective, rows, radius, phi0: golden.extend(rows)
+                        or sections(objective, rows, radius, phi0))
     rngs = [trial_rng(5, i) for i in range(80)]
     records = preservation_trials(U, 0.1, spec, rngs)
     assert len(records) == 80

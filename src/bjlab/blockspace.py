@@ -40,6 +40,11 @@ def _is_int(v) -> bool:
     return type(v) is int or isinstance(v, np.integer)
 
 
+def _is_number(v) -> bool:
+    """True for Python and NumPy integers and floats; not bool or strings."""
+    return type(v) in (int, float) or isinstance(v, (np.integer, np.floating))
+
+
 def dual_exponent(r: float) -> float:
     """Conjugate exponent r* with 1/r + 1/r* = 1; handles r in {1, inf}."""
     if r == 1.0:
@@ -101,7 +106,8 @@ class SpaceSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "SpaceSpec":
         """Inverse of to_dict: q may be the string "inf".  Raises BadSpec
-        unless data is an object with exactly the keys p, q, n, d, weights."""
+        unless data is an object with exactly the keys p, q, n, d, weights,
+        and p, q and the weights are numbers."""
         keys = [f.name for f in fields(cls)]
         if not isinstance(data, dict):
             raise BadSpec(f"must be an object {{{', '.join(keys)}}}")
@@ -116,6 +122,10 @@ class SpaceSpec:
             if q.lower() not in ("inf", "infinity"):
                 raise BadSpec(f"unrecognized q value {q!r}")
             q = math.inf
+        weights = data["weights"]
+        if not (isinstance(weights, list) and all(map(_is_number, [data["p"], q, *weights]))):
+            raise BadSpec(f"p, q and weights must be numbers, got p={data['p']!r}, q={q!r}, "
+                          f"weights={weights!r}")
         return cls(**{**data, "q": q})
 
 
@@ -210,7 +220,7 @@ def check_shape(x, spec: SpaceSpec, what: str = "element") -> np.ndarray:
 def inner_norm(v, q: float) -> float:
     """l^q norm of a single block; q may be inf."""
     row = _as_blocks(np.reshape(v, (1, -1)), "vector")
-    if q < 1.0:
+    if not q >= 1.0:
         raise BadSpec(f"q must be >= 1, got {q}")
     return float(block_norms(row, q)[0]) if row.size else 0.0
 
@@ -248,7 +258,7 @@ def inner_duality_map(v, q: float) -> np.ndarray:
     row = _as_blocks(np.reshape(v, (1, -1)), "vector")
     if q == 1.0 or math.isinf(q):
         raise NotSmooth(f"duality map is set-valued for q={q}")
-    if q < 1.0:
+    if not q >= 1.0:
         raise BadSpec(f"q must be > 1, got {q}")
     if not np.any(row):
         raise ZeroVector("duality map undefined at 0")
@@ -337,7 +347,7 @@ def zero_set(f: BochnerElement, tol: float | None = None, q: float = 2.0) -> fro
     b = block_norms(f.blocks, q)
     if tol is None:
         tol = DEFAULT_ZERO_TOL * (float(b.max()) if b.size else 0.0)
-    elif tol < 0.0:
+    elif not tol >= 0.0:
         raise BadSpec(f"tol must be >= 0, got {tol}")
     return frozenset(int(i) for i in np.nonzero(b <= tol)[0])
 

@@ -17,9 +17,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .blockspace import SpaceSpec, _is_int, _norm_rows, outcome
+from .blockspace import DEFAULT_TOL, SpaceSpec, _is_int, _is_number, _norm_rows, outcome
 from .errors import BjlabError, ConfigError
-from .ortho import _approx_checks, _exact_checks, _results, _route_checks, epsilon_value
+from .ortho import _approx_checks, _exact_checks, _route_checks, epsilon_value
 from .preserver import (
     AtomPartition,
     ScalingOperator,
@@ -72,12 +72,12 @@ def _value(key: str, convert, *args):
         raise ConfigError(f"{key}: {exc}") from exc
 
 
-def _epsilon_list(value) -> tuple[float, ...]:
-    """A list of numbers, each a valid epsilon, as a tuple of floats."""
-    if not (isinstance(value, (list, tuple)) and all(
-            _is_int(v) or isinstance(v, (float, np.floating)) for v in value)):
+def _numbers(value, convert=float) -> tuple:
+    """convert of each number of a list (or tuple) of numbers, as a tuple;
+    raises ValueError for anything else."""
+    if not (isinstance(value, (list, tuple)) and all(map(_is_number, value))):
         raise ValueError(f"must be a list of numbers, got {value!r}")
-    return tuple(map(epsilon_value, value))
+    return tuple(map(convert, value))
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class ExperimentConfig:
     epsilons: tuple[float, ...] = ()
     partition: AtomPartition | None = None
     factors: tuple[float, ...] | None = None
-    tol: float = 1e-9
+    tol: float = DEFAULT_TOL
     out: str | None = None
 
     def __post_init__(self):
@@ -99,15 +99,16 @@ class ExperimentConfig:
             raise ConfigError(f"trials: must be a positive integer, got {self.trials!r}")
         if not _is_int(self.seed) or not 0 <= self.seed < 2**63:
             raise ConfigError(f"seed: must be a non-negative 64-bit integer, got {self.seed!r}")
-        object.__setattr__(self, "epsilons", _value("epsilons", _epsilon_list,
-                                                    self.epsilons))
-        object.__setattr__(self, "tol", _value("tol", float, self.tol))
-        if not (self.tol > 0.0 and math.isfinite(self.tol)):
-            raise ConfigError(f"tol: must be positive and finite, got {self.tol}")
+        object.__setattr__(self, "epsilons", _value("epsilons", _numbers, self.epsilons,
+                                                    epsilon_value))
+        if not (_is_number(self.tol) and 0.0 < self.tol < math.inf):
+            raise ConfigError(f"tol: must be a positive finite number, got {self.tol!r}")
+        object.__setattr__(self, "tol", float(self.tol))
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out: must be a path string or null, got {self.out!r}")
         if self.factors is not None:
-            operator = _value("factors", ScalingOperator, self.factors)
+            factors = _value("factors", _numbers, self.factors)
+            operator = _value("factors", ScalingOperator, factors)
             _value("factors", operator.check_fits, self.spec)
             object.__setattr__(self, "factors", tuple(operator.factors.tolist()))
         for key in ("epsilons", "partition", "factors"):
@@ -148,7 +149,7 @@ _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
     """Parse a JSON config.  Unknown keys and malformed values raise a
-    ConfigError naming the key; absent optional keys default (tol=1e-9)."""
+    ConfigError naming the key; absent optional keys default (tol=DEFAULT_TOL)."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -204,13 +205,12 @@ def _fmt(v) -> str:
 
 
 # A stack function measures the rows of a list of generators, one row per
-# generator, and returns each row's columns after the shared (trial, seed,
-# p, q, n, d) prefix and its outcome (pass | fail | boundary).  When a row
-# raises, the stack raises that error, as a loop over the rows would.
+# generator: each row's columns after the shared (trial, seed, p, q, n, d)
+# prefix and its outcome (pass | fail | boundary), or raises a failing row's error.
 
 def _check_stack(cfg: ExperimentConfig, rngs, eps):
     """Draw an orthogonal pair per row and check it (exactly at eps None)."""
-    xs, ys, error = _draw_pairs(cfg.spec, rngs)
+    xs, ys = _draw_pairs(cfg.spec, rngs)
     nx, ny = _norm_rows(xs, cfg.spec)[1], _norm_rows(ys, cfg.spec)[1]
     if eps is None:
         results = _exact_checks(xs, ys, nx, ny, cfg.spec, cfg.tol)
@@ -219,15 +219,15 @@ def _check_stack(cfg: ExperimentConfig, rngs, eps):
     shown_eps = 0.0 if eps is None else eps
     return [((shown_eps, res.verdict, res.margin, "none", "", "", res.boundary),
              outcome(res))
-            for res in _results(results, error)]
+            for res in results]
 
 
 def _sip_stack(cfg: ExperimentConfig, rngs, eps):
     """Random (not constructed) pairs: the direct check and the semi-inner
     product criterion must agree outside the cross-route band."""
-    (xs, ys), error = _draw_elements(cfg.spec, rngs, 2)
+    xs, ys = _draw_elements(cfg.spec, rngs, 2)
     rows = []
-    for direct, crit in _route_checks(xs, ys, eps, cfg.spec, cfg.tol, error):
+    for direct, crit in _route_checks(xs, ys, eps, cfg.spec, cfg.tol):
         # the routes must agree (not hold), so blockspace.outcome does not apply
         if direct.boundary or crit.boundary or abs(crit.margin) < CROSS_ROUTE_BAND:
             agreement = "boundary"
@@ -241,9 +241,7 @@ def _sip_stack(cfg: ExperimentConfig, rngs, eps):
 def _axiom_stack(cfg: ExperimentConfig, rngs, eps):
     """Draw f, g, h and scalars (a, b) per row and measure the residuals of
     the four semi-inner-product axioms on them."""
-    (F, G, H), error = _draw_elements(cfg.spec, rngs, 3, min_norm=0.0)
-    if error is not None:  # never at min_norm = 0, where every draw is usable
-        raise error
+    F, G, H = _draw_elements(cfg.spec, rngs, 3, min_norm=0.0)
     ab = np.array([rng.standard_normal(2) for rng in rngs])
     reports = _axiom_reports(F, G, H, ab[:, 0], ab[:, 1], cfg.spec)
     rows = []
@@ -275,7 +273,8 @@ _STACK_FUNCTIONS = {
 def _trial_rows(cfg: ExperimentConfig) -> list[tuple[tuple, str]]:
     """Rows in order: cfg.trials per epsilon (one pass without epsilons for
     check-ortho and axioms), row k*trials + i seeded by (seed, that index),
-    in stacks of max(1, STACK_ENTRIES // (n d)) rows."""
+    in stacks of max(1, STACK_ENTRIES // (n d)) rows.  Raises the error of
+    the first row that fails, in that order."""
     stack_function = _STACK_FUNCTIONS[cfg.mode]
     epsilons = cfg.epsilons or (None,)
     s = cfg.spec
@@ -286,8 +285,15 @@ def _trial_rows(cfg: ExperimentConfig) -> list[tuple[tuple, str]]:
             trials = range(start, min(start + size, cfg.trials))
             indices = [k * cfg.trials + trial for trial in trials]
             rngs = [trial_rng(cfg.seed, index) for index in indices]
-            for trial, index, (values, row_outcome) in zip(
-                    trials, indices, stack_function(cfg, rngs, eps), strict=True):
+            try:
+                stack = stack_function(cfg, rngs, eps)
+            except BjlabError:
+                # no row depends on its stack: rerun the rows one at a time,
+                # from fresh generators, up to the first that fails alone
+                for index in indices:
+                    stack_function(cfg, [trial_rng(cfg.seed, index)], eps)
+                raise
+            for trial, index, (values, row_outcome) in zip(trials, indices, stack, strict=True):
                 rows.append(((trial, f"{cfg.seed}:{index}", s.p, s.q, s.n, s.d)
                              + values, row_outcome))
     return rows

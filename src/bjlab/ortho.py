@@ -36,7 +36,7 @@ from .blockspace import (
     _take,
     check_shape,
 )
-from .errors import BadSpec, BjlabError, NonFiniteValue, ZeroElement
+from .errors import BadSpec, NonFiniteValue, ZeroElement
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -50,12 +50,12 @@ def epsilon_value(eps) -> float:
     return eps
 
 
-def _non_finite(value: float, alpha: float, overflowed: bool) -> NonFiniteValue:
-    """The error of an objective value at alpha that is not finite or whose
-    Python float power overflowed."""
+def _non_finite(value: float, alpha: float, overflowed: bool) -> str:
+    """The NonFiniteValue message of an objective value at alpha that is not
+    finite or whose Python float power overflowed."""
     if overflowed:
-        return NonFiniteValue(f"objective overflowed at alpha={alpha}")
-    return NonFiniteValue(f"objective returned {value} at alpha={alpha}")
+        return f"objective overflowed at alpha={alpha}"
+    return f"objective returned {value} at alpha={alpha}"
 
 
 # Golden section's final bracket width, relative to the radius, and step limit
@@ -82,8 +82,8 @@ def minimize_convex_1d(phi, radius: float) -> tuple[float, float]:
 
     phi0, overflowed = objective(np.zeros(1), None)
     if not math.isfinite(phi0[0]):
-        raise _non_finite(float(phi0[0]), 0.0, overflowed is not None)
-    return _results(_golden_sections(objective, [0], np.array([float(radius)]), phi0))[0]
+        raise NonFiniteValue(_non_finite(float(phi0[0]), 0.0, overflowed is not None))
+    return _golden_sections(objective, [0], np.array([float(radius)]), phi0)[0]
 
 
 def _py_max(a, b):
@@ -148,29 +148,11 @@ _OFFSETS = np.array(_PROBE_OFFSETS)
 # the probes in increasing alpha, at any radius > 0
 _BY_ALPHA = np.array(sorted(range(len(_PROBE_OFFSETS)), key=_PROBE_OFFSETS.__getitem__))
 
-# A row list holds one result per row of a stack, in row order, up to the
-# first row that raised; that row's place holds its error, and the rows
-# after it are left out, as a loop over the rows would never reach them.
-
-
-def _results(results: list, error: BjlabError | None = None) -> list:
-    """The results of a row list; raises its trailing error, else error,
-    the error of a row after them (None when there is none)."""
-    if results and isinstance(results[-1], BjlabError):
-        raise results[-1]
-    if error is not None:
-        raise error
-    return results
-
 
 def _merge(out: list, rows: list[int], results: list) -> list:
-    """out with `results`, a row list over its rows `rows`, filled in; cut
-    after the first error."""
+    """out with `results`, one per row of `rows`, filled in."""
     for i, res in zip(rows, results):
         out[i] = res
-        if isinstance(res, BjlabError):
-            del out[i + 1:]
-            break
     return out
 
 
@@ -187,10 +169,9 @@ def _certified_probes(objective, radius: np.ndarray, phi0: np.ndarray,
     and so does their secant lower bound, it gets its best probe (alpha,
     phi_i(alpha)), ties going to 0: any minimizer's value is at least the
     true minimum, hence at least level, so a certified row gets the verdict
-    and boundary flag full minimization would give it.  Returns a row list:
-    a row with a value that is not finite gets that value's
-    NonFiniteValue, and every other row gets None, for the caller to
-    minimize in full.
+    and boundary flag full minimization would give it.  Every other row
+    gets None, for the caller to minimize in full.  Raises the
+    NonFiniteValue of the first value found that is not finite.
     """
     out = [None] * len(radius)
     alphas = radius[:, None] * _OFFSETS
@@ -206,15 +187,11 @@ def _certified_probes(objective, radius: np.ndarray, phi0: np.ndarray,
             continue
         rows = np.arange(len(radius))[live]
         bad = ~np.isfinite(v)
-        stop = bad | (v < level[live])
         if bad.any():
             j = int(np.argmax(bad))
-            i = int(rows[j])
-            out[i] = _non_finite(float(v[j]), float(alphas[i, k]),
-                                 overflowed is not None and bool(overflowed[j]))
-            del out[i + 1:]
-            stop |= rows >= i
-        live = rows[~stop]
+            raise NonFiniteValue(_non_finite(float(v[j]), float(alphas[rows[j], k]),
+                                             overflowed is not None and bool(overflowed[j])))
+        live = rows[~(v < level[live])]
         if not len(live):
             return out
     A = alphas[live][:, _BY_ALPHA]
@@ -230,15 +207,15 @@ def _certified_probes(objective, radius: np.ndarray, phi0: np.ndarray,
 
 def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray) -> list:
     """Golden-section minima of the convex phi_i over [-radius_i, radius_i]
-    for the rows `rows` of a stack, run in lockstep, as a row list over rows.
+    for the rows `rows` of a stack, run in lockstep, one per row of rows.
 
     objective is as in _certified_probes; radius and phi0 hold each row's
     radius and phi_i(0).  Each row evaluates the points, and makes the float
     comparisons, of a golden section run on its own: -radius_i, radius_i,
     then the two inner points, then one point per step until its bracket is
     GOLDEN_TOL * radius_i wide or GOLDEN_MAX_ITER steps have run.  It gets
-    the best (alpha, phi_i(alpha)) over those points and 0, or the
-    NonFiniteValue of its first value that is not finite.
+    the best (alpha, phi_i(alpha)) over those points and 0.  Raises the
+    NonFiniteValue of the first value found that is not finite.
     """
     rows = np.asarray(rows, dtype=np.intp)
     out = [None] * len(rows)
@@ -247,23 +224,18 @@ def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray) -> l
 
     def f(alphas, compare=True):
         """The objective at alphas on the live rows (0 elsewhere), compared
-        with each row's best; a row whose value is not finite gets its error,
-        and the rows after it stop."""
-        nonlocal live
+        with each row's best; raises the error of the first row whose value
+        is not finite."""
         if len(live) == len(rows):
             v, overflowed = objective(alphas, rows)
-        elif len(live):
+        else:
             v = np.zeros(len(rows))
             v[live], overflowed = objective(alphas[live], rows[live])
-        else:
-            return np.zeros(len(rows))
         finite = np.isfinite(v)
         if not finite.all():
             i = int(np.argmin(finite))
             over = overflowed is not None and bool(overflowed[np.searchsorted(live, i)])
-            out[i] = _non_finite(float(v[i]), float(alphas[i]), over)
-            del out[i + 1:]
-            live = live[live < i]
+            raise NonFiniteValue(_non_finite(float(v[i]), float(alphas[i]), over))
         if compare:
             better = v < best_v
             np.copyto(best_a, alphas, where=better)
@@ -273,8 +245,10 @@ def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray) -> l
     a, b = -radius, radius
     f(a)
     f(b)
-    width = b - a
-    c, d = b - _INV_PHI * width, a + _INV_PHI * width
+    # near the float max the bracket overflows, silently as on Python floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = b - a
+        c, d = b - _INV_PHI * width, a + _INV_PHI * width
     fc, fd = f(c), f(d)
     width_goal = GOLDEN_TOL * radius
     for k in range(GOLDEN_MAX_ITER):
@@ -288,10 +262,11 @@ def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray) -> l
         # left: the minimum lies in [a, d], whose new inner point is c;
         # else in [c, b], whose new inner point is d
         left = fc < fd
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        width = b - a
-        step = _INV_PHI * width
-        point = np.where(left, b - step, a + step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, b = np.where(left, a, c), np.where(left, d, b)
+            width = b - a
+            step = _INV_PHI * width
+            point = np.where(left, b - step, a + step)
         c, d = np.where(left, point, d), np.where(left, c, point)
         # a scalar loop compares the new value at its next step, where the
         # value kept from this one can no longer win; after the last step
@@ -308,8 +283,8 @@ def _one_sided_checks(objective, radius: np.ndarray, phi0: np.ndarray,
                       tol: float) -> list:
     """Verdicts on min phi_i >= at_zero_i over [-radius_i, radius_i] for a
     stack of convex objectives, at_zero_i being the exact phi_i(0) and phi0_i
-    the value evaluating gives, as a row list: certified probes at level
-    (objective as in _certified_probes), else golden section.
+    the value evaluating gives: certified probes at level (objective as in
+    _certified_probes), else golden section.
     margin = (min - at_zero)/scale is <= 0 up to rounding, so only the
     uncertain-fail zone below the noise floor is a boundary case."""
     found = _certified_probes(objective, radius, phi0, level)
@@ -317,11 +292,7 @@ def _one_sided_checks(objective, radius: np.ndarray, phi0: np.ndarray,
     if todo:
         _merge(found, todo, _golden_sections(objective, todo, radius[todo], phi0[todo]))
     out = []
-    for hit, zero, s in zip(found, at_zero, scale.tolist()):
-        if isinstance(hit, BjlabError):
-            out.append(hit)
-            break
-        alpha, val = hit
+    for (alpha, val), zero, s in zip(found, at_zero, scale.tolist()):
         val = min(val, zero)  # clamp at the exact value; as evaluated it can sit an ulp below
         margin = (val - zero) / s
         boundary = -BOUNDARY_BAND * tol < margin < -ONE_SIDED_NOISE_FLOOR
@@ -331,22 +302,20 @@ def _one_sided_checks(objective, radius: np.ndarray, phi0: np.ndarray,
 
 
 def _pair_rows(nx: np.ndarray, ny: np.ndarray) -> tuple[list, list[int], np.ndarray]:
-    """The prologue of both checks over a stack: a row list holding
-    ZeroElement at the first x = 0, the exact pass at y = 0, NonFiniteValue
-    at the first search radius 4||x||/||y|| that is 0 or not finite, and None
-    elsewhere; the rows left to minimize, and their radii."""
+    """The prologue of both checks over a stack: the exact pass at each
+    y = 0 and None elsewhere, the rows left to minimize, and their radii.
+    Raises ZeroElement at the first x = 0, or NonFiniteValue at the first
+    search radius 4||x||/||y|| that is 0 or not finite, in row order."""
     out, rows, radius = [], [], []
     for i, (a, b) in enumerate(zip(nx.tolist(), ny.tolist())):
         if a == 0.0:
-            out.append(ZeroElement("orthogonality from the zero element is degenerate"))
-            break
+            raise ZeroElement("orthogonality from the zero element is degenerate")
         if b == 0.0:
             out.append(CheckResult(verdict=True, margin=0.0, alpha_star=0.0))
             continue
         r = 4.0 * a / b
         if not 0.0 < r < math.inf:
-            out.append(NonFiniteValue(f"4||x||/||y|| = {r} is outside the float range"))
-            break
+            raise NonFiniteValue(f"4||x||/||y|| = {r} is outside the float range")
         out.append(None)
         rows.append(i)
         radius.append(r)
@@ -385,7 +354,7 @@ def _squares(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 def _exact_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
                   ny: np.ndarray, spec: SpaceSpec, tol: float) -> list:
     """is_bj_orthogonal of each pair of a (B, n, d) stack, given its rows'
-    norms, as a row list."""
+    norms."""
     out, rows, radius = _pair_rows(nx, ny)
     if not rows:
         return out
@@ -405,7 +374,7 @@ def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
                    ny: np.ndarray, eps: float, spec: SpaceSpec,
                    tol: float) -> list:
     """is_approx_bj_orthogonal of each pair of a (B, n, d) stack, given its
-    rows' norms, as a row list."""
+    rows' norms."""
     out, need, radii = _pair_rows(nx, ny)
     rows, params = [], []
     norms_x, norms_y = nx.tolist(), ny.tolist()
@@ -413,9 +382,7 @@ def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
         a, b = norms_x[i], norms_y[i]
         nx2 = a * a
         if not 0.0 < nx2 < math.inf:  # nx * nx underflowed or overflowed
-            out[i] = NonFiniteValue(f"||x||^2 = {nx2} is outside the float range")
-            del out[i + 1:]
-            break
+            raise NonFiniteValue(f"||x||^2 = {nx2} is outside the float range")
         rows.append(i)
         # psi(0) = a ** 2 - nx2 is what evaluating gives, as ||x + 0 y|| is
         # ||x|| to the bit
@@ -457,7 +424,7 @@ def is_bj_orthogonal(x: BochnerElement, y: BochnerElement, spec: SpaceSpec,
     (floor = ONE_SIDED_NOISE_FLOOR) skips the golden section.  Raises
     ZeroElement at x = 0.
     """
-    return _results(_exact_checks(*_operands(x, y, spec), spec, tol))[0]
+    return _exact_checks(*_operands(x, y, spec), spec, tol)[0]
 
 
 def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
@@ -471,7 +438,7 @@ def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
     (floor = ONE_SIDED_NOISE_FLOOR) skips the golden section.
     """
     eps = epsilon_value(eps)
-    return _results(_approx_checks(*_operands(x, y, spec), eps, spec, tol))[0]
+    return _approx_checks(*_operands(x, y, spec), eps, spec, tol)[0]
 
 
 def _support_operands(x: BochnerElement, y: BochnerElement, spec: SpaceSpec
@@ -513,15 +480,11 @@ def _certificate_checks(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
                         nx: np.ndarray, by: np.ndarray, ny: np.ndarray,
                         eps: float, spec: SpaceSpec, tol: float) -> list:
     """certificate_check of each pair of a (B, n, d) stack with nonzero x
-    rows, given _norm_rows of both stacks, as a row list."""
+    rows, given _norm_rows of both stacks."""
     mcv, T = _certificates(xs, ys, bx, nx, by, spec)
     out = []
     for blocks, m, n in zip(T, mcv.tolist(), ny.tolist()):
-        try:
-            cert = BlockFunctional(blocks)
-        except BjlabError as exc:
-            out.append(exc)
-            break
+        cert = BlockFunctional(blocks)
         if n == 0.0:
             out.append(CheckResult(verdict=True, margin=0.0, certificate=cert))
             continue
@@ -532,19 +495,14 @@ def _certificate_checks(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
 
 
 def _route_checks(xs: np.ndarray, ys: np.ndarray, eps: float, spec: SpaceSpec,
-                  tol: float, error: BjlabError | None = None) -> list:
+                  tol: float) -> list:
     """(is_approx_bj_orthogonal, certificate_check) of each pair of a
-    (B, n, d) stack, checked in that order row by row; raises the first
-    failing row's error, else error, that of a row after the stack's."""
+    (B, n, d) stack; the direct checks run first, so an x = 0 row raises
+    their ZeroElement."""
     bx, nx = _norm_rows(xs, spec)
     by, ny = _norm_rows(ys, spec)
-    direct = _approx_checks(xs, ys, nx, ny, eps, spec, tol)
-    if direct and isinstance(direct[-1], BjlabError):
-        error = direct.pop()
-    end = len(direct)  # a row whose direct check raised runs no certificate
-    second = _certificate_checks(xs[:end], ys[:end], bx[:end], nx[:end], by[:end],
-                                 ny[:end], eps, spec, tol)
-    return list(zip(direct, _results(second, error)))
+    return list(zip(_approx_checks(xs, ys, nx, ny, eps, spec, tol),
+                    _certificate_checks(xs, ys, bx, nx, by, ny, eps, spec, tol)))
 
 
 def min_certificate_value(x: BochnerElement, y: BochnerElement,
@@ -572,8 +530,7 @@ def certificate_check(x: BochnerElement, y: BochnerElement, eps,
     """
     eps = epsilon_value(eps)
     xs, ys, bx, nx = _support_operands(x, y, spec)
-    return _results(_certificate_checks(xs, ys, bx, nx, *_norm_rows(ys, spec),
-                                        eps, spec, tol))[0]
+    return _certificate_checks(xs, ys, bx, nx, *_norm_rows(ys, spec), eps, spec, tol)[0]
 
 
 def _partners(xs: np.ndarray, zs: np.ndarray, bx: np.ndarray, nx: np.ndarray,

@@ -20,7 +20,7 @@ from .blockspace import (
     inner_norm,
     outcome,
 )
-from .errors import BadSpec, BjlabError, DegenerateDraw, NonFiniteValue, ShapeMismatch
+from .errors import BadSpec, DegenerateDraw, NonFiniteValue, ShapeMismatch
 from .ortho import _partners, _route_checks, epsilon_value
 
 # Smallest norm of a usable random element; a draw below it is redrawn.
@@ -159,11 +159,11 @@ def h_alpha_witness(alpha: float, part: AtomPartition, x0,
 
 
 def _draw_usable(out: np.ndarray, rows: np.ndarray, rngs, spec: SpaceSpec,
-                 min_norm: float) -> tuple[np.ndarray, np.ndarray, int | None]:
+                 min_norm: float) -> tuple[np.ndarray, np.ndarray]:
     """Fill out[i] for each of the increasing rows i with i.i.d. standard
     normal blocks from rngs[i], redrawing a row until its norm reaches
-    min_norm, at most 100 draws.  Returns _norm_rows of those rows and the
-    first row left without a usable draw, or None."""
+    min_norm, at most 100 draws.  Returns _norm_rows of those rows; raises
+    DegenerateDraw when a row is left without a usable draw."""
     for i in rows.tolist():
         rngs[i].standard_normal(out=out[i])
     b, norms = _norm_rows(_take(out, rows), spec)
@@ -176,65 +176,53 @@ def _draw_usable(out: np.ndarray, rows: np.ndarray, rngs, spec: SpaceSpec,
             rngs[i].standard_normal(out=out[i])
         b[pending], norms[pending] = _norm_rows(out[redraw], spec)
         pending = pending[~(norms[pending] >= min_norm)]
-    return b, norms, None if not len(pending) else int(rows[pending[0]])
+    if len(pending):
+        raise DegenerateDraw("could not draw an element of usable norm")
+    return b, norms
 
 
 def random_element(spec: SpaceSpec, rng: np.random.Generator,
                    min_norm: float = _USABLE_NORM) -> BochnerElement:
     """Blocks with i.i.d. standard normal entries; redraws degenerate ones
     (none at min_norm <= 0, where every draw is usable)."""
-    (out,), error = _draw_elements(spec, [rng], 1, min_norm)
-    if error is not None:
-        raise error
+    (out,) = _draw_elements(spec, [rng], 1, min_norm)
     return BochnerElement(out[0])
 
 
-def _draw_elements(spec: SpaceSpec, rngs, count: int, min_norm: float = _USABLE_NORM
-                   ) -> tuple[list[np.ndarray], BjlabError | None]:
+def _draw_elements(spec: SpaceSpec, rngs, count: int,
+                   min_norm: float = _USABLE_NORM) -> list[np.ndarray]:
     """random_element drawn count times from each generator in turn, as
-    count (B, n, d) stacks for the rows before the first whose draw raised,
-    and that row's error (None when no row's did)."""
-    stacks, end, error = [], len(rngs), None
+    count (B, n, d) stacks."""
+    stacks = []
     for _ in range(count):
         out = np.empty((len(rngs), spec.n, spec.d))
-        failed = _draw_usable(out, np.arange(end), rngs, spec, min_norm)[2]
-        if failed is not None:  # the rows after it are never drawn
-            end, error = failed, DegenerateDraw("could not draw an element of usable norm")
+        _draw_usable(out, np.arange(len(rngs)), rngs, spec, min_norm)
         stacks.append(out)
-    return [out[:end] for out in stacks], error
+    return stacks
 
 
-def _draw_pairs(spec: SpaceSpec, rngs) -> tuple[np.ndarray, np.ndarray,
-                                                 BjlabError | None]:
+def _draw_pairs(spec: SpaceSpec, rngs) -> tuple[np.ndarray, np.ndarray]:
     """draw_orthogonal_pair from each generator in turn, as (B, n, d) stacks
-    of x and y for the rows before the first whose draw raised, and that
-    row's error (None when no row's did).  Each row takes its draws from its
-    own generator in the order the one-pair draw takes them."""
+    of x and y.  Each row takes its draws from its own generator in the
+    order the one-pair draw takes them."""
     shape = (len(rngs), spec.n, spec.d)
     xs, zs, ys = np.empty(shape), np.empty(shape), None
-    end, error = len(rngs), None
-    todo = np.arange(end)
+    todo = np.arange(len(rngs))
     for _ in range(100):
-        bx, nx, failed = _draw_usable(xs, todo, rngs, spec, _USABLE_NORM)
-        if failed is not None:  # the rows after it are never drawn
-            end, error = failed, DegenerateDraw("could not draw an element of usable norm")
-            keep = todo < end
-            todo, bx, nx = todo[keep], bx[keep], nx[keep]
+        bx, nx = _draw_usable(xs, todo, rngs, spec, _USABLE_NORM)
         for i in todo.tolist():
             rngs[i].standard_normal(out=zs[i])
         Z = _take(zs, todo)
         Y = _partners(_take(xs, todo), Z, bx, nx, spec)
-        if len(todo) == len(xs):  # every row projected: no copy
+        if ys is None:  # the first round projects every row: no copy
             ys = Y
         else:
-            ys = np.empty(shape) if ys is None else ys
             ys[todo] = Y
         # redraw the rows whose partner collapsed to zero
         todo = todo[~(_norm_rows(Y, spec)[1] > 1e-9 * _norm_rows(Z, spec)[1])]
         if not len(todo):
-            return xs[:end], ys[:end], error
-    end = int(todo[0])
-    return xs[:end], ys[:end], DegenerateDraw("partner collapsed to zero on every redraw")
+            return xs, ys
+    raise DegenerateDraw("partner collapsed to zero on every redraw")
 
 
 def draw_orthogonal_pair(spec: SpaceSpec, rng: np.random.Generator,
@@ -242,9 +230,7 @@ def draw_orthogonal_pair(spec: SpaceSpec, rng: np.random.Generator,
     """Random x plus a partner y built by projection, so x is exactly
     orthogonal to y; redraws when the partner collapses to zero."""
     spec.require_smooth_inner()
-    xs, ys, error = _draw_pairs(spec, [rng])
-    if error is not None:
-        raise error
+    xs, ys = _draw_pairs(spec, [rng])
     return BochnerElement(xs[0]), BochnerElement(ys[0])
 
 
@@ -306,23 +292,21 @@ def preservation_trials(U: ScalingOperator, eps, spec: SpaceSpec, rngs,
                         tol: float = DEFAULT_TOL) -> list[TrialRecord]:
     """preservation_trial on each generator of rngs in turn, run as one
     (B, n, d) stack through the kernels of the one-pair checks, with every
-    record's bits.  When a row's trial raises, the rows before it have run
-    and its error is raised, as in a loop over the rows."""
+    record's bits.  When trials raise, one failing row's error is raised,
+    not always the first row's: the generators have been drawn from and
+    cannot be replayed.  harness.run reruns a failing stack row by row."""
     eps = epsilon_value(eps)
     U.check_fits(spec)
     spec.require_smooth_inner()  # the partner projection's, before any draw
-    xs, ys, error = _draw_pairs(spec, rngs)
+    xs, ys = _draw_pairs(spec, rngs)
     ux, uy = U.factors[:, None] * xs, U.factors[:, None] * ys
     if not (np.isfinite(ux).all() and np.isfinite(uy).all()):
         # the check on each image's entries that makes it an element
-        end = int(np.argmin(np.isfinite(ux).all(axis=(1, 2))
-                            & np.isfinite(uy).all(axis=(1, 2))))
-        ux, uy, error = ux[:end], uy[:end], NonFiniteValue(
-            "element contains non-finite entries")
+        raise NonFiniteValue("element contains non-finite entries")
     route = "certificate" if spec.p == 1.0 else "sip"  # the sip criterion for p > 1
     return [TrialRecord(x=BochnerElement(x), y=BochnerElement(y), direct=d,
                         second_route=route, second=c)
-            for x, y, (d, c) in zip(xs, ys, _route_checks(ux, uy, eps, spec, tol, error))]
+            for x, y, (d, c) in zip(xs, ys, _route_checks(ux, uy, eps, spec, tol))]
 
 
 def preservation_trial(U: ScalingOperator, eps, spec: SpaceSpec,

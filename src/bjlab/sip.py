@@ -77,7 +77,7 @@ class SipAxiomReport:
                     self.cauchy_schwarz, self.norm_compatibility)
         return worst / self.scale
 
-    def passes(self, tol: float = 1e-9) -> bool:
+    def passes(self, tol: float = DEFAULT_TOL) -> bool:
         return self.max_relative() <= tol
 
 

@@ -21,7 +21,7 @@ from bjlab.blockspace import (
     _norm_arr,
     block_norms,
 )
-from bjlab.errors import BadSpec
+from bjlab.errors import BadSpec, NonFiniteValue
 from bjlab.harness import CROSS_ROUTE_BAND
 from bjlab.ortho import _PROBE_OFFSETS, _non_finite
 
@@ -259,9 +259,9 @@ def _finite(phi):
         try:
             val = float(phi(alpha))
         except OverflowError as exc:  # a Python float power out of range
-            raise _non_finite(math.inf, alpha, True) from exc
+            raise NonFiniteValue(_non_finite(math.inf, alpha, True)) from exc
         if not math.isfinite(val):
-            raise _non_finite(val, alpha, False)
+            raise NonFiniteValue(_non_finite(val, alpha, False))
         return val
     return f
 

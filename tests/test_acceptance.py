@@ -24,7 +24,7 @@ from bjlab import (
 )
 from bjlab.blockspace import _norm_rows
 from bjlab.harness import TRIAL_COLUMNS, ExperimentConfig, run, trial_rng
-from bjlab.ortho import _approx_checks, _exact_checks, _results
+from bjlab.ortho import _approx_checks, _exact_checks
 from bjlab.sip import _axiom_reports
 from oracles import brute_min_certificate, central_diff_gradient
 
@@ -219,15 +219,14 @@ def _checked_stream(spec, seed, limit, checks, size=1000):
     """(x blocks, y blocks, ||x||, ||y||, *results) for each pair of
     _pair_stream in stream order.  The pairs are checked as (B, n, d) stacks
     of up to size pairs, drawn as they are needed: checks(xs, ys, nx, ny)
-    gives one row list per check, and the first failing row raises its
-    error."""
+    gives one result list per check, and a failing row raises its error."""
     pairs = _pair_stream(spec, seed, limit)
     while chunk := list(islice(pairs, size)):
         xs = np.stack([x.blocks for x, _ in chunk])
         ys = np.stack([y.blocks for _, y in chunk])
         nx, ny = _norm_rows(xs, spec)[1], _norm_rows(ys, spec)[1]
         yield from zip(xs, ys, nx.tolist(), ny.tolist(),
-                       *map(_results, checks(xs, ys, nx, ny)))
+                       *checks(xs, ys, nx, ny))
 
 
 def test_criterion_6b_eps_zero_matches_exact_check():

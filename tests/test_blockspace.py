@@ -47,6 +47,8 @@ def test_inner_norm_examples():
 def test_inner_norm_rejects_bad_input():
     with pytest.raises(BadSpec):
         inner_norm([1.0], 0.5)
+    with pytest.raises(BadSpec):
+        inner_norm([1.0, 2.0], math.nan)
     with pytest.raises(NonFiniteValue):
         inner_norm([np.nan, 1.0], 2.0)
 
@@ -102,6 +104,8 @@ def test_duality_map_errors():
         inner_duality_map([1.0, 2.0], 1.0)
     with pytest.raises(NotSmooth):
         inner_duality_map([1.0, 2.0], math.inf)
+    with pytest.raises(BadSpec):
+        inner_duality_map([1.0, 2.0], math.nan)
 
 
 @given(st.lists(st.floats(-20, 20), min_size=2, max_size=4),
@@ -172,6 +176,9 @@ def test_zero_set_examples():
     assert zero_set(g) == {0}  # default: relative to the largest block
     z = BochnerElement(np.zeros((3, 2)))
     assert zero_set(z, tol=0.0) == {0, 1, 2}
+    for tol in (-1e-12, math.nan):
+        with pytest.raises(BadSpec):
+            zero_set(f, tol=tol)
 
 
 def test_support_functional_examples():

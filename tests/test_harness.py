@@ -145,6 +145,18 @@ SMOOTH = with_spec(p=3)
     # epsilons that are not a list of numbers (5 is the first probe above)
     ("check-approx", "epsilons", {"epsilons": "0.1"}),
     ("check-approx", "epsilons", {"epsilons": [[0.1]]}),
+    # bools and numeric strings are not numbers; tol = true would pass
+    # every verdict
+    ("check-ortho", "tol", {"tol": True}),
+    ("check-ortho", "tol", {"tol": "1e-9"}),
+    ("check-approx", "epsilons", {"epsilons": [True]}),
+    ("check-ortho", "spec", with_spec(p="3")),
+    ("check-ortho", "spec", with_spec(p=True)),
+    ("isometry-test", "spec", {**with_spec(q=True), "factors": [1, 1, 1, 1]}),
+    ("check-ortho", "spec", with_spec(weights=[1, True, 1, 1])),
+    ("check-ortho", "spec", with_spec(weights=[1, "2", 1, 1])),
+    ("isometry-test", "factors", {"factors": [1, True, 1, 1]}),
+    ("isometry-test", "factors", {"factors": [1, "2", 1, 1]}),
 ])
 def test_malformed_or_unread_values_are_config_errors(mode, key, extra):
     with pytest.raises(ConfigError, match=f"^{key}: "):

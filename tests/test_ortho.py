@@ -1,5 +1,4 @@
 import math
-import re
 from unittest import mock
 
 import numpy as np
@@ -37,6 +36,7 @@ from oracles import (
     brute_min_certificate_fullball,
     grid_min_gap,
     grid_min_norm,
+    reference_minimize_convex_1d,
 )
 
 HILBERT2 = SpaceSpec(2, 2, 2, 2, (1.0, 1.0))
@@ -71,6 +71,19 @@ def test_minimize_convex_1d_rejects_non_finite():
         minimize_convex_1d(lambda a: math.inf if a > 1 else a * a, radius=2.0)
     with pytest.raises(BadSpec):
         minimize_convex_1d(lambda a: a * a, radius=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_bracket_beyond_the_float_range_fails_as_the_scalar_loop_does():
+    # 2R overflows, to inf without a warning on the scalar loop's Python floats
+    def phi(a):
+        return abs(a - 1.0)
+
+    with pytest.raises(NonFiniteValue) as stacked:
+        minimize_convex_1d(phi, 1.5e308)
+    with pytest.raises(NonFiniteValue) as looped:
+        reference_minimize_convex_1d(phi, 1.5e308)
+    assert str(stacked.value) == str(looped.value) == "objective returned inf at alpha=-inf"
 
 
 def test_bj_orthogonal_basis_blocks():
@@ -454,19 +467,21 @@ def test_search_radius_outside_the_float_range_is_a_typed_error():
     with pytest.raises(NonFiniteValue, match=message):
         is_approx_bj_orthogonal(x, y, 0.3, spec)
     assert certificate_check(x, y, 0.3, spec).verdict
-    # as row 2 of a stack, before a row 3 with x = 0: the first failing row
-    # decides, and rows 0 and 1 get their one-pair results
+    # as row 2 of a stack, before a row 3 with x = 0: the stack raises row
+    # 2's error, and rows 0 and 1, as their own stack, get their one-pair
+    # results
     good = [draw_orthogonal_pair(spec, rng_for("radius_overflow", k)) for k in range(2)]
     xs = np.stack([u.blocks for u, _ in good] + [x.blocks, np.zeros((6, 3))])
     ys = np.stack([v.blocks for _, v in good] + [y.blocks, y.blocks])
     nx, ny = ortho._norm_rows(xs, spec)[1], ortho._norm_rows(ys, spec)[1]
-    for rows, one_pair in (
-            (ortho._exact_checks(xs, ys, nx, ny, spec, 1e-9), is_bj_orthogonal),
-            (ortho._approx_checks(xs, ys, nx, ny, 0.3, spec, 1e-9),
+    for checks, one_pair in (
+            (lambda r: ortho._exact_checks(xs[r], ys[r], nx[r], ny[r], spec, 1e-9),
+             is_bj_orthogonal),
+            (lambda r: ortho._approx_checks(xs[r], ys[r], nx[r], ny[r], 0.3, spec, 1e-9),
              lambda u, v, s: is_approx_bj_orthogonal(u, v, 0.3, s))):
-        assert rows[:2] == [one_pair(u, v, spec) for u, v in good]
-        assert len(rows) == 3 and isinstance(rows[2], NonFiniteValue)
-        assert re.match(message, str(rows[2]))
+        with pytest.raises(NonFiniteValue, match=message):
+            checks(slice(None))
+        assert checks(slice(2)) == [one_pair(u, v, spec) for u, v in good]
 
 
 def probe_schedule(radius):

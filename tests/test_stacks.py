@@ -83,22 +83,14 @@ def test_secant_bound_matches_the_interval_loop_bit_for_bit():
 
 
 def described(results: list) -> list:
-    """A row list with each (alpha, value) as bits and each error as its type
-    and message."""
-    return [(type(r), str(r)) if isinstance(r, Exception) else tuple(map(bits, r))
-            for r in results]
+    """Each (alpha, value) of a list as bits."""
+    return [tuple(map(bits, r)) for r in results]
 
 
 def reference_sections(phis, radius, **options) -> list:
-    """reference_minimize_convex_1d on each row in turn, as a row list."""
-    out = []
-    for phi, r in zip(phis, radius):
-        try:
-            out.append(reference_minimize_convex_1d(phi, r, **options))
-        except NonFiniteValue as exc:
-            out.append(exc)
-            break
-    return out
+    """reference_minimize_convex_1d on each row in turn."""
+    return [reference_minimize_convex_1d(phi, r, **options)
+            for phi, r in zip(phis, radius)]
 
 
 def recorded_sections(monkeypatch) -> list:
@@ -195,7 +187,9 @@ def golden_rows() -> list:
 
 
 def test_the_first_failing_golden_row_decides_the_error(monkeypatch):
-    # 30 steps: rows 0 and 1 stop at the step limit, row 2 fails before it
+    # 30 steps: rows 0 and 1 stop at the step limit, row 2 fails before it.
+    # A stack raises the error of a row that fails, so the passing rows run
+    # as one stack and each failing row alone.
     monkeypatch.setattr(ortho, "GOLDEN_MAX_ITER", 30)
     phis = golden_rows()
 
@@ -211,14 +205,26 @@ def test_the_first_failing_golden_row_decides_the_error(monkeypatch):
         return np.array(values), np.array(overflowed)
 
     phi0 = np.array([phi(0.0) for phi in phis])
-    got = described(ortho._golden_sections(objective, range(5), np.ones(5), phi0))
-    assert got == described(reference_sections(golden_rows(), [1.0] * 5, max_iter=30))
-    assert len(got) == 3
+
+    def sections(rows):
+        return ortho._golden_sections(objective, rows, np.ones(len(rows)), phi0[rows])
+
+    reference = golden_rows()
+    passing = [0, 1, 4]
+    got = described(sections(passing))
+    assert got == described(reference_sections([reference[i] for i in passing],
+                                               [1.0] * 3, max_iter=30))
     # row 1 called phi at 0, -1, 1, the two inner points and once per step;
     # the last step's value is never compared
     assert got[1][1] == (-4.0 - 30).hex()
-    assert got[2][0] is NonFiniteValue
-    assert got[2][1].startswith("objective overflowed at alpha=0.49")
+    for row, message in ((2, "objective overflowed at alpha=0.49"),
+                         (3, "objective returned nan at alpha=1.0")):
+        with pytest.raises(NonFiniteValue) as alone:
+            sections([row])
+        with pytest.raises(NonFiniteValue) as looped:
+            reference_minimize_convex_1d(reference[row], 1.0, max_iter=30)
+        assert str(alone.value) == str(looped.value)
+        assert str(alone.value).startswith(message)
 
 
 def sweep_config(stem: str, trials: int):
@@ -291,13 +297,13 @@ def scaled_draws(monkeypatch, norms: dict):
     draw = preserver._draw_pairs
 
     def scaled(spec, rngs):
-        xs, ys, error = draw(spec, rngs)
-        for i, rng in enumerate(rngs[:len(xs)]):
+        xs, ys = draw(spec, rngs)
+        for i, rng in enumerate(rngs):
             if id(rng) in norms:
                 s = norms[id(rng)] / bochner_norm(BochnerElement(xs[i]), spec)
                 xs[i] *= s
                 ys[i] *= s
-        return xs, ys, error
+        return xs, ys
 
     monkeypatch.setattr(preserver, "_draw_pairs", scaled)
 
@@ -324,25 +330,20 @@ def test_a_stack_raises_the_error_of_its_failing_row(monkeypatch, norm):
     assert str(stacked.value) == str(alone.value)
 
 
-@pytest.mark.parametrize("first,later", [(1e154, 1e200), (1e200, 1e154)])
-def test_the_first_failing_row_decides_the_error(monkeypatch, first, later):
-    rngs = [trial_rng(9, i) for i in range(5)]
-    scaled_draws(monkeypatch, {id(rngs[1]): first, id(rngs[3]): later})
-    with pytest.raises(NonFiniteValue, match=MESSAGES[first]):
-        preservation_trials(OPERATOR, 0.3, SPACE, rngs)
-
-
 SPACES = {
     "A": {"p": 1, "q": 2, "n": 4, "d": 2, "weights": [1, 2, 0.5, 1]},
     "B": {"p": 2.5, "q": 1.5, "n": 4, "d": 2, "weights": [1, 0.3, 1.5, 2]},
     "C": {"p": 3, "q": 2, "n": 6, "d": 3, "weights": [1] * 6},
+    "D": SPACE.to_dict(),
 }
 
 
-def mode_config(mode: str, space: str, trials: int):
-    data = {"mode": mode, "spec": SPACES[space], "trials": trials, "seed": 11}
+def mode_config(mode: str, space: str, trials: int, seed: int = 11):
+    data = {"mode": mode, "spec": SPACES[space], "trials": trials, "seed": seed}
     if mode in ("check-approx", "sip"):
         data["epsilons"] = [0, 0.1, 0.5]
+    if mode == "preserver-sweep":  # OPERATOR on space D
+        data.update(epsilons=[0.3], partition=[0, 1, 2])
     return parse_config(json.dumps(data))
 
 
@@ -405,6 +406,7 @@ class ScaledDraws:
 
 DEGENERATE = (DegenerateDraw, "^could not draw an element of usable norm$")
 OVERFLOW = (NonFiniteValue, MESSAGES[1e200])
+PROBE_OVERFLOW = (NonFiniteValue, r"^objective overflowed at alpha=-2\.72")
 
 
 @pytest.mark.parametrize("mode,factors,expected", [
@@ -413,12 +415,19 @@ OVERFLOW = (NonFiniteValue, MESSAGES[1e200])
     ("check-approx", {2: 1e200, 3: 0.0}, OVERFLOW),
     ("sip", {2: 0.0, 3: 1e200}, DEGENERATE),
     ("sip", {2: 1e200, 3: 0.0}, OVERFLOW),
+    # a stack checks every row's ||x||^2 before any row's probes, and draws
+    # every row before it checks one
+    ("preserver-sweep", {1: 2e153, 3: 1e200}, PROBE_OVERFLOW),
+    ("preserver-sweep", {1: 1e200, 3: 2e153}, OVERFLOW),
+    ("preserver-sweep", {2: 0.0, 3: 2e153}, DEGENERATE),
+    ("preserver-sweep", {2: 1e200, 3: 0.0}, OVERFLOW),
 ])
 def test_a_mode_stack_raises_the_error_of_its_first_failing_row(monkeypatch, mode,
                                                                  factors, expected):
     # rows 0-4 of the first stack; axioms rows draw with no redraw and no
     # check that can raise, so that mode has no failing row
-    cfg = mode_config(mode, "B", 5)
+    cfg = (mode_config(mode, "D", 5, seed=9) if mode == "preserver-sweep"
+           else mode_config(mode, "B", 5))
     make = harness.trial_rng
     monkeypatch.setattr(harness, "trial_rng", lambda seed, index: (
         ScaledDraws(make(seed, index), factors[index]) if index in factors
@@ -437,24 +446,21 @@ def test_a_stack_that_loses_rows_is_an_error(monkeypatch):
     # raising, would otherwise write a short CSV
     draw = harness._draw_pairs
 
-    def draw_dropping_its_error(spec, rngs):
-        xs, ys, _ = draw(spec, rngs)
-        return xs[:2], ys[:2], None
+    def draw_dropping_rows(spec, rngs):
+        xs, ys = draw(spec, rngs)
+        return xs[:2], ys[:2]
 
-    monkeypatch.setattr(harness, "_draw_pairs", draw_dropping_its_error)
+    monkeypatch.setattr(harness, "_draw_pairs", draw_dropping_rows)
     with pytest.raises(ValueError, match="shorter"):
         run(mode_config("check-ortho", "B", 5), echo=False)
 
 
 def test_an_axiom_stack_raises_its_draw_error(monkeypatch):
     # axiom draws are never redrawn, so their draw cannot fail; if it did,
-    # the stack raises the draw's error
-    draw = harness._draw_elements
-
+    # its error would propagate out of run
     def failing_draw(spec, rngs, count, min_norm):
-        stacks, _ = draw(spec, rngs, count, min_norm)
-        return [out[:2] for out in stacks], DegenerateDraw("no usable draw in row 2")
+        raise DegenerateDraw("no usable draw")
 
     monkeypatch.setattr(harness, "_draw_elements", failing_draw)
-    with pytest.raises(DegenerateDraw, match="^no usable draw in row 2$"):
+    with pytest.raises(DegenerateDraw, match="^no usable draw$"):
         run(mode_config("axioms", "B", 5), echo=False)

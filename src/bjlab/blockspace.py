@@ -67,11 +67,15 @@ class SpaceSpec:
 
     def __post_init__(self):
         try:
-            object.__setattr__(self, "p", float(self.p))
-            object.__setattr__(self, "q", float(self.q))
-            mu = np.array(self.weights, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise BadSpec(f"p, q and weights must be numeric: {exc}") from exc
+            values = (self.p, self.q, *self.weights)
+        except TypeError:  # weights is not a sequence
+            values = ()
+        if not (values and all(map(_is_number, values))):
+            raise BadSpec(f"p, q and weights must be numbers, got p={self.p!r}, "
+                          f"q={self.q!r}, weights={self.weights!r}")
+        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "q", float(self.q))
+        mu = np.array(values[2:], dtype=float)
         if not (self.p >= 1.0 and math.isfinite(self.p)):
             raise BadSpec(f"p must satisfy 1 <= p < inf, got {self.p}")
         if not self.q >= 1.0:
@@ -106,8 +110,8 @@ class SpaceSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "SpaceSpec":
         """Inverse of to_dict: q may be the string "inf".  Raises BadSpec
-        unless data is an object with exactly the keys p, q, n, d, weights,
-        and p, q and the weights are numbers."""
+        unless data is an object with exactly the keys p, q, n, d, weights
+        that make a valid SpaceSpec."""
         keys = [f.name for f in fields(cls)]
         if not isinstance(data, dict):
             raise BadSpec(f"must be an object {{{', '.join(keys)}}}")
@@ -122,10 +126,6 @@ class SpaceSpec:
             if q.lower() not in ("inf", "infinity"):
                 raise BadSpec(f"unrecognized q value {q!r}")
             q = math.inf
-        weights = data["weights"]
-        if not (isinstance(weights, list) and all(map(_is_number, [data["p"], q, *weights]))):
-            raise BadSpec(f"p, q and weights must be numbers, got p={data['p']!r}, q={q!r}, "
-                          f"weights={weights!r}")
         return cls(**{**data, "q": q})
 
 
@@ -344,6 +344,8 @@ def zero_set(f: BochnerElement, tol: float | None = None, q: float = 2.0) -> fro
     tol defaults to DEFAULT_ZERO_TOL relative to the largest block norm,
     since elements come from floating-point arithmetic.
     """
+    if not q >= 1.0:
+        raise BadSpec(f"q must be >= 1, got {q}")
     b = block_norms(f.blocks, q)
     if tol is None:
         tol = DEFAULT_ZERO_TOL * (float(b.max()) if b.size else 0.0)
@@ -418,9 +420,8 @@ def functional_norm(T: BlockFunctional, spec: SpaceSpec) -> float:
     return float(_weighted_lp_rows(b[None], spec.mu, dual_exponent(spec.p))[0])
 
 
-def outcome(*results: CheckResult) -> str:
-    """A row's outcome over its check results: boundary when any is flagged
-    boundary, else pass when every verdict holds, else fail."""
-    if any(r.boundary for r in results):
-        return "boundary"
-    return "pass" if all(r.verdict for r in results) else "fail"
+def outcome(verdict, boundary) -> np.ndarray:
+    """The outcome of a row, or of each row of a stack, given whether its
+    verdicts hold and whether any of them is flagged boundary: boundary when
+    flagged, else pass when the verdicts hold, else fail."""
+    return np.where(boundary, "boundary", np.where(verdict, "pass", "fail"))

@@ -11,7 +11,6 @@ it or on the stack it ran in.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, fields
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .blockspace import DEFAULT_TOL, SpaceSpec, _is_int, _is_number, _norm_rows, outcome
 from .errors import BjlabError, ConfigError
-from .ortho import _approx_checks, _exact_checks, _route_checks, epsilon_value
+from .ortho import _approx_checks, _exact_checks, _route_checks, epsilon_value, tol_value
 from .preserver import (
     AtomPartition,
     ScalingOperator,
@@ -32,7 +31,7 @@ from .preserver import (
     u_eps_l1,
     u_eps_Lp,
 )
-from .sip import _axiom_reports, _require_smooth_lp
+from .sip import SipAxiomReport, _axiom_reports, _require_smooth_lp
 
 # The optional operand keys each mode reads.  isometry-test reads factors,
 # or epsilons and partition to build the sweep's operator.
@@ -101,9 +100,7 @@ class ExperimentConfig:
             raise ConfigError(f"seed: must be a non-negative 64-bit integer, got {self.seed!r}")
         object.__setattr__(self, "epsilons", _value("epsilons", _numbers, self.epsilons,
                                                     epsilon_value))
-        if not (_is_number(self.tol) and 0.0 < self.tol < math.inf):
-            raise ConfigError(f"tol: must be a positive finite number, got {self.tol!r}")
-        object.__setattr__(self, "tol", float(self.tol))
+        object.__setattr__(self, "tol", _value("tol", tol_value, self.tol))
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out: must be a path string or null, got {self.out!r}")
         if self.factors is not None:
@@ -205,37 +202,30 @@ def _fmt(v) -> str:
 
 
 # A stack function measures the rows of a list of generators, one row per
-# generator: each row's columns after the shared (trial, seed, p, q, n, d)
-# prefix and its outcome (pass | fail | boundary), or raises a failing row's error.
+# generator: their columns after the shared (trial, seed, p, q, n, d) prefix,
+# each a list of one value per row or a value every row shares, and their
+# outcomes (pass | fail | boundary); or it raises a failing row's error.
 
 def _check_stack(cfg: ExperimentConfig, rngs, eps):
     """Draw an orthogonal pair per row and check it (exactly at eps None)."""
     xs, ys = _draw_pairs(cfg.spec, rngs)
     nx, ny = _norm_rows(xs, cfg.spec)[1], _norm_rows(ys, cfg.spec)[1]
     if eps is None:
-        results = _exact_checks(xs, ys, nx, ny, cfg.spec, cfg.tol)
+        verdict, margin, boundary, _ = _exact_checks(xs, ys, nx, ny, cfg.spec, cfg.tol)
     else:
-        results = _approx_checks(xs, ys, nx, ny, eps, cfg.spec, cfg.tol)
-    shown_eps = 0.0 if eps is None else eps
-    return [((shown_eps, res.verdict, res.margin, "none", "", "", res.boundary),
-             outcome(res))
-            for res in results]
+        verdict, margin, boundary, _ = _approx_checks(xs, ys, nx, ny, eps, cfg.spec, cfg.tol)
+    return ((0.0 if eps is None else eps, verdict.tolist(), margin.tolist(), "none", "", "",
+             boundary.tolist()), outcome(verdict, boundary).tolist())
 
 
 def _sip_stack(cfg: ExperimentConfig, rngs, eps):
     """Random (not constructed) pairs: the direct check and the semi-inner
     product criterion must agree outside the cross-route band."""
     xs, ys = _draw_elements(cfg.spec, rngs, 2)
-    rows = []
-    for direct, crit in _route_checks(xs, ys, eps, cfg.spec, cfg.tol):
-        # the routes must agree (not hold), so blockspace.outcome does not apply
-        if direct.boundary or crit.boundary or abs(crit.margin) < CROSS_ROUTE_BAND:
-            agreement = "boundary"
-        else:
-            agreement = "pass" if direct.verdict == crit.verdict else "fail"
-        rows.append(((eps, direct.verdict, direct.margin, "sip", crit.verdict,
-                      crit.margin, agreement == "boundary"), agreement))
-    return rows
+    (dv, dm, db, _), (cv, cm, cb, _) = _route_checks(xs, ys, eps, cfg.spec, cfg.tol)
+    boundary = db | cb | (np.abs(cm) < CROSS_ROUTE_BAND)
+    return ((eps, dv.tolist(), dm.tolist(), "sip", cv.tolist(), cm.tolist(), boundary.tolist()),
+            outcome(dv == cv, boundary).tolist())
 
 
 def _axiom_stack(cfg: ExperimentConfig, rngs, eps):
@@ -244,21 +234,18 @@ def _axiom_stack(cfg: ExperimentConfig, rngs, eps):
     F, G, H = _draw_elements(cfg.spec, rngs, 3, min_norm=0.0)
     ab = np.array([rng.standard_normal(2) for rng in rngs])
     reports = _axiom_reports(F, G, H, ab[:, 0], ab[:, 1], cfg.spec)
-    rows = []
-    for (a, b), rep in zip(ab.tolist(), reports):
-        ok = rep.passes(cfg.tol)
-        rows.append(((a, b, rep.first_slot_linearity, rep.second_slot_homogeneity,
-                      rep.cauchy_schwarz, rep.norm_compatibility, rep.scale, ok),
-                     "pass" if ok else "fail"))
-    return rows
+    # the report's fields are the CSV's residual and scale columns, in order
+    residuals = [[getattr(rep, f.name) for rep in reports] for f in fields(SipAxiomReport)]
+    ok = [rep.passes(cfg.tol) for rep in reports]
+    return (*ab.T.tolist(), *residuals, ok), outcome(np.array(ok), False).tolist()
 
 
 def _sweep_stack(cfg: ExperimentConfig, rngs, eps):
-    return [((eps, rec.direct.verdict, rec.direct.margin, rec.second_route,
-              rec.second.verdict, rec.second.margin, rec.outcome == "boundary"),
-             rec.outcome)
-            for rec in preservation_trials(cfg._operator(eps), eps, cfg.spec, rngs,
-                                           cfg.tol)]
+    route, (dv, dm, db, _), (sv, sm, sb, _) = preservation_trials(
+        cfg._operator(eps), eps, cfg.spec, rngs, cfg.tol)
+    boundary = db | sb
+    return ((eps, dv.tolist(), dm.tolist(), route, sv.tolist(), sm.tolist(), boundary.tolist()),
+            outcome(dv & sv, boundary).tolist())
 
 
 _STACK_FUNCTIONS = {
@@ -286,16 +273,18 @@ def _trial_rows(cfg: ExperimentConfig) -> list[tuple[tuple, str]]:
             indices = [k * cfg.trials + trial for trial in trials]
             rngs = [trial_rng(cfg.seed, index) for index in indices]
             try:
-                stack = stack_function(cfg, rngs, eps)
+                columns, outcomes = stack_function(cfg, rngs, eps)
             except BjlabError:
                 # no row depends on its stack: rerun the rows one at a time,
                 # from fresh generators, up to the first that fails alone
                 for index in indices:
                     stack_function(cfg, [trial_rng(cfg.seed, index)], eps)
                 raise
-            for trial, index, (values, row_outcome) in zip(trials, indices, stack, strict=True):
-                rows.append(((trial, f"{cfg.seed}:{index}", s.p, s.q, s.n, s.d)
-                             + values, row_outcome))
+            # a column every row shares is given once
+            columns = [c if isinstance(c, list) else [c] * len(indices)
+                       for c in (list(trials), [f"{cfg.seed}:{i}" for i in indices],
+                                 s.p, s.q, s.n, s.d, *columns)]
+            rows += zip(zip(*columns, strict=True), outcomes, strict=True)
     return rows
 
 

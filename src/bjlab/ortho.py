@@ -29,6 +29,7 @@ from .blockspace import (
     CheckResult,
     SpaceSpec,
     _duality_rows,
+    _is_number,
     _norm_rows,
     _pairing_rows,
     _support_norms,
@@ -43,11 +44,17 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def epsilon_value(eps) -> float:
     """eps as a float in [0, 1), where 0 recovers the exact relation; raises
-    BadSpec outside that range, NaN included."""
-    eps = float(eps)
-    if not 0.0 <= eps < 1.0:
-        raise BadSpec(f"epsilon must lie in [0, 1), got {eps}")
-    return eps
+    BadSpec for anything else, NaN, bools and strings included."""
+    if not (_is_number(eps) and 0.0 <= eps < 1.0):
+        raise BadSpec(f"epsilon must lie in [0, 1), got {eps!r}")
+    return float(eps)
+
+
+def tol_value(tol) -> float:
+    """tol as a float; raises BadSpec unless it is a positive finite number."""
+    if not (_is_number(tol) and 0.0 < tol < math.inf):
+        raise BadSpec(f"must be a positive finite number, got {tol!r}")
+    return float(tol)
 
 
 def _non_finite(value: float, alpha: float, overflowed: bool) -> str:
@@ -83,7 +90,8 @@ def minimize_convex_1d(phi, radius: float) -> tuple[float, float]:
     phi0, overflowed = objective(np.zeros(1), None)
     if not math.isfinite(phi0[0]):
         raise NonFiniteValue(_non_finite(float(phi0[0]), 0.0, overflowed is not None))
-    return _golden_sections(objective, [0], np.array([float(radius)]), phi0)[0]
+    alpha, value = _golden_sections(objective, [0], np.array([float(radius)]), phi0)
+    return float(alpha[0]), float(value[0])
 
 
 def _py_max(a, b):
@@ -149,15 +157,8 @@ _OFFSETS = np.array(_PROBE_OFFSETS)
 _BY_ALPHA = np.array(sorted(range(len(_PROBE_OFFSETS)), key=_PROBE_OFFSETS.__getitem__))
 
 
-def _merge(out: list, rows: list[int], results: list) -> list:
-    """out with `results`, one per row of `rows`, filled in."""
-    for i, res in zip(rows, results):
-        out[i] = res
-    return out
-
-
 def _certified_probes(objective, radius: np.ndarray, phi0: np.ndarray,
-                      level: np.ndarray) -> list:
+                      level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Certify min phi_i >= level_i over [-radius_i, radius_i] from 13 probes,
     for a stack of convex objectives.
 
@@ -169,11 +170,11 @@ def _certified_probes(objective, radius: np.ndarray, phi0: np.ndarray,
     and so does their secant lower bound, it gets its best probe (alpha,
     phi_i(alpha)), ties going to 0: any minimizer's value is at least the
     true minimum, hence at least level, so a certified row gets the verdict
-    and boundary flag full minimization would give it.  Every other row
-    gets None, for the caller to minimize in full.  Raises the
-    NonFiniteValue of the first value found that is not finite.
+    and boundary flag full minimization would give it.  Returns (alpha,
+    value) arrays, NaN on every other row for the caller to minimize in
+    full.  Raises the NonFiniteValue of the first value found not finite.
     """
-    out = [None] * len(radius)
+    best_a, best_v = np.full(len(radius), math.nan), np.full(len(radius), math.nan)
     alphas = radius[:, None] * _OFFSETS
     values = np.empty_like(alphas)
     live = slice(None)  # a slice takes views
@@ -193,21 +194,22 @@ def _certified_probes(objective, radius: np.ndarray, phi0: np.ndarray,
                                              overflowed is not None and bool(overflowed[j])))
         live = rows[~(v < level[live])]
         if not len(live):
-            return out
+            return best_a, best_v
     A = alphas[live][:, _BY_ALPHA]
     # the smallest offsets can underflow onto each other
     certified = (A[:, 1:] > A[:, :-1]).all(axis=1)
     certified &= _secant_lower_bound(A, values[live][:, _BY_ALPHA]) >= level[live]
-    best = values[live].argmin(axis=1)  # the first of equals: alpha = 0
-    rows = np.arange(len(radius))[live]
-    for i, j in zip(rows[certified].tolist(), best[certified].tolist()):
-        out[i] = (float(alphas[i, j]), float(values[i, j]))
-    return out
+    rows = np.arange(len(radius))[live][certified]
+    best = values[rows].argmin(axis=1)  # the first of equals: alpha = 0
+    best_a[rows], best_v[rows] = alphas[rows, best], values[rows, best]
+    return best_a, best_v
 
 
-def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray) -> list:
+def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Golden-section minima of the convex phi_i over [-radius_i, radius_i]
-    for the rows `rows` of a stack, run in lockstep, one per row of rows.
+    for the rows `rows` of a stack, run in lockstep: (alpha, value) arrays,
+    one entry per row of rows.
 
     objective is as in _certified_probes; radius and phi0 hold each row's
     radius and phi_i(0).  Each row evaluates the points, and makes the float
@@ -218,18 +220,17 @@ def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray) -> l
     NonFiniteValue of the first value found that is not finite.
     """
     rows = np.asarray(rows, dtype=np.intp)
-    out = [None] * len(rows)
     live = np.arange(len(rows))  # the rows still running, in order
     best_a, best_v = np.zeros(len(rows)), np.array(phi0, dtype=float)
 
     def f(alphas, compare=True):
-        """The objective at alphas on the live rows (0 elsewhere), compared
-        with each row's best; raises the error of the first row whose value
-        is not finite."""
+        """The objective at alphas on the live rows (a finished row's best
+        value elsewhere, so its best stays), compared with each row's best;
+        raises the error of the first row whose value is not finite."""
         if len(live) == len(rows):
             v, overflowed = objective(alphas, rows)
         else:
-            v = np.zeros(len(rows))
+            v = best_v.copy()
             v[live], overflowed = objective(alphas[live], rows[live])
         finite = np.isfinite(v)
         if not finite.all():
@@ -254,11 +255,9 @@ def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray) -> l
     for k in range(GOLDEN_MAX_ITER):
         done = (width <= width_goal)[live]
         if done.any():
-            for i in live[done].tolist():
-                out[i] = (float(best_a[i]), float(best_v[i]))
             live = live[~done]
             if not len(live):
-                return out
+                return best_a, best_v
         # left: the minimum lies in [a, d], whose new inner point is c;
         # else in [c, b], whose new inner point is d
         left = fc < fd
@@ -273,53 +272,56 @@ def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray) -> l
         # there is no next one
         v = f(point, compare=k + 1 < GOLDEN_MAX_ITER)
         fc, fd = np.where(left, v, fd), np.where(left, fc, v)
-    for i in live.tolist():
-        out[i] = (float(best_a[i]), float(best_v[i]))
-    return out
+    return best_a, best_v
 
 
 def _one_sided_checks(objective, radius: np.ndarray, phi0: np.ndarray,
-                      at_zero: list[float], level: np.ndarray, scale: np.ndarray,
-                      tol: float) -> list:
+                      at_zero: np.ndarray, level: np.ndarray, scale: np.ndarray,
+                      tol: float) -> tuple:
     """Verdicts on min phi_i >= at_zero_i over [-radius_i, radius_i] for a
     stack of convex objectives, at_zero_i being the exact phi_i(0) and phi0_i
     the value evaluating gives: certified probes at level (objective as in
-    _certified_probes), else golden section.
+    _certified_probes), else golden section.  Returns the columnar result
+    (verdict, margin, boundary, alpha*), one entry per row.
     margin = (min - at_zero)/scale is <= 0 up to rounding, so only the
     uncertain-fail zone below the noise floor is a boundary case."""
-    found = _certified_probes(objective, radius, phi0, level)
-    todo = [i for i, hit in enumerate(found) if hit is None]
-    if todo:
-        _merge(found, todo, _golden_sections(objective, todo, radius[todo], phi0[todo]))
-    out = []
-    for (alpha, val), zero, s in zip(found, at_zero, scale.tolist()):
-        val = min(val, zero)  # clamp at the exact value; as evaluated it can sit an ulp below
-        margin = (val - zero) / s
-        boundary = -BOUNDARY_BAND * tol < margin < -ONE_SIDED_NOISE_FLOOR
-        out.append(CheckResult(verdict=margin >= -tol, margin=margin,
-                               alpha_star=alpha, boundary=boundary))
-    return out
+    alpha, val = _certified_probes(objective, radius, phi0, level)
+    todo = np.flatnonzero(np.isnan(val))
+    if len(todo):
+        alpha[todo], val[todo] = _golden_sections(objective, todo, radius[todo], phi0[todo])
+    # clamp at the exact value; as evaluated it can sit an ulp below
+    margin = (_py_min(val, at_zero) - at_zero) / scale
+    boundary = (-BOUNDARY_BAND * tol < margin) & (margin < -ONE_SIDED_NOISE_FLOOR)
+    return margin >= -tol, margin, boundary, alpha
 
 
-def _pair_rows(nx: np.ndarray, ny: np.ndarray) -> tuple[list, list[int], np.ndarray]:
-    """The prologue of both checks over a stack: the exact pass at each
-    y = 0 and None elsewhere, the rows left to minimize, and their radii.
+def _pair_rows(nx: np.ndarray, ny: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The prologue of both checks over a stack: the rows left to minimize
+    (y != 0; a y = 0 row passes exactly) and their search radii 4||x||/||y||.
     Raises ZeroElement at the first x = 0, or NonFiniteValue at the first
-    search radius 4||x||/||y|| that is 0 or not finite, in row order."""
-    out, rows, radius = [], [], []
-    for i, (a, b) in enumerate(zip(nx.tolist(), ny.tolist())):
-        if a == 0.0:
+    radius that is 0 or not finite, in row order."""
+    # silent as on Python floats; the y = 0 rows, which divide by 0, are dropped
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        radius = 4.0 * nx / ny
+    failing = (nx == 0.0) | ((ny != 0.0) & ~((0.0 < radius) & (radius < math.inf)))
+    if failing.any():
+        i = int(np.argmax(failing))
+        if nx[i] == 0.0:
             raise ZeroElement("orthogonality from the zero element is degenerate")
-        if b == 0.0:
-            out.append(CheckResult(verdict=True, margin=0.0, alpha_star=0.0))
-            continue
-        r = 4.0 * a / b
-        if not 0.0 < r < math.inf:
-            raise NonFiniteValue(f"4||x||/||y|| = {r} is outside the float range")
-        out.append(None)
-        rows.append(i)
-        radius.append(r)
-    return out, rows, np.array(radius)
+        raise NonFiniteValue(f"4||x||/||y|| = {float(radius[i])} is outside the float range")
+    rows = np.flatnonzero(ny)
+    return rows, _take(radius, rows)
+
+
+def _exact_passes(n: int, rows: np.ndarray, result: tuple) -> tuple:
+    """A columnar result on the rows `rows` of a stack of n pairs, spread over
+    all n: every other row, where y = 0, passes with margin 0 at alpha 0."""
+    if len(rows) == n:
+        return result
+    out = (np.ones(n, dtype=bool), np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n))
+    for column, values in zip(out, result):
+        column[rows] = values
+    return out
 
 
 def _line_points(xs: np.ndarray, ys: np.ndarray, alphas: np.ndarray,
@@ -352,45 +354,36 @@ def _squares(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _exact_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
-                  ny: np.ndarray, spec: SpaceSpec, tol: float) -> list:
+                  ny: np.ndarray, spec: SpaceSpec, tol: float) -> tuple:
     """is_bj_orthogonal of each pair of a (B, n, d) stack, given its rows'
-    norms."""
-    out, rows, radius = _pair_rows(nx, ny)
-    if not rows:
-        return out
-    X, Y = _take(xs, rows), _take(ys, rows)
-    norms = nx[rows].tolist()
-    at_zero = np.array(norms)
+    norms, as one columnar result (verdict, margin, boundary, alpha*)."""
+    rows, radius = _pair_rows(nx, ny)
+    X, Y, norms = _take(xs, rows), _take(ys, rows), _take(nx, rows)
 
     def norm_at(alphas, live):
         return _norm_rows(_line_points(X, Y, alphas, live), spec)[1], None
 
-    return _merge(out, rows, _one_sided_checks(
-        norm_at, radius, at_zero, norms, (1.0 - ONE_SIDED_NOISE_FLOOR) * at_zero,
-        at_zero, tol))
+    return _exact_passes(len(xs), rows, _one_sided_checks(
+        norm_at, radius, norms, norms, (1.0 - ONE_SIDED_NOISE_FLOOR) * norms, norms, tol))
 
 
 def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
                    ny: np.ndarray, eps: float, spec: SpaceSpec,
-                   tol: float) -> list:
+                   tol: float) -> tuple:
     """is_approx_bj_orthogonal of each pair of a (B, n, d) stack, given its
-    rows' norms."""
-    out, need, radii = _pair_rows(nx, ny)
-    rows, params = [], []
-    norms_x, norms_y = nx.tolist(), ny.tolist()
-    for i, r in zip(need, radii.tolist()):
-        a, b = norms_x[i], norms_y[i]
+    rows' norms, as one columnar result (verdict, margin, boundary, alpha*)."""
+    rows, radius = _pair_rows(nx, ny)
+    a, b = _take(nx, rows), _take(ny, rows)
+    with np.errstate(over="ignore"):  # silent on Python floats
         nx2 = a * a
-        if not 0.0 < nx2 < math.inf:  # nx * nx underflowed or overflowed
-            raise NonFiniteValue(f"||x||^2 = {nx2} is outside the float range")
-        rows.append(i)
-        # psi(0) = a ** 2 - nx2 is what evaluating gives, as ||x + 0 y|| is
-        # ||x|| to the bit
-        params.append((2.0 * eps * a * b, nx2, r, a ** 2 - nx2))
-    if not rows:
-        return out
+        kink = 2.0 * eps * a * b
+    bad = ~((0.0 < nx2) & (nx2 < math.inf))  # nx * nx underflowed or overflowed
+    if bad.any():
+        raise NonFiniteValue(f"||x||^2 = {float(nx2[np.argmax(bad)])} is outside the float range")
     X, Y = _take(xs, rows), _take(ys, rows)
-    kink, nx2, radius, psi0 = map(np.array, zip(*params))
+    # psi(0) = a ** 2 - nx2 is what evaluating gives, as ||x + 0 y|| is ||x||
+    # to the bit
+    psi0 = _squares(a)[0] - nx2
 
     def gap(alphas, live):
         """psi(alpha) = ||x + alpha y||^2 - ||x||^2 + 2 eps ||x|| ||y|| |alpha|."""
@@ -400,8 +393,18 @@ def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
         with np.errstate(over="ignore", invalid="ignore"):
             return squares - nx2[live] + kink[live] * abs(alphas), overflowed
 
-    return _merge(out, rows, _one_sided_checks(
-        gap, radius, psi0, [0.0] * len(rows), -ONE_SIDED_NOISE_FLOOR * nx2, nx2, tol))
+    return _exact_passes(len(xs), rows, _one_sided_checks(
+        gap, radius, psi0, np.zeros(len(rows)), -ONE_SIDED_NOISE_FLOOR * nx2, nx2, tol))
+
+
+def _first(result: tuple) -> CheckResult:
+    """Row 0 of a columnar result as a CheckResult: its last column holds
+    alpha* (B,) or a certificate's blocks (B, n, d)."""
+    verdict, margin, boundary, last = result
+    if last.ndim == 1:
+        return CheckResult(verdict[0], margin[0], alpha_star=last[0], boundary=boundary[0])
+    return CheckResult(verdict[0], margin[0], certificate=BlockFunctional(last[0]),
+                       boundary=boundary[0])
 
 
 def _operands(x: BochnerElement, y: BochnerElement, spec: SpaceSpec
@@ -424,7 +427,8 @@ def is_bj_orthogonal(x: BochnerElement, y: BochnerElement, spec: SpaceSpec,
     (floor = ONE_SIDED_NOISE_FLOOR) skips the golden section.  Raises
     ZeroElement at x = 0.
     """
-    return _exact_checks(*_operands(x, y, spec), spec, tol)[0]
+    tol = tol_value(tol)
+    return _first(_exact_checks(*_operands(x, y, spec), spec, tol))
 
 
 def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
@@ -437,8 +441,8 @@ def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
     A pair whose probes certify min psi >= -floor ||x||^2
     (floor = ONE_SIDED_NOISE_FLOOR) skips the golden section.
     """
-    eps = epsilon_value(eps)
-    return _approx_checks(*_operands(x, y, spec), eps, spec, tol)[0]
+    eps, tol = epsilon_value(eps), tol_value(tol)
+    return _first(_approx_checks(*_operands(x, y, spec), eps, spec, tol))
 
 
 def _support_operands(x: BochnerElement, y: BochnerElement, spec: SpaceSpec
@@ -478,31 +482,28 @@ def _certificates(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
 
 def _certificate_checks(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
                         nx: np.ndarray, by: np.ndarray, ny: np.ndarray,
-                        eps: float, spec: SpaceSpec, tol: float) -> list:
+                        eps: float, spec: SpaceSpec, tol: float) -> tuple:
     """certificate_check of each pair of a (B, n, d) stack with nonzero x
-    rows, given _norm_rows of both stacks."""
+    rows, given _norm_rows of both stacks, as one columnar result (verdict,
+    margin, boundary, certificate blocks).  Raises NonFiniteValue when a
+    certificate has an entry that is not finite."""
     mcv, T = _certificates(xs, ys, bx, nx, by, spec)
-    out = []
-    for blocks, m, n in zip(T, mcv.tolist(), ny.tolist()):
-        cert = BlockFunctional(blocks)
-        if n == 0.0:
-            out.append(CheckResult(verdict=True, margin=0.0, certificate=cert))
-            continue
-        margin = (eps * n - m) / n
-        out.append(CheckResult(verdict=margin >= -tol, margin=margin, certificate=cert,
-                               boundary=abs(margin) < BOUNDARY_BAND * tol))
-    return out
+    if not np.isfinite(T).all():
+        raise NonFiniteValue("functional contains non-finite entries")
+    y0 = ny == 0.0  # y = 0 passes exactly: mcv and the margin are 0 there
+    margin = (eps * ny - mcv) / np.where(y0, 1.0, ny)
+    return margin >= -tol, margin, ~y0 & (np.abs(margin) < BOUNDARY_BAND * tol), T
 
 
 def _route_checks(xs: np.ndarray, ys: np.ndarray, eps: float, spec: SpaceSpec,
-                  tol: float) -> list:
-    """(is_approx_bj_orthogonal, certificate_check) of each pair of a
-    (B, n, d) stack; the direct checks run first, so an x = 0 row raises
-    their ZeroElement."""
+                  tol: float) -> tuple[tuple, tuple]:
+    """The columnar results of is_approx_bj_orthogonal and certificate_check
+    on each pair of a (B, n, d) stack; the direct checks run first, so an
+    x = 0 row raises their ZeroElement."""
     bx, nx = _norm_rows(xs, spec)
     by, ny = _norm_rows(ys, spec)
-    return list(zip(_approx_checks(xs, ys, nx, ny, eps, spec, tol),
-                    _certificate_checks(xs, ys, bx, nx, by, ny, eps, spec, tol)))
+    return (_approx_checks(xs, ys, nx, ny, eps, spec, tol),
+            _certificate_checks(xs, ys, bx, nx, by, ny, eps, spec, tol))
 
 
 def min_certificate_value(x: BochnerElement, y: BochnerElement,
@@ -528,9 +529,9 @@ def certificate_check(x: BochnerElement, y: BochnerElement, eps,
     margin = (eps ||y|| - min |T(y)|)/||y||; the certificate field carries a
     T attaining the minimum.
     """
-    eps = epsilon_value(eps)
+    eps, tol = epsilon_value(eps), tol_value(tol)
     xs, ys, bx, nx = _support_operands(x, y, spec)
-    return _certificate_checks(xs, ys, bx, nx, *_norm_rows(ys, spec), eps, spec, tol)[0]
+    return _first(_certificate_checks(xs, ys, bx, nx, *_norm_rows(ys, spec), eps, spec, tol))
 
 
 def _partners(xs: np.ndarray, zs: np.ndarray, bx: np.ndarray, nx: np.ndarray,

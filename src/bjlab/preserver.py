@@ -14,6 +14,7 @@ from .blockspace import (
     CheckResult,
     SpaceSpec,
     _is_int,
+    _is_number,
     _norm_arr,
     _norm_rows,
     _take,
@@ -21,7 +22,7 @@ from .blockspace import (
     outcome,
 )
 from .errors import BadSpec, DegenerateDraw, NonFiniteValue, ShapeMismatch
-from .ortho import _partners, _route_checks, epsilon_value
+from .ortho import _first, _partners, _route_checks, epsilon_value, tol_value
 
 # Smallest norm of a usable random element; a draw below it is redrawn.
 _USABLE_NORM = 1e-6
@@ -39,6 +40,8 @@ class AtomPartition:
     n: int
 
     def __post_init__(self):
+        if not _is_int(self.n):
+            raise BadSpec(f"partition size must be an integer, got {self.n!r}")
         members = set(self.indices)
         if not all(_is_int(i) and 0 <= i < self.n for i in members):
             raise BadSpec(f"partition indices must be integers in 0..{self.n - 1}, "
@@ -72,9 +75,11 @@ class ScalingOperator:
     factors: np.ndarray
 
     def __post_init__(self):
-        self.factors = np.asarray(self.factors, dtype=float)
-        if self.factors.ndim != 1:
-            raise BadSpec("factors must be a 1-d sequence")
+        f = self.factors
+        if not (isinstance(f, np.ndarray) and f.ndim == 1 and f.dtype.kind in "iuf"
+                or isinstance(f, (list, tuple)) and all(map(_is_number, f))):
+            raise BadSpec(f"factors must be a 1-d sequence of numbers, got {f!r}")
+        self.factors = np.asarray(f, dtype=float)
         if not np.all(np.isfinite(self.factors) & (self.factors > 0.0)):
             raise BadSpec("all scaling factors must be positive and finite")
 
@@ -94,10 +99,10 @@ def _operator_epsilon(eps) -> float:
 
 
 def _require_isometry_trials(trials: int) -> None:
-    """Raise BadSpec unless is_scalar_multiple_of_isometry gets at least 2
-    random trials."""
-    if trials < 2:
-        raise BadSpec(f"need at least 2 random trials, got {trials}")
+    """Raise BadSpec unless is_scalar_multiple_of_isometry gets an integer
+    count of at least 2 random trials."""
+    if not (_is_int(trials) and trials >= 2):
+        raise BadSpec(f"need at least 2 random trials, got {trials!r}")
 
 
 def u_eps_l1(eps, spec: SpaceSpec) -> ScalingOperator:
@@ -146,6 +151,8 @@ def h_alpha_witness(alpha: float, part: AtomPartition, x0,
 
     x0 must be a unit block; for p = 1 the norm is mass(A) + |alpha| mass(B).
     """
+    if not (_is_number(alpha) and np.isfinite(alpha)):
+        raise BadSpec(f"alpha must be a finite number, got {alpha!r}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (spec.d,):
         raise BadSpec(f"x0 must be a {spec.d}-vector, got shape {x0.shape}")
@@ -251,6 +258,7 @@ def is_scalar_multiple_of_isometry(U: ScalingOperator, spec: SpaceSpec,
     spread = (max ratio - min ratio)/max ratio.
     """
     _require_isometry_trials(trials)
+    tol = tol_value(tol)
     U.check_fits(spec)
     if rng is None:
         rng = np.random.default_rng(0)
@@ -274,28 +282,28 @@ def is_scalar_multiple_of_isometry(U: ScalingOperator, spec: SpaceSpec,
 
 @dataclass
 class TrialRecord:
-    """One preservation trial: an exactly-orthogonal pair and the verdicts of
-    each check route on its image under the operator."""
+    """One preservation trial: the verdicts of each check route on the image
+    of an exactly-orthogonal pair under the operator."""
 
-    x: BochnerElement
-    y: BochnerElement
     direct: CheckResult
     second_route: str
     second: CheckResult
     outcome: str = field(init=False)  # pass | boundary | fail
 
     def __post_init__(self):
-        self.outcome = outcome(self.direct, self.second)
+        self.outcome = str(outcome(self.direct.verdict and self.second.verdict,
+                                   self.direct.boundary or self.second.boundary))
 
 
 def preservation_trials(U: ScalingOperator, eps, spec: SpaceSpec, rngs,
-                        tol: float = DEFAULT_TOL) -> list[TrialRecord]:
+                        tol: float = DEFAULT_TOL) -> tuple[str, tuple, tuple]:
     """preservation_trial on each generator of rngs in turn, run as one
     (B, n, d) stack through the kernels of the one-pair checks, with every
-    record's bits.  When trials raise, one failing row's error is raised,
-    not always the first row's: the generators have been drawn from and
-    cannot be replayed.  harness.run reruns a failing stack row by row."""
-    eps = epsilon_value(eps)
+    row's bits: the second route's name and both routes' columnar results
+    (ortho._route_checks).  When trials raise, one failing row's error is
+    raised, not always the first row's: the generators have been drawn from
+    and cannot be replayed.  harness.run reruns a failing stack row by row."""
+    eps, tol = epsilon_value(eps), tol_value(tol)
     U.check_fits(spec)
     spec.require_smooth_inner()  # the partner projection's, before any draw
     xs, ys = _draw_pairs(spec, rngs)
@@ -304,9 +312,7 @@ def preservation_trials(U: ScalingOperator, eps, spec: SpaceSpec, rngs,
         # the check on each image's entries that makes it an element
         raise NonFiniteValue("element contains non-finite entries")
     route = "certificate" if spec.p == 1.0 else "sip"  # the sip criterion for p > 1
-    return [TrialRecord(x=BochnerElement(x), y=BochnerElement(y), direct=d,
-                        second_route=route, second=c)
-            for x, y, (d, c) in zip(xs, ys, _route_checks(ux, uy, eps, spec, tol))]
+    return (route, *_route_checks(ux, uy, eps, spec, tol))
 
 
 def preservation_trial(U: ScalingOperator, eps, spec: SpaceSpec,
@@ -318,4 +324,5 @@ def preservation_trial(U: ScalingOperator, eps, spec: SpaceSpec,
     exact check on (x, y) is true by construction; the operators under test
     should make every route's verdict true on (U x, U y).
     """
-    return preservation_trials(U, eps, spec, [rng], tol)[0]
+    route, direct, second = preservation_trials(U, eps, spec, [rng], tol)
+    return TrialRecord(direct=_first(direct), second_route=route, second=_first(second))

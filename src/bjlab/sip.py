@@ -28,7 +28,7 @@ from .blockspace import (
     check_shape,
 )
 from .errors import UnsupportedExponent
-from .ortho import certificate_check
+from .ortho import certificate_check, tol_value
 
 
 def _require_smooth_lp(spec: SpaceSpec):
@@ -78,7 +78,7 @@ class SipAxiomReport:
         return worst / self.scale
 
     def passes(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.max_relative() <= tol
+        return self.max_relative() <= tol_value(tol)
 
 
 def _axiom_reports(F: np.ndarray, G: np.ndarray, H: np.ndarray, a: np.ndarray,

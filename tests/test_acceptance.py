@@ -11,6 +11,7 @@ import pytest
 from bjlab import (
     AtomPartition,
     BochnerElement,
+    CheckResult,
     ScalingOperator,
     SpaceSpec,
     draw_orthogonal_pair,
@@ -219,14 +220,18 @@ def _checked_stream(spec, seed, limit, checks, size=1000):
     """(x blocks, y blocks, ||x||, ||y||, *results) for each pair of
     _pair_stream in stream order.  The pairs are checked as (B, n, d) stacks
     of up to size pairs, drawn as they are needed: checks(xs, ys, nx, ny)
-    gives one result list per check, and a failing row raises its error."""
+    gives one columnar (verdict, margin, boundary, alpha*) result per check,
+    read back here as one CheckResult per row, and a failing row raises its
+    error."""
     pairs = _pair_stream(spec, seed, limit)
     while chunk := list(islice(pairs, size)):
         xs = np.stack([x.blocks for x, _ in chunk])
         ys = np.stack([y.blocks for _, y in chunk])
         nx, ny = _norm_rows(xs, spec)[1], _norm_rows(ys, spec)[1]
         yield from zip(xs, ys, nx.tolist(), ny.tolist(),
-                       *checks(xs, ys, nx, ny))
+                       *([CheckResult(v, m, alpha_star=a, boundary=b)
+                          for v, m, b, a in zip(*result)]
+                         for result in checks(xs, ys, nx, ny)))
 
 
 def test_criterion_6b_eps_zero_matches_exact_check():

@@ -179,6 +179,9 @@ def test_zero_set_examples():
     for tol in (-1e-12, math.nan):
         with pytest.raises(BadSpec):
             zero_set(f, tol=tol)
+    for q in (math.nan, 0.5):
+        with pytest.raises(BadSpec, match="q must be >= 1"):
+            zero_set(f, q=q)
 
 
 def test_support_functional_examples():
@@ -295,6 +298,12 @@ def test_spec_validation():
         SpaceSpec(1, 2, 2, 2, (1.0,))
     with pytest.raises(BadSpec):
         SpaceSpec(1, 2, 0, 2, ())
+    # bools and numeric strings are not numbers
+    for args in ((True, "2", 2, 2, ("1", True)), (1, True, 2, 2, (1.0, 1.0)),
+                 ("3", 2, 2, 2, (1.0, 1.0)), (1, 2, 2, 2, (1.0, True)),
+                 (1, 2, 2, 2, (1.0, "2")), (1, 2, 2, 2, 5)):
+        with pytest.raises(BadSpec, match="must be numbers"):
+            SpaceSpec(*args)
     # q = inf allowed as a sentinel for the max norm
     spec = SpaceSpec(1, math.inf, 1, 2, (1.0,))
     assert bochner_norm(BochnerElement.from_lists([[1, -2]]), spec) == 2.0

@@ -2,11 +2,11 @@ import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bjlab.harness as harness
 from bjlab import (
-    CheckResult,
     ConfigError,
     ExperimentConfig,
     SpaceSpec,
@@ -351,7 +351,8 @@ def test_cli_seed_and_out_overrides(tmp_path):
 def test_cli_exit_two_on_failed_trials(tmp_path, monkeypatch, capsys):
     # force a failing verdict to exercise the unexplained-failure path
     monkeypatch.setattr(harness, "_exact_checks",
-                        lambda xs, *a: [CheckResult(False, -0.5)] * len(xs))
+                        lambda xs, *a: (np.zeros(len(xs), dtype=bool), np.full(len(xs), -0.5),
+                                        np.zeros(len(xs), dtype=bool), np.zeros(len(xs))))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(config_text("check-ortho"), encoding="utf-8")
     assert main(["check-ortho", "--config", str(cfg_path)]) == 2

@@ -435,9 +435,17 @@ def test_boundary_flag_semantics_near_critical_pair():
 def test_approx_param_validation():
     spec = SpaceSpec(2, 2, 1, 2, (1.0,))
     x, y = single_block(1.0, 0.0), single_block(0.0, 1.0)
-    for eps in (1.0, -0.1, math.nan):
+    for eps in (1.0, -0.1, math.nan, "0.5", True):
         with pytest.raises(BadSpec, match="epsilon"):
             is_approx_bj_orthogonal(x, y, eps, spec)
+    # a bad tol would call this exactly orthogonal pair non-orthogonal
+    for tol in (math.nan, -1.0, 0.0, math.inf, True, "1e-9"):
+        for check in (lambda: is_bj_orthogonal(x, y, spec, tol=tol),
+                      lambda: is_approx_bj_orthogonal(x, y, 0.1, spec, tol=tol),
+                      lambda: certificate_check(x, y, 0.1, spec, tol=tol),
+                      lambda: sip_orthogonality_criterion(x, y, 0.1, spec, tol=tol)):
+            with pytest.raises(BadSpec, match="positive finite number"):
+                check()
 
 
 @pytest.mark.parametrize("p,q", [(3.0, 1.5), (1.5, 3.0)])
@@ -481,7 +489,9 @@ def test_search_radius_outside_the_float_range_is_a_typed_error():
              lambda u, v, s: is_approx_bj_orthogonal(u, v, 0.3, s))):
         with pytest.raises(NonFiniteValue, match=message):
             checks(slice(None))
-        assert checks(slice(2)) == [one_pair(u, v, spec) for u, v in good]
+        assert list(zip(*checks(slice(2)))) == [
+            (r.verdict, r.margin, r.boundary, r.alpha_star)
+            for r in (one_pair(u, v, spec) for u, v in good)]
 
 
 def probe_schedule(radius):
@@ -489,13 +499,15 @@ def probe_schedule(radius):
 
 
 def probe_one(f, radius, level):
-    """_certified_probes on the one-row stack of the float function f."""
+    """_certified_probes on the one-row stack of the float function f: its
+    (alpha, value), or None when the probes leave it uncertified."""
     def objective(alphas, rows):
         assert np.arange(1)[rows].tolist() == [0]
         return np.array([f(a) for a in alphas.tolist()]), None
 
-    return ortho._certified_probes(objective, np.array([radius]), np.array([f(0.0)]),
-                                   np.array([level]))[0]
+    alpha, value = ortho._certified_probes(objective, np.array([radius]),
+                                           np.array([f(0.0)]), np.array([level]))
+    return None if math.isnan(value[0]) else (float(alpha[0]), float(value[0]))
 
 
 @given(st.floats(min_value=0.1, max_value=10.0),
@@ -586,7 +598,8 @@ def test_preserved_pair_is_certified_by_the_probes(monkeypatch):
 
 def golden_section_only():
     return mock.patch.object(ortho, "_certified_probes",
-                             lambda objective, radius, *args: [None] * len(radius))
+                             lambda objective, radius, *args: (np.full(len(radius), np.nan),
+                                                               np.full(len(radius), np.nan)))
 
 
 def test_failing_pair_keeps_the_golden_section_result():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from bjlab import (
     apply_operator,
     bochner_norm,
     certificate_check,
+    draw_orthogonal_pair,
     h_alpha_witness,
     is_approx_bj_orthogonal,
     is_bj_orthogonal,
@@ -27,6 +29,8 @@ from bjlab.harness import trial_rng
 from conftest import rng_for
 
 L1_SEQ3 = SpaceSpec.sequence(1, 2, 3, 2)
+# tolerances that would give a silent verdict: none is a positive finite number
+BAD_TOLS = (math.nan, -1.0, 0.0, math.inf, True, "1e-9")
 
 
 def test_atom_partition_validation():
@@ -39,6 +43,9 @@ def test_atom_partition_validation():
         AtomPartition((0, 1, 2), 3)  # complement empty
     with pytest.raises(BadSpec):
         AtomPartition((3,), 3)
+    for n in (2.5, "4", True):
+        with pytest.raises(BadSpec, match="partition size"):
+            AtomPartition((0,), n)
 
 
 def test_scaling_operator_validation():
@@ -46,6 +53,10 @@ def test_scaling_operator_validation():
         ScalingOperator(np.array([1.0, 0.0]))
     with pytest.raises(BadSpec):
         ScalingOperator(np.array([1.0, -2.0]))
+    for factors in ([True, "0.5"], [1.0, True], ["2", 1.0], np.array([True, True]), 5,
+                    np.ones((2, 2))):
+        with pytest.raises(BadSpec, match="numbers"):
+            ScalingOperator(factors)
 
 
 def test_u_eps_l1_factors():
@@ -168,6 +179,9 @@ def test_h_alpha_witness_norms():
 
     with pytest.raises(BadSpec):
         h_alpha_witness(1.0, part, np.array([2.0, 0.0]), spec)  # not unit
+    for alpha in (math.inf, -math.inf, math.nan):  # before any inf * 0 warning
+        with pytest.raises(BadSpec, match="alpha"):
+            h_alpha_witness(alpha, part, x0, spec)
 
 
 def test_isometry_detector_on_scalar_multiples():
@@ -176,8 +190,12 @@ def test_isometry_detector_on_scalar_multiples():
     assert ok and spread == 0.0
     ok2, spread2 = is_scalar_multiple_of_isometry(ScalingOperator(2.0 * np.ones(4)), spec)
     assert ok2 and spread2 <= 1e-12
-    with pytest.raises(BadSpec):
-        is_scalar_multiple_of_isometry(ScalingOperator(np.ones(4)), spec, trials=1)
+    for trials in (1, 2.5, "3", True):
+        with pytest.raises(BadSpec, match="at least 2 random trials"):
+            is_scalar_multiple_of_isometry(ScalingOperator(np.ones(4)), spec, trials=trials)
+    for tol in BAD_TOLS:
+        with pytest.raises(BadSpec, match="positive finite number"):
+            is_scalar_multiple_of_isometry(ScalingOperator(np.ones(4)), spec, tol=tol)
 
 
 def test_isometry_detector_rejects_u_eps_operators():
@@ -219,8 +237,9 @@ def test_preservation_trial_l1_sequence(eps):
         rec = preservation_trial(U, eps, spec, trial_rng(101, i))
         assert rec.outcome == "pass", rec
         assert rec.second_route == "certificate"
-        # the stored pair is exactly orthogonal by construction
-        assert is_approx_bj_orthogonal(rec.x, rec.y, 0.0, spec).verdict
+        # the trial's pair is exactly orthogonal by construction
+        x, y = draw_orthogonal_pair(spec, trial_rng(101, i))
+        assert is_approx_bj_orthogonal(x, y, 0.0, spec).verdict
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.7])
@@ -251,6 +270,10 @@ def test_trial_rejects_mismatched_operator():
     with pytest.raises(ShapeMismatch):
         preservation_trial(U, 0.5, SpaceSpec.sequence(1, 2, 4, 3),
                            trial_rng(1, 0))
+    # a bad tol would give a silent verdict
+    for tol in BAD_TOLS:
+        with pytest.raises(BadSpec, match="positive finite number"):
+            preservation_trial(U, 0.5, spec, trial_rng(1, 0), tol=tol)
 
 
 def test_l1_operator_epsilon_is_meaningfully_used():

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from bjlab import (
+    BadSpec,
     BochnerElement,
     NotSmooth,
     SpaceSpec,
@@ -70,6 +73,9 @@ def test_axiom_report_zero_sample():
     assert rep.cauchy_schwarz == 0.0
     assert rep.norm_compatibility == 0.0
     assert rep.scale == 1.0
+    for tol in (math.nan, -1.0, 0.0):
+        with pytest.raises(BadSpec, match="positive finite number"):
+            rep.passes(tol)
 
 
 @given(spec_with_elements(count=3, nonzero_first=False, ps=(2.0,), qs=(2.0,)),

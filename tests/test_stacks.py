@@ -26,7 +26,8 @@ from bjlab import (
     run,
     u_eps_Lp,
 )
-from bjlab import ortho, preserver
+from bjlab import blockspace, ortho, preserver
+from bjlab.blockspace import outcome
 from bjlab.harness import trial_rng
 from conftest import rng_for
 from oracles import (
@@ -82,8 +83,8 @@ def test_secant_bound_matches_the_interval_loop_bit_for_bit():
         assert bits(ortho._secant_lower_bound(a, v)[0]) == bits(b)
 
 
-def described(results: list) -> list:
-    """Each (alpha, value) of a list as bits."""
+def described(results) -> list:
+    """Each (alpha, value) of a sequence as bits."""
     return [tuple(map(bits, r)) for r in results]
 
 
@@ -124,7 +125,7 @@ def recorded_sections(monkeypatch) -> list:
                 return v
             return value
 
-        calls.append((described(result), described(reference_sections(
+        calls.append((described(zip(*result)), described(reference_sections(
             map(phi, rows, phi0.tolist()), radius.tolist()))))
         return result
 
@@ -151,8 +152,9 @@ def checked_streams(streams) -> list:
             checks = (ortho._exact_checks(x, y, nx, ny, spec, 1e-9),
                       *(ortho._approx_checks(x, y, nx, ny, eps, spec, 1e-9)
                         for eps in (0.0, 0.3)))
-            results += [(r.verdict, bits(r.margin), bits(r.alpha_star), r.boundary)
-                        for row in zip(*checks, strict=True) for r in row]
+            results += [(verdict, bits(margin), bits(alpha), boundary)
+                        for row in zip(*(zip(*check) for check in checks), strict=True)
+                        for verdict, margin, boundary, alpha in row]
     return results
 
 
@@ -211,7 +213,7 @@ def test_the_first_failing_golden_row_decides_the_error(monkeypatch):
 
     reference = golden_rows()
     passing = [0, 1, 4]
-    got = described(sections(passing))
+    got = described(zip(*sections(passing)))
     assert got == described(reference_sections([reference[i] for i in passing],
                                                [1.0] * 3, max_iter=30))
     # row 1 called phi at 0, -1, 1, the two inner points and once per step;
@@ -252,6 +254,21 @@ def test_stacked_sweep_rows_equal_the_per_row_pipeline(stem):
     assert_rows_match_reference(run(cfg, echo=False), cfg)
 
 
+def test_a_sweep_builds_no_per_row_objects(monkeypatch):
+    # stacked stages pass arrays: a validated element or functional
+    # (_as_blocks) and a CheckResult are built only by the one-pair API
+    built = []
+    as_blocks = blockspace._as_blocks
+    monkeypatch.setattr(blockspace, "_as_blocks",
+                        lambda *args: built.append("_as_blocks") or as_blocks(*args))
+    post_init = blockspace.CheckResult.__post_init__
+    monkeypatch.setattr(blockspace.CheckResult, "__post_init__",
+                        lambda self: built.append("CheckResult") or post_init(self))
+    report = run(sweep_config("l1_sweep", 12), echo=False)
+    assert len(report.rows) == 60
+    assert built == []
+
+
 def test_stacks_split_into_pieces_give_the_same_rows(monkeypatch):
     cfg = sweep_config("lp_sweep", 20)
     whole = run(cfg, echo=False).csv_text()
@@ -278,15 +295,13 @@ def test_non_preserving_operator_rows_equal_the_per_row_pipeline(monkeypatch):
                         lambda objective, rows, radius, phi0: golden.extend(rows)
                         or sections(objective, rows, radius, phi0))
     rngs = [trial_rng(5, i) for i in range(80)]
-    records = preservation_trials(U, 0.1, spec, rngs)
-    assert len(records) == 80
-    outcomes = []
-    for i, rec in enumerate(records):
+    _, direct, second = preservation_trials(U, 0.1, spec, rngs)
+    outcomes = outcome(direct[0] & second[0], direct[2] | second[2]).tolist()
+    assert len(outcomes) == 80
+    for i, row in enumerate(zip(direct[0], direct[1], second[0], second[1], outcomes)):
         ref = reference_sweep_row(U, 0.1, spec, trial_rng(5, i))
-        got = (rec.direct.verdict, bits(rec.direct.margin), rec.second.verdict,
-               bits(rec.second.margin), rec.outcome)
+        got = (row[0], bits(row[1]), row[2], bits(row[3]), row[4])
         assert got == (ref[0], bits(ref[1]), ref[2], bits(ref[3]), ref[4]), i
-        outcomes.append(rec.outcome)
     assert outcomes.count("fail") > 0 and outcomes.count("pass") > 0
     assert 0 < len(golden) < 80
 

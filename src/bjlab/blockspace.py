@@ -21,11 +21,11 @@ from .errors import (
     ZeroVector,
 )
 
-# Default decision tolerance (relative) for orthogonality verdicts.
+# The decision tolerance (relative) of every verdict.
 DEFAULT_TOL = 1e-9
 # Relative threshold below which a block counts as zero.
 DEFAULT_ZERO_TOL = 1e-12
-# Verdicts with margins within BOUNDARY_BAND * tol of the threshold are
+# Verdicts with margins within BOUNDARY_BAND * DEFAULT_TOL of the threshold are
 # reported as boundary cases rather than forced.
 BOUNDARY_BAND = 10.0
 # Margins of minimization-based checks sit at exactly 0 on passes (the
@@ -191,7 +191,8 @@ class CheckResult:
     """Outcome of an orthogonality query.
 
     margin is the signed distance from the defining inequality's boundary
-    (relative units); verdict == (margin >= -tol) for the tolerance in force.
+    (relative units); verdict == (margin >= -DEFAULT_TOL), the tolerance of
+    every verdict.
     boundary marks verdicts too close to the threshold to trust.
     """
 
@@ -220,8 +221,8 @@ def check_shape(x, spec: SpaceSpec, what: str = "element") -> np.ndarray:
 def inner_norm(v, q: float) -> float:
     """l^q norm of a single block; q may be inf."""
     row = _as_blocks(np.reshape(v, (1, -1)), "vector")
-    if not q >= 1.0:
-        raise BadSpec(f"q must be >= 1, got {q}")
+    if not (_is_number(q) and q >= 1.0):
+        raise BadSpec(f"q must be >= 1, got {q!r}")
     return float(block_norms(row, q)[0]) if row.size else 0.0
 
 
@@ -256,10 +257,10 @@ def inner_duality_map(v, q: float) -> np.ndarray:
     and ||F_v||_{q*} = 1.  Equals the gradient of the l^q norm at v.
     """
     row = _as_blocks(np.reshape(v, (1, -1)), "vector")
+    if not (_is_number(q) and q >= 1.0):
+        raise BadSpec(f"q must be > 1, got {q!r}")
     if q == 1.0 or math.isinf(q):
         raise NotSmooth(f"duality map is set-valued for q={q}")
-    if not q >= 1.0:
-        raise BadSpec(f"q must be > 1, got {q}")
     if not np.any(row):
         raise ZeroVector("duality map undefined at 0")
     return _duality_rows(row, q, np.ones(1, dtype=bool), block_norms(row, q))[0]
@@ -344,13 +345,13 @@ def zero_set(f: BochnerElement, tol: float | None = None, q: float = 2.0) -> fro
     tol defaults to DEFAULT_ZERO_TOL relative to the largest block norm,
     since elements come from floating-point arithmetic.
     """
-    if not q >= 1.0:
-        raise BadSpec(f"q must be >= 1, got {q}")
+    if not (_is_number(q) and q >= 1.0):
+        raise BadSpec(f"q must be >= 1, got {q!r}")
     b = block_norms(f.blocks, q)
     if tol is None:
         tol = DEFAULT_ZERO_TOL * (float(b.max()) if b.size else 0.0)
-    elif not tol >= 0.0:
-        raise BadSpec(f"tol must be >= 0, got {tol}")
+    elif not (_is_number(tol) and tol >= 0.0):
+        raise BadSpec(f"tol must be >= 0, got {tol!r}")
     return frozenset(int(i) for i in np.nonzero(b <= tol)[0])
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .blockspace import DEFAULT_TOL, SpaceSpec, _is_int, _is_number, _norm_rows, outcome
 from .errors import BjlabError, ConfigError
-from .ortho import _approx_checks, _exact_checks, _route_checks, epsilon_value, tol_value
+from .ortho import _approx_checks, _exact_checks, _route_checks, epsilon_value
 from .preserver import (
     AtomPartition,
     ScalingOperator,
@@ -88,8 +88,8 @@ class ExperimentConfig:
     epsilons: tuple[float, ...] = ()
     partition: AtomPartition | None = None
     factors: tuple[float, ...] | None = None
-    tol: float = DEFAULT_TOL
     out: str | None = None
+    tol = DEFAULT_TOL  # every verdict's tolerance, readable but not a field a config sets
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -100,7 +100,6 @@ class ExperimentConfig:
             raise ConfigError(f"seed: must be a non-negative 64-bit integer, got {self.seed!r}")
         object.__setattr__(self, "epsilons", _value("epsilons", _numbers, self.epsilons,
                                                     epsilon_value))
-        object.__setattr__(self, "tol", _value("tol", tol_value, self.tol))
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out: must be a path string or null, got {self.out!r}")
         if self.factors is not None:
@@ -146,7 +145,7 @@ _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
     """Parse a JSON config.  Unknown keys and malformed values raise a
-    ConfigError naming the key; absent optional keys default (tol=DEFAULT_TOL)."""
+    ConfigError naming the key; absent optional keys take their defaults."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -211,9 +210,9 @@ def _check_stack(cfg: ExperimentConfig, rngs, eps):
     xs, ys = _draw_pairs(cfg.spec, rngs)
     nx, ny = _norm_rows(xs, cfg.spec)[1], _norm_rows(ys, cfg.spec)[1]
     if eps is None:
-        verdict, margin, boundary, _ = _exact_checks(xs, ys, nx, ny, cfg.spec, cfg.tol)
+        verdict, margin, boundary, _ = _exact_checks(xs, ys, nx, ny, cfg.spec)
     else:
-        verdict, margin, boundary, _ = _approx_checks(xs, ys, nx, ny, eps, cfg.spec, cfg.tol)
+        verdict, margin, boundary, _ = _approx_checks(xs, ys, nx, ny, eps, cfg.spec)
     return ((0.0 if eps is None else eps, verdict.tolist(), margin.tolist(), "none", "", "",
              boundary.tolist()), outcome(verdict, boundary).tolist())
 
@@ -222,7 +221,7 @@ def _sip_stack(cfg: ExperimentConfig, rngs, eps):
     """Random (not constructed) pairs: the direct check and the semi-inner
     product criterion must agree outside the cross-route band."""
     xs, ys = _draw_elements(cfg.spec, rngs, 2)
-    (dv, dm, db, _), (cv, cm, cb, _) = _route_checks(xs, ys, eps, cfg.spec, cfg.tol)
+    (dv, dm, db, _), (cv, cm, cb, _) = _route_checks(xs, ys, eps, cfg.spec)
     boundary = db | cb | (np.abs(cm) < CROSS_ROUTE_BAND)
     return ((eps, dv.tolist(), dm.tolist(), "sip", cv.tolist(), cm.tolist(), boundary.tolist()),
             outcome(dv == cv, boundary).tolist())
@@ -236,13 +235,13 @@ def _axiom_stack(cfg: ExperimentConfig, rngs, eps):
     reports = _axiom_reports(F, G, H, ab[:, 0], ab[:, 1], cfg.spec)
     # the report's fields are the CSV's residual and scale columns, in order
     residuals = [[getattr(rep, f.name) for rep in reports] for f in fields(SipAxiomReport)]
-    ok = [rep.passes(cfg.tol) for rep in reports]
+    ok = [rep.passes() for rep in reports]
     return (*ab.T.tolist(), *residuals, ok), outcome(np.array(ok), False).tolist()
 
 
 def _sweep_stack(cfg: ExperimentConfig, rngs, eps):
     route, (dv, dm, db, _), (sv, sm, sb, _) = preservation_trials(
-        cfg._operator(eps), eps, cfg.spec, rngs, cfg.tol)
+        cfg._operator(eps), eps, cfg.spec, rngs)
     boundary = db | sb
     return ((eps, dv.tolist(), dm.tolist(), route, sv.tolist(), sm.tolist(), boundary.tolist()),
             outcome(dv & sv, boundary).tolist())
@@ -295,7 +294,7 @@ def _run_isometry_test(cfg: ExperimentConfig):
         operator = cfg._operator(cfg.epsilons[0])
     rng = trial_rng(cfg.seed, 0)
     verdict, spread = is_scalar_multiple_of_isometry(
-        operator, cfg.spec, trials=cfg.trials, tol=cfg.tol, rng=rng)
+        operator, cfg.spec, trials=cfg.trials, rng=rng)
     return ISOMETRY_COLUMNS, [((verdict, spread, cfg.trials), "pass")]
 
 

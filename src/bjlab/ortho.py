@@ -50,13 +50,6 @@ def epsilon_value(eps) -> float:
     return float(eps)
 
 
-def tol_value(tol) -> float:
-    """tol as a float; raises BadSpec unless it is a positive finite number."""
-    if not (_is_number(tol) and 0.0 < tol < math.inf):
-        raise BadSpec(f"must be a positive finite number, got {tol!r}")
-    return float(tol)
-
-
 def _non_finite(value: float, alpha: float, overflowed: bool) -> str:
     """The NonFiniteValue message of an objective value at alpha that is not
     finite or whose Python float power overflowed."""
@@ -276,8 +269,7 @@ def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray
 
 
 def _one_sided_checks(objective, radius: np.ndarray, phi0: np.ndarray,
-                      at_zero: np.ndarray, level: np.ndarray, scale: np.ndarray,
-                      tol: float) -> tuple:
+                      at_zero: np.ndarray, level: np.ndarray, scale: np.ndarray) -> tuple:
     """Verdicts on min phi_i >= at_zero_i over [-radius_i, radius_i] for a
     stack of convex objectives, at_zero_i being the exact phi_i(0) and phi0_i
     the value evaluating gives: certified probes at level (objective as in
@@ -291,8 +283,8 @@ def _one_sided_checks(objective, radius: np.ndarray, phi0: np.ndarray,
         alpha[todo], val[todo] = _golden_sections(objective, todo, radius[todo], phi0[todo])
     # clamp at the exact value; as evaluated it can sit an ulp below
     margin = (_py_min(val, at_zero) - at_zero) / scale
-    boundary = (-BOUNDARY_BAND * tol < margin) & (margin < -ONE_SIDED_NOISE_FLOOR)
-    return margin >= -tol, margin, boundary, alpha
+    boundary = (-BOUNDARY_BAND * DEFAULT_TOL < margin) & (margin < -ONE_SIDED_NOISE_FLOOR)
+    return margin >= -DEFAULT_TOL, margin, boundary, alpha
 
 
 def _pair_rows(nx: np.ndarray, ny: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,7 +346,7 @@ def _squares(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def _exact_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
-                  ny: np.ndarray, spec: SpaceSpec, tol: float) -> tuple:
+                  ny: np.ndarray, spec: SpaceSpec) -> tuple:
     """is_bj_orthogonal of each pair of a (B, n, d) stack, given its rows'
     norms, as one columnar result (verdict, margin, boundary, alpha*)."""
     rows, radius = _pair_rows(nx, ny)
@@ -364,12 +356,11 @@ def _exact_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
         return _norm_rows(_line_points(X, Y, alphas, live), spec)[1], None
 
     return _exact_passes(len(xs), rows, _one_sided_checks(
-        norm_at, radius, norms, norms, (1.0 - ONE_SIDED_NOISE_FLOOR) * norms, norms, tol))
+        norm_at, radius, norms, norms, (1.0 - ONE_SIDED_NOISE_FLOOR) * norms, norms))
 
 
 def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
-                   ny: np.ndarray, eps: float, spec: SpaceSpec,
-                   tol: float) -> tuple:
+                   ny: np.ndarray, eps: float, spec: SpaceSpec) -> tuple:
     """is_approx_bj_orthogonal of each pair of a (B, n, d) stack, given its
     rows' norms, as one columnar result (verdict, margin, boundary, alpha*)."""
     rows, radius = _pair_rows(nx, ny)
@@ -394,7 +385,7 @@ def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
             return squares - nx2[live] + kink[live] * abs(alphas), overflowed
 
     return _exact_passes(len(xs), rows, _one_sided_checks(
-        gap, radius, psi0, np.zeros(len(rows)), -ONE_SIDED_NOISE_FLOOR * nx2, nx2, tol))
+        gap, radius, psi0, np.zeros(len(rows)), -ONE_SIDED_NOISE_FLOOR * nx2, nx2))
 
 
 def _first(result: tuple) -> CheckResult:
@@ -416,8 +407,7 @@ def _operands(x: BochnerElement, y: BochnerElement, spec: SpaceSpec
     return xs, ys, _norm_rows(xs, spec)[1], _norm_rows(ys, spec)[1]
 
 
-def is_bj_orthogonal(x: BochnerElement, y: BochnerElement, spec: SpaceSpec,
-                     tol: float = DEFAULT_TOL) -> CheckResult:
+def is_bj_orthogonal(x: BochnerElement, y: BochnerElement, spec: SpaceSpec) -> CheckResult:
     """Does ||x + a y|| >= ||x|| hold for every scalar a?
 
     Minimizes ||x + a y|| over |a| <= 4||x||/||y|| (any a with value <= ||x||
@@ -427,12 +417,11 @@ def is_bj_orthogonal(x: BochnerElement, y: BochnerElement, spec: SpaceSpec,
     (floor = ONE_SIDED_NOISE_FLOOR) skips the golden section.  Raises
     ZeroElement at x = 0.
     """
-    tol = tol_value(tol)
-    return _first(_exact_checks(*_operands(x, y, spec), spec, tol))
+    return _first(_exact_checks(*_operands(x, y, spec), spec))
 
 
 def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
-                            spec: SpaceSpec, tol: float = DEFAULT_TOL) -> CheckResult:
+                            spec: SpaceSpec) -> CheckResult:
     """Does ||x + a y||^2 >= ||x||^2 - 2 eps ||x|| ||a y|| hold for every a?
 
     Minimizes the convex gap psi(a) = ||x + a y||^2 - ||x||^2
@@ -441,8 +430,7 @@ def is_approx_bj_orthogonal(x: BochnerElement, y: BochnerElement, eps,
     A pair whose probes certify min psi >= -floor ||x||^2
     (floor = ONE_SIDED_NOISE_FLOOR) skips the golden section.
     """
-    eps, tol = epsilon_value(eps), tol_value(tol)
-    return _first(_approx_checks(*_operands(x, y, spec), eps, spec, tol))
+    return _first(_approx_checks(*_operands(x, y, spec), epsilon_value(eps), spec))
 
 
 def _support_operands(x: BochnerElement, y: BochnerElement, spec: SpaceSpec
@@ -482,7 +470,7 @@ def _certificates(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
 
 def _certificate_checks(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
                         nx: np.ndarray, by: np.ndarray, ny: np.ndarray,
-                        eps: float, spec: SpaceSpec, tol: float) -> tuple:
+                        eps: float, spec: SpaceSpec) -> tuple:
     """certificate_check of each pair of a (B, n, d) stack with nonzero x
     rows, given _norm_rows of both stacks, as one columnar result (verdict,
     margin, boundary, certificate blocks).  Raises NonFiniteValue when a
@@ -492,18 +480,19 @@ def _certificate_checks(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
         raise NonFiniteValue("functional contains non-finite entries")
     y0 = ny == 0.0  # y = 0 passes exactly: mcv and the margin are 0 there
     margin = (eps * ny - mcv) / np.where(y0, 1.0, ny)
-    return margin >= -tol, margin, ~y0 & (np.abs(margin) < BOUNDARY_BAND * tol), T
+    return (margin >= -DEFAULT_TOL, margin,
+            ~y0 & (np.abs(margin) < BOUNDARY_BAND * DEFAULT_TOL), T)
 
 
-def _route_checks(xs: np.ndarray, ys: np.ndarray, eps: float, spec: SpaceSpec,
-                  tol: float) -> tuple[tuple, tuple]:
+def _route_checks(xs: np.ndarray, ys: np.ndarray, eps: float,
+                  spec: SpaceSpec) -> tuple[tuple, tuple]:
     """The columnar results of is_approx_bj_orthogonal and certificate_check
     on each pair of a (B, n, d) stack; the direct checks run first, so an
     x = 0 row raises their ZeroElement."""
     bx, nx = _norm_rows(xs, spec)
     by, ny = _norm_rows(ys, spec)
-    return (_approx_checks(xs, ys, nx, ny, eps, spec, tol),
-            _certificate_checks(xs, ys, bx, nx, by, ny, eps, spec, tol))
+    return (_approx_checks(xs, ys, nx, ny, eps, spec),
+            _certificate_checks(xs, ys, bx, nx, by, ny, eps, spec))
 
 
 def min_certificate_value(x: BochnerElement, y: BochnerElement,
@@ -522,16 +511,16 @@ def min_certificate_value(x: BochnerElement, y: BochnerElement,
 
 
 def certificate_check(x: BochnerElement, y: BochnerElement, eps,
-                      spec: SpaceSpec, tol: float = DEFAULT_TOL) -> CheckResult:
+                      spec: SpaceSpec) -> CheckResult:
     """Certificate route: approximate orthogonality holds iff some norm-one T
     with T(x) = ||x|| has |T(y)| <= eps ||y||.
 
     margin = (eps ||y|| - min |T(y)|)/||y||; the certificate field carries a
     T attaining the minimum.
     """
-    eps, tol = epsilon_value(eps), tol_value(tol)
+    eps = epsilon_value(eps)
     xs, ys, bx, nx = _support_operands(x, y, spec)
-    return _first(_certificate_checks(xs, ys, bx, nx, *_norm_rows(ys, spec), eps, spec, tol))
+    return _first(_certificate_checks(xs, ys, bx, nx, *_norm_rows(ys, spec), eps, spec))
 
 
 def _partners(xs: np.ndarray, zs: np.ndarray, bx: np.ndarray, nx: np.ndarray,

@@ -28,7 +28,7 @@ from .blockspace import (
     check_shape,
 )
 from .errors import UnsupportedExponent
-from .ortho import certificate_check, tol_value
+from .ortho import certificate_check
 
 
 def _require_smooth_lp(spec: SpaceSpec):
@@ -77,8 +77,8 @@ class SipAxiomReport:
                     self.cauchy_schwarz, self.norm_compatibility)
         return worst / self.scale
 
-    def passes(self, tol: float = DEFAULT_TOL) -> bool:
-        return self.max_relative() <= tol_value(tol)
+    def passes(self) -> bool:
+        return self.max_relative() <= DEFAULT_TOL
 
 
 def _axiom_reports(F: np.ndarray, G: np.ndarray, H: np.ndarray, a: np.ndarray,
@@ -119,7 +119,7 @@ def sip_axiom_report(f: BochnerElement, g: BochnerElement, h: BochnerElement,
 
 
 def sip_orthogonality_criterion(x: BochnerElement, y: BochnerElement, eps,
-                                spec: SpaceSpec, tol: float = DEFAULT_TOL) -> CheckResult:
+                                spec: SpaceSpec) -> CheckResult:
     """Smooth-space criterion: x approximately orthogonal to y iff
     |[y, x]| <= eps ||x|| ||y||.  Note the order: x sits in the second slot.
 
@@ -127,4 +127,4 @@ def sip_orthogonality_criterion(x: BochnerElement, y: BochnerElement, eps,
     certificate_check for p > 1, with margin (eps ||y|| - |T_x(y)|)/||y||.
     """
     _require_smooth_lp(spec)
-    return certificate_check(x, y, eps, spec, tol)
+    return certificate_check(x, y, eps, spec)

@@ -152,7 +152,7 @@ def test_criterion_5_giles_axiom_grid():
     for k, (p, q) in enumerate(product((1.5, 2.0, 3.0, 4.0), (1.5, 2.0, 3.0))):
         spec = SpaceSpec(p, q, 3, 2, (1.0, 0.5, 2.0))
         # the cell's samples drawn from its one generator in turn: f, g and
-        # h as random_element(min_norm=0) draws them, then (a, b)
+        # h as _draw_elements(min_norm=0) draws them, then (a, b)
         rng = trial_rng(1005, k)
         F, G, H = (np.empty((samples, spec.n, spec.d)) for _ in range(3))
         ab = np.empty((samples, 2))
@@ -242,8 +242,8 @@ def test_criterion_6b_eps_zero_matches_exact_check():
     for k, spec in enumerate((SpaceSpec(1, 2, 4, 2, (1.0, 2.0, 0.5, 1.0)),
                               SpaceSpec(2.5, 1.5, 4, 2, (1.0, 0.3, 1.5, 2.0)))):
         def checks(xs, ys, nx, ny, spec=spec):
-            return (_exact_checks(xs, ys, nx, ny, spec, TOL),
-                    _approx_checks(xs, ys, nx, ny, 0.0, spec, TOL))
+            return (_exact_checks(xs, ys, nx, ny, spec),
+                    _approx_checks(xs, ys, nx, ny, 0.0, spec))
 
         done = 0
         for *_, exact, approx in _checked_stream(spec, 1007 + k, 10_000, checks):
@@ -273,7 +273,7 @@ def test_criterion_6c_hilbert_reduction():
     compared = 0
     for x, y, nx, ny, res in _checked_stream(
             spec, 1008, 20_000,
-            lambda xs, ys, nx, ny: (_exact_checks(xs, ys, nx, ny, spec, TOL),)):
+            lambda xs, ys, nx, ny: (_exact_checks(xs, ys, nx, ny, spec),)):
         dot = float(spec.mu @ np.einsum("ij,ij->i", x, y))
         # the stacked norms have the bits of bochner_norm on each element
         stat = abs(dot) / (nx * ny)

@@ -49,6 +49,9 @@ def test_inner_norm_rejects_bad_input():
         inner_norm([1.0], 0.5)
     with pytest.raises(BadSpec):
         inner_norm([1.0, 2.0], math.nan)
+    for q in ("2", True):
+        with pytest.raises(BadSpec, match="q must be >= 1"):
+            inner_norm([1.0, 2.0], q)
     with pytest.raises(NonFiniteValue):
         inner_norm([np.nan, 1.0], 2.0)
 
@@ -106,6 +109,9 @@ def test_duality_map_errors():
         inner_duality_map([1.0, 2.0], math.inf)
     with pytest.raises(BadSpec):
         inner_duality_map([1.0, 2.0], math.nan)
+    for q in ("2", True):
+        with pytest.raises(BadSpec, match="q must be > 1"):
+            inner_duality_map([1.0, 2.0], q)
 
 
 @given(st.lists(st.floats(-20, 20), min_size=2, max_size=4),
@@ -176,10 +182,10 @@ def test_zero_set_examples():
     assert zero_set(g) == {0}  # default: relative to the largest block
     z = BochnerElement(np.zeros((3, 2)))
     assert zero_set(z, tol=0.0) == {0, 1, 2}
-    for tol in (-1e-12, math.nan):
+    for tol in (-1e-12, math.nan, "0"):
         with pytest.raises(BadSpec):
             zero_set(f, tol=tol)
-    for q in (math.nan, 0.5):
+    for q in (math.nan, 0.5, "2"):
         with pytest.raises(BadSpec, match="q must be >= 1"):
             zero_set(f, q=q)
 

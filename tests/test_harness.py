@@ -14,6 +14,7 @@ from bjlab import (
     preservation_trial,
     run,
 )
+from bjlab.blockspace import DEFAULT_TOL
 from bjlab.cli import main
 from bjlab.harness import trial_rng
 
@@ -35,7 +36,7 @@ def config_text(mode=None, **extra):
 def test_parse_minimal_config_fills_defaults():
     cfg = parse_config(config_text("check-ortho"))
     assert cfg.mode == "check-ortho"
-    assert cfg.tol == 1e-9
+    assert cfg.tol == DEFAULT_TOL == 1e-9
     assert cfg.epsilons == ()
     assert cfg.spec == SpaceSpec(1, 2, 4, 2, (1.0,) * 4)
 
@@ -43,6 +44,9 @@ def test_parse_minimal_config_fills_defaults():
 def test_parse_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config key"):
         parse_config(config_text("check-ortho", tollerance=1e-9))
+    # every verdict is decided at DEFAULT_TOL; no config sets its own
+    with pytest.raises(ConfigError, match=r"^unknown config key\(s\): tol$"):
+        parse_config(config_text("check-ortho", tol=1e-9))
     with pytest.raises(ConfigError, match="spec: unknown key"):
         parse_config(json.dumps({**MINIMAL, "mode": "check-ortho",
                                  "spec": {**MINIMAL["spec"], "r": 3}}))
@@ -111,12 +115,10 @@ def with_spec(**changes):
 SMOOTH = with_spec(p=3)
 
 
-@pytest.mark.parametrize("mode,key,extra", [
+MALFORMED_OR_UNREAD = [
     # malformed values
     ("check-approx", "epsilons", {"epsilons": 5}),
     ("check-approx", "epsilons", {"epsilons": ["a"]}),
-    ("check-ortho", "tol", {"tol": "x"}),
-    ("check-ortho", "tol", {"tol": None}),
     ("isometry-test", "factors", {"factors": 5}),
     ("isometry-test", "factors", {"factors": ["a", 1, 1, 1]}),
     ("check-ortho", "spec", with_spec(weights=5)),
@@ -145,10 +147,7 @@ SMOOTH = with_spec(p=3)
     # epsilons that are not a list of numbers (5 is the first probe above)
     ("check-approx", "epsilons", {"epsilons": "0.1"}),
     ("check-approx", "epsilons", {"epsilons": [[0.1]]}),
-    # bools and numeric strings are not numbers; tol = true would pass
-    # every verdict
-    ("check-ortho", "tol", {"tol": True}),
-    ("check-ortho", "tol", {"tol": "1e-9"}),
+    # bools and numeric strings are not numbers
     ("check-approx", "epsilons", {"epsilons": [True]}),
     ("check-ortho", "spec", with_spec(p="3")),
     ("check-ortho", "spec", with_spec(p=True)),
@@ -157,7 +156,15 @@ SMOOTH = with_spec(p=3)
     ("check-ortho", "spec", with_spec(weights=[1, "2", 1, 1])),
     ("isometry-test", "factors", {"factors": [1, True, 1, 1]}),
     ("isometry-test", "factors", {"factors": [1, "2", 1, 1]}),
-])
+]
+# Each case keeps a fixed number, not its position, in its test id, so
+# deleting a case renames no other; 2, 3, 28 and 29 are retired.
+CASE_NUMBERS = [0, 1, *range(4, 28), *range(30, 38)]
+
+
+@pytest.mark.parametrize("mode,key,extra", MALFORMED_OR_UNREAD, ids=[
+    f"{mode}-{key}-extra{number}"
+    for number, (mode, key, _) in zip(CASE_NUMBERS, MALFORMED_OR_UNREAD, strict=True)])
 def test_malformed_or_unread_values_are_config_errors(mode, key, extra):
     with pytest.raises(ConfigError, match=f"^{key}: "):
         parse_config(config_text(mode, **extra))
@@ -327,6 +334,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["preserver-sweep", "--config", str(degenerate)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("bjlab: error: DegenerateDraw: ") and "Traceback" not in err
+
+    # 1e308 I is a scalar multiple of an isometry whose random probes'
+    # images leave the float range: a typed error, not a NaN spread
+    huge = tmp_path / "huge.json"
+    huge.write_text(config_text(
+        "isometry-test", factors=[1e308] * 3,
+        **with_spec(p=2, n=3, weights=[1, 1, 1])), encoding="utf-8")
+    assert main(["isometry-test", "--config", str(huge)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bjlab: error: NonFiniteValue: ") and "Traceback" not in err
 
     assert main(["check-ortho", "--config", str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()

@@ -8,6 +8,7 @@ from bjlab import (
     AtomPartition,
     BadSpec,
     BochnerElement,
+    NonFiniteValue,
     ScalingOperator,
     ShapeMismatch,
     SpaceSpec,
@@ -29,8 +30,6 @@ from bjlab.harness import trial_rng
 from conftest import rng_for
 
 L1_SEQ3 = SpaceSpec.sequence(1, 2, 3, 2)
-# tolerances that would give a silent verdict: none is a positive finite number
-BAD_TOLS = (math.nan, -1.0, 0.0, math.inf, True, "1e-9")
 
 
 def test_atom_partition_validation():
@@ -43,6 +42,9 @@ def test_atom_partition_validation():
         AtomPartition((0, 1, 2), 3)  # complement empty
     with pytest.raises(BadSpec):
         AtomPartition((3,), 3)
+    for indices in (5, [[0]], ["0"], [True]):
+        with pytest.raises(BadSpec, match="partition indices"):
+            AtomPartition(indices, 4)
     for n in (2.5, "4", True):
         with pytest.raises(BadSpec, match="partition size"):
             AtomPartition((0,), n)
@@ -150,6 +152,9 @@ def test_apply_operator_linearity_and_errors():
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
     with pytest.raises(ShapeMismatch):
         apply_operator(U, BochnerElement(np.zeros((4, 2))))
+    # an image entry beyond the float range is a typed error, not a warning
+    with pytest.raises(NonFiniteValue, match="^element contains non-finite entries$"):
+        apply_operator(ScalingOperator([1e308] * 3), BochnerElement(np.full((3, 2), 3.0)))
 
 
 def test_operator_boundedness_on_random_elements():
@@ -193,9 +198,6 @@ def test_isometry_detector_on_scalar_multiples():
     for trials in (1, 2.5, "3", True):
         with pytest.raises(BadSpec, match="at least 2 random trials"):
             is_scalar_multiple_of_isometry(ScalingOperator(np.ones(4)), spec, trials=trials)
-    for tol in BAD_TOLS:
-        with pytest.raises(BadSpec, match="positive finite number"):
-            is_scalar_multiple_of_isometry(ScalingOperator(np.ones(4)), spec, tol=tol)
 
 
 def test_isometry_detector_rejects_u_eps_operators():
@@ -270,10 +272,14 @@ def test_trial_rejects_mismatched_operator():
     with pytest.raises(ShapeMismatch):
         preservation_trial(U, 0.5, SpaceSpec.sequence(1, 2, 4, 3),
                            trial_rng(1, 0))
-    # a bad tol would give a silent verdict
-    for tol in BAD_TOLS:
-        with pytest.raises(BadSpec, match="positive finite number"):
-            preservation_trial(U, 0.5, spec, trial_rng(1, 0), tol=tol)
+
+
+def test_trial_raises_a_typed_error_when_the_image_overflows():
+    # 1e308 I is a scalar multiple of an isometry, but the image of a
+    # Gaussian pair leaves the float range
+    spec = SpaceSpec.sequence(3, 2, 4, 2)
+    with pytest.raises(NonFiniteValue, match="^element contains non-finite entries$"):
+        preservation_trial(ScalingOperator([1e308] * 4), 0.5, spec, trial_rng(1, 0))
 
 
 def test_l1_operator_epsilon_is_meaningfully_used():

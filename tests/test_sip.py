@@ -1,12 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from bjlab import (
-    BadSpec,
     BochnerElement,
     NotSmooth,
     SpaceSpec,
@@ -73,9 +70,6 @@ def test_axiom_report_zero_sample():
     assert rep.cauchy_schwarz == 0.0
     assert rep.norm_compatibility == 0.0
     assert rep.scale == 1.0
-    for tol in (math.nan, -1.0, 0.0):
-        with pytest.raises(BadSpec, match="positive finite number"):
-            rep.passes(tol)
 
 
 @given(spec_with_elements(count=3, nonzero_first=False, ps=(2.0,), qs=(2.0,)),
@@ -92,7 +86,7 @@ def test_axiom_report_hilbert_case_is_exact(data, a, b):
 def test_axiom_report_non_hilbert(data, a, b):
     spec, f, g, h = data
     rep = sip_axiom_report(f, g, h, a, b, spec)
-    assert rep.passes(1e-9), rep
+    assert rep.passes(), rep
 
 
 @given(spec_with_elements(count=2, **SMOOTH),

@@ -1,9 +1,11 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import bjlab
 
 PACKAGE = Path(bjlab.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -74,3 +76,34 @@ def test_no_oracle_is_left_unreferenced():
     referenced = referenced_names(sorted(tests.glob("*.py")))
     assert [name for name in top_level_definitions(tests / "oracles.py")
             if name not in referenced] == []
+
+
+def config_reads(path: Path) -> set[str]:
+    """Every attribute a module reads from a name `cfg`: cfg.<name>."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "cfg"}
+
+
+def test_every_name_perfbench_reads_is_defined():
+    # perfbench wraps package functions and reads config attributes from
+    # outside the package; a name gone from the package fails every
+    # benchmark run, so it fails here first
+    spec = importlib.util.spec_from_file_location("spans", REPO / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)  # standard library only
+    missing = []
+    for module, attribute in (target for targets in spans.LAYERS.values()
+                              for target in targets):
+        owner = importlib.import_module(module)
+        for part in attribute.split("."):
+            owner = getattr(owner, part, None)
+        if owner is None:
+            missing.append(f"{module}.{attribute}")
+    reads = config_reads(REPO / "perfbench" / "worker.py")
+    assert {"mode", "seed", "tol"} <= reads
+    cfg = bjlab.parse_config((REPO / "scripts" / "configs" / "l1_sweep.json")
+                             .read_text(encoding="utf-8"))
+    assert cfg.mode == "preserver-sweep"
+    missing += [f"cfg.{name}" for name in sorted(reads) if not hasattr(cfg, name)]
+    assert missing == []

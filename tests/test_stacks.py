@@ -20,6 +20,7 @@ from bjlab import (
     ScalingOperator,
     SpaceSpec,
     bochner_norm,
+    draw_orthogonal_pair,
     parse_config,
     preservation_trial,
     preservation_trials,
@@ -149,8 +150,8 @@ def checked_streams(streams) -> list:
         for start in range(0, len(xs), size):
             x, y = xs[start:start + size], ys[start:start + size]
             nx, ny = ortho._norm_rows(x, spec)[1], ortho._norm_rows(y, spec)[1]
-            checks = (ortho._exact_checks(x, y, nx, ny, spec, 1e-9),
-                      *(ortho._approx_checks(x, y, nx, ny, eps, spec, 1e-9)
+            checks = (ortho._exact_checks(x, y, nx, ny, spec),
+                      *(ortho._approx_checks(x, y, nx, ny, eps, spec)
                         for eps in (0.0, 0.3)))
             results += [(verdict, bits(margin), bits(alpha), boundary)
                         for row in zip(*(zip(*check) for check in checks), strict=True)
@@ -229,6 +230,26 @@ def test_the_first_failing_golden_row_decides_the_error(monkeypatch):
         assert str(alone.value).startswith(message)
 
 
+def test_a_golden_row_that_finishes_first_leaves_the_others_running():
+    # alone, radius 1.0 takes 63 evaluations and a subnormal radius 35: in
+    # one stack the second row stops early and the first runs on, each with
+    # the scalar loop's bits
+    def phi(a):
+        return (a - 0.3) ** 2
+
+    radius = np.array([1.0, 3e-318])
+    evaluations = [0, 0]
+
+    def objective(alphas, rows):
+        for i in rows.tolist():
+            evaluations[i] += 1
+        return np.array([phi(a) for a in alphas.tolist()]), None
+
+    got = ortho._golden_sections(objective, [0, 1], radius, np.full(2, phi(0.0)))
+    assert described(zip(*got)) == described(reference_sections([phi, phi], radius.tolist()))
+    assert evaluations == [63, 35]
+
+
 def sweep_config(stem: str, trials: int):
     data = json.loads((CONFIGS / f"{stem}.json").read_text(encoding="utf-8"))
     return dataclasses.replace(parse_config(json.dumps(data)), trials=trials, out=None)
@@ -240,7 +261,7 @@ def assert_rows_match_reference(report, cfg):
         seed, index = map(int, row[col["seed"]].split(":"))
         eps = row[col["epsilon"]]
         ref = reference_sweep_row(cfg._operator(eps), eps, cfg.spec,
-                                  trial_rng(seed, index), cfg.tol)
+                                  trial_rng(seed, index))
         got = (row[col["direct_verdict"]], bits(row[col["direct_margin"]]),
                row[col["second_verdict"]], bits(row[col["second_margin"]]),
                row[col["boundary"]])
@@ -276,8 +297,8 @@ def test_stacks_split_into_pieces_give_the_same_rows(monkeypatch):
     sizes = []
     stacked = preserver.preservation_trials
     monkeypatch.setattr(harness, "preservation_trials",
-                        lambda U, eps, spec, rngs, tol: sizes.append(len(rngs))
-                        or stacked(U, eps, spec, rngs, tol))
+                        lambda U, eps, spec, rngs: sizes.append(len(rngs))
+                        or stacked(U, eps, spec, rngs))
     report = run(cfg, echo=False)
     assert sizes == [7, 7, 6] * len(cfg.epsilons)
     assert report.csv_text() == whole
@@ -364,10 +385,10 @@ def mode_config(mode: str, space: str, trials: int, seed: int = 11):
 
 def reference_row(cfg, eps, rng) -> tuple:
     if cfg.mode == "sip":
-        return reference_sip_row(eps, cfg.spec, rng, cfg.tol)
+        return reference_sip_row(eps, cfg.spec, rng)
     if cfg.mode == "axioms":
-        return reference_axiom_row(cfg.spec, rng, cfg.tol)
-    return reference_check_row(eps, cfg.spec, rng, cfg.tol)
+        return reference_axiom_row(cfg.spec, rng)
+    return reference_check_row(eps, cfg.spec, rng)
 
 
 def typed_bits(values) -> list:
@@ -468,6 +489,51 @@ def test_a_stack_that_loses_rows_is_an_error(monkeypatch):
     monkeypatch.setattr(harness, "_draw_pairs", draw_dropping_rows)
     with pytest.raises(ValueError, match="shorter"):
         run(mode_config("check-ortho", "B", 5), echo=False)
+
+
+def test_a_stack_error_that_no_row_gives_alone_is_raised(monkeypatch):
+    # rerun one at a time, every row passes: the stack's own error stands
+    checks = harness._STACK_FUNCTIONS["check-ortho"]
+
+    def fails_in_stacks(cfg, rngs, eps):
+        if len(rngs) > 1:
+            raise DegenerateDraw("only in a stack")
+        return checks(cfg, rngs, eps)
+
+    monkeypatch.setitem(harness._STACK_FUNCTIONS, "check-ortho", fails_in_stacks)
+    with pytest.raises(DegenerateDraw, match="^only in a stack$"):
+        run(mode_config("check-ortho", "B", 5), echo=False)
+
+
+class CollapsingPartner:
+    """A generator whose first z draw repeats its x draw, so the first
+    partner projects to zero and the pair is drawn again."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def standard_normal(self, size=None, out=None):
+        if len(self.draws) == 1:
+            out[...] = self.draws[0]
+            values = out
+        else:
+            values = self.rng.standard_normal(size, out=out)
+        self.draws.append(values.copy())
+        return values
+
+
+def test_a_collapsed_partner_redraws_only_its_row():
+    spec = SpaceSpec.from_dict(SPACES["B"])
+
+    def rngs():
+        return [trial_rng(13, 0), CollapsingPartner(trial_rng(13, 1)), trial_rng(13, 2)]
+
+    stack = rngs()
+    xs, ys = preserver._draw_pairs(spec, stack)
+    assert len(stack[1].draws) == 4  # x and z, then x and z again
+    pairs = [draw_orthogonal_pair(spec, rng) for rng in rngs()]
+    assert xs.tobytes() == np.stack([x.blocks for x, _ in pairs]).tobytes()
+    assert ys.tobytes() == np.stack([y.blocks for _, y in pairs]).tobytes()
 
 
 def test_an_axiom_stack_raises_its_draw_error(monkeypatch):

@@ -5,7 +5,9 @@ Rows run in one loop over stacks of rows: every mode runs each stack
 through its draws and checks as (B, n, d) arrays.  Each row draws from its
 own counter-based generator (Philox keyed on (seed, row index)), so any row
 can be recomputed on its own and no row's output depends on the rows before
-it or on the stack it ran in.
+it or on the stack it ran in.  `trial_rng` defines a row's generator and
+builds it for a row rerun alone; a run hashes every row's key at once and
+re-keys a pool of generators for each stack (`streams`), to the same state.
 """
 
 from __future__ import annotations
@@ -186,10 +188,13 @@ class RunReport:
     summary: dict
 
     def csv_text(self) -> str:
-        lines = ["#v1 " + ",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
+        """A `#v1` header, then the rows; a column of floats prints "%.17g"."""
+        columns = list(zip(*self.rows))
+        floats = [all(isinstance(v, float) for v in values) for values in columns]
+        line = ",".join("%.17g" if f else "%s" for f in floats)
+        columns = [values if f else list(map(_fmt, values)) for values, f in zip(columns, floats)]
+        return "\n".join(["#v1 " + ",".join(self.columns),
+                          *(line % row for row in zip(*columns))]) + "\n"
 
 
 def _fmt(v) -> str:
@@ -261,18 +266,20 @@ def _trial_rows(cfg: ExperimentConfig) -> list[tuple[tuple, str]]:
     check-ortho and axioms), row k*trials + i seeded by (seed, that index),
     in stacks of max(1, STACK_ENTRIES // (n d)) rows.  Raises the error of
     the first row that fails, in that order."""
+    from .streams import philox_keys, stack_rngs  # imports numpy.random; import bjlab does not
     stack_function = _STACK_FUNCTIONS[cfg.mode]
     epsilons = cfg.epsilons or (None,)
     s = cfg.spec
     size = max(1, STACK_ENTRIES // (s.n * s.d))
+    keys = philox_keys(cfg.seed, np.arange(len(epsilons) * cfg.trials, dtype=np.uint64))
+    pool = []
     rows = []
     for k, eps in enumerate(epsilons):
         for start in range(0, cfg.trials, size):
             trials = range(start, min(start + size, cfg.trials))
-            indices = [k * cfg.trials + trial for trial in trials]
-            rngs = [trial_rng(cfg.seed, index) for index in indices]
+            indices = range(k * cfg.trials + trials.start, k * cfg.trials + trials.stop)
             try:
-                columns, outcomes = stack_function(cfg, rngs, eps)
+                columns, outcomes = stack_function(cfg, stack_rngs(keys, indices, pool), eps)
             except BjlabError:
                 # no row depends on its stack: rerun the rows one at a time,
                 # from fresh generators, up to the first that fails alone
@@ -295,7 +302,7 @@ def _run_isometry_test(cfg: ExperimentConfig):
     rng = trial_rng(cfg.seed, 0)
     verdict, spread = is_scalar_multiple_of_isometry(
         operator, cfg.spec, trials=cfg.trials, rng=rng)
-    return ISOMETRY_COLUMNS, [((verdict, spread, cfg.trials), "pass")]
+    return ISOMETRY_COLUMNS, [((verdict, spread, cfg.trials), str(outcome(verdict, False)))]
 
 
 def run(config: ExperimentConfig, echo: bool = True) -> RunReport:

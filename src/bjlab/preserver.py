@@ -262,7 +262,8 @@ def is_scalar_multiple_of_isometry(U: ScalingOperator, spec: SpaceSpec,
     hit every factor exactly), the two-level witness family over the
     operator's extreme-factor atoms on a log scalar grid, and random
     elements.  Returns (spread <= DEFAULT_TOL, spread) with
-    spread = (max ratio - min ratio)/max ratio.
+    spread = (max ratio - min ratio)/max ratio, or raises NonFiniteValue
+    when a probe's norm overflows or underflows so that spread is not finite.
     """
     _require_isometry_trials(trials)
     U.check_fits(spec)
@@ -282,7 +283,9 @@ def is_scalar_multiple_of_isometry(U: ScalingOperator, spec: SpaceSpec,
             ratios.append(_ratio(U, h_alpha_witness(alpha, part, x0, spec).blocks, spec))
     for _ in range(trials):
         ratios.append(_ratio(U, random_element(spec, rng).blocks, spec))
-    spread = (max(ratios) - min(ratios)) / max(ratios)
+    spread = (max(ratios) - min(ratios)) / max(ratios) if max(ratios) > 0.0 else np.nan
+    if not np.isfinite(spread):
+        raise NonFiniteValue(f"ratio spread {spread}: a probe's norm left the float range")
     return spread <= DEFAULT_TOL, spread
 
 

@@ -354,6 +354,32 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert err.startswith("bjlab: config error: seed: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("factors,code,outcome", [
+    ([2, 2, 2], 0, "pass"),  # a scalar multiple of the identity
+    ([1, 2, 1], 2, "fail"),
+    # images near 1e200 are finite, but their q = 2 norms overflow: no
+    # finite spread, so an error rather than a NaN in the summary
+    ([1e200] * 3, 2, None),
+    ([1e-320] * 3, 2, None),  # every image's norm underflows to 0
+])
+def test_cli_isometry_row_outcome_is_the_verdict(tmp_path, capsys, factors, code, outcome):
+    cfg = tmp_path / "iso.json"
+    cfg.write_text(config_text("isometry-test", factors=factors,
+                               **with_spec(p=2, n=3, weights=[1, 1, 1])), encoding="utf-8")
+    out = tmp_path / "iso.csv"
+    assert main(["isometry-test", "--config", str(cfg), "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    if outcome is None:
+        assert captured.err.startswith("bjlab: error: NonFiniteValue: ratio spread nan")
+        assert captured.out == ""
+        return
+    summary = json.loads(captured.out)
+    assert summary[outcome] == 1 and summary["pass"] + summary["fail"] == 1
+    verdict = out.read_text(encoding="utf-8").splitlines()[1].split(",")[0]
+    assert verdict == ("true" if outcome == "pass" else "false")
+    assert summary["scalar_multiple_of_isometry"] is (outcome == "pass")
+
+
 def test_cli_seed_and_out_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(config_text("check-ortho"), encoding="utf-8")

@@ -27,7 +27,7 @@ from bjlab import (
     run,
     u_eps_Lp,
 )
-from bjlab import blockspace, ortho, preserver
+from bjlab import blockspace, ortho, preserver, streams
 from bjlab.blockspace import outcome
 from bjlab.harness import trial_rng
 from conftest import rng_for
@@ -464,6 +464,11 @@ def test_a_mode_stack_raises_the_error_of_its_first_failing_row(monkeypatch, mod
     # check that can raise, so that mode has no failing row
     cfg = (mode_config(mode, "D", 5, seed=9) if mode == "preserver-sweep"
            else mode_config(mode, "B", 5))
+    # a stack draws from the pooled generators, a rerun row from trial_rng
+    stack_rngs = streams.stack_rngs
+    monkeypatch.setattr(streams, "stack_rngs", lambda keys, indices, pool: [
+        ScaledDraws(rng, factors[index]) if index in factors else rng
+        for index, rng in zip(indices, stack_rngs(keys, indices, pool), strict=True)])
     make = harness.trial_rng
     monkeypatch.setattr(harness, "trial_rng", lambda seed, index: (
         ScaledDraws(make(seed, index), factors[index]) if index in factors

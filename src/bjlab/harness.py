@@ -1,18 +1,21 @@
 """Experiment runner: parses configs, seeds per-trial RNG streams, dispatches
 to the core modules, and emits deterministic CSV reports.
 
-Rows run in one loop over stacks of rows: every mode runs each stack
-through its draws and checks as (B, n, d) arrays.  Each row draws from its
-own counter-based generator (Philox keyed on (seed, row index)), so any row
-can be recomputed on its own and no row's output depends on the rows before
-it or on the stack it ran in.  `trial_rng` defines a row's generator and
-builds it for a row rerun alone; a run hashes every row's key at once and
-re-keys a pool of generators for each stack (`streams`), to the same state.
+Rows run in one loop over a run's row indices, in stacks of rows: every mode
+runs each stack through its draws and checks as (B, n, d) arrays, and a
+stack may hold the rows of several epsilons, each with its own.  Each row
+draws from its own counter-based generator (Philox keyed on (seed, row
+index)), so any row can be recomputed on its own and no row's output depends
+on the rows before it or on the stack it ran in.  `trial_rng` defines a
+row's generator and builds it for a row rerun alone; a run hashes every
+row's key at once and re-keys a pool of generators, kept from run to run,
+for each stack (`streams`), to the same state.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import dataclass, fields
 
@@ -26,9 +29,9 @@ from .preserver import (
     ScalingOperator,
     _draw_elements,
     _draw_pairs,
+    _preservation_stack,
     _require_isometry_trials,
     is_scalar_multiple_of_isometry,
-    preservation_trials,
     u_eps_L1,
     u_eps_l1,
     u_eps_Lp,
@@ -206,9 +209,11 @@ def _fmt(v) -> str:
 
 
 # A stack function measures the rows of a list of generators, one row per
-# generator: their columns after the shared (trial, seed, p, q, n, d) prefix,
-# each a list of one value per row or a value every row shares, and their
-# outcomes (pass | fail | boundary); or it raises a failing row's error.
+# generator, at eps: a float array of each row's epsilon, or None in the
+# modes without epsilons.  It returns their columns after the shared (trial,
+# seed, p, q, n, d) prefix, each a list of one value per row or a value every
+# row shares, and their outcomes (pass | fail | boundary); or it raises a
+# failing row's error.
 
 def _check_stack(cfg: ExperimentConfig, rngs, eps):
     """Draw an orthogonal pair per row and check it (exactly at eps None)."""
@@ -218,8 +223,8 @@ def _check_stack(cfg: ExperimentConfig, rngs, eps):
         verdict, margin, boundary, _ = _exact_checks(xs, ys, nx, ny, cfg.spec)
     else:
         verdict, margin, boundary, _ = _approx_checks(xs, ys, nx, ny, eps, cfg.spec)
-    return ((0.0 if eps is None else eps, verdict.tolist(), margin.tolist(), "none", "", "",
-             boundary.tolist()), outcome(verdict, boundary).tolist())
+    return ((0.0 if eps is None else eps.tolist(), verdict.tolist(), margin.tolist(), "none",
+             "", "", boundary.tolist()), outcome(verdict, boundary).tolist())
 
 
 def _sip_stack(cfg: ExperimentConfig, rngs, eps):
@@ -228,8 +233,8 @@ def _sip_stack(cfg: ExperimentConfig, rngs, eps):
     xs, ys = _draw_elements(cfg.spec, rngs, 2)
     (dv, dm, db, _), (cv, cm, cb, _) = _route_checks(xs, ys, eps, cfg.spec)
     boundary = db | cb | (np.abs(cm) < CROSS_ROUTE_BAND)
-    return ((eps, dv.tolist(), dm.tolist(), "sip", cv.tolist(), cm.tolist(), boundary.tolist()),
-            outcome(dv == cv, boundary).tolist())
+    return ((eps.tolist(), dv.tolist(), dm.tolist(), "sip", cv.tolist(), cm.tolist(),
+             boundary.tolist()), outcome(dv == cv, boundary).tolist())
 
 
 def _axiom_stack(cfg: ExperimentConfig, rngs, eps):
@@ -245,11 +250,14 @@ def _axiom_stack(cfg: ExperimentConfig, rngs, eps):
 
 
 def _sweep_stack(cfg: ExperimentConfig, rngs, eps):
-    route, (dv, dm, db, _), (sv, sm, sb, _) = preservation_trials(
-        cfg._operator(eps), eps, cfg.spec, rngs)
+    """Preservation trials, each epsilon's rows (a contiguous slice of the
+    stack) imaged by that epsilon's operator."""
+    cuts = [0, *(np.flatnonzero(eps[1:] != eps[:-1]) + 1).tolist(), len(eps)]
+    images = [(cfg._operator(float(eps[i])), slice(i, j)) for i, j in zip(cuts, cuts[1:])]
+    route, (dv, dm, db, _), (sv, sm, sb, _) = _preservation_stack(images, eps, cfg.spec, rngs)
     boundary = db | sb
-    return ((eps, dv.tolist(), dm.tolist(), route, sv.tolist(), sm.tolist(), boundary.tolist()),
-            outcome(dv & sv, boundary).tolist())
+    return ((eps.tolist(), dv.tolist(), dm.tolist(), route, sv.tolist(), sm.tolist(),
+             boundary.tolist()), outcome(dv & sv, boundary).tolist())
 
 
 _STACK_FUNCTIONS = {
@@ -260,37 +268,46 @@ _STACK_FUNCTIONS = {
     "preserver-sweep": _sweep_stack,
 }
 
+# Each thread's pool of the generators that runs re-key for their stacks
+# (streams.stack_rngs).  It outlives a run, so a later run re-keys generators
+# instead of building them, and holds as many as the largest stack run so far
+# in its thread; runs in two threads share no generator.
+_GENERATORS = threading.local()
+
 
 def _trial_rows(cfg: ExperimentConfig) -> list[tuple[tuple, str]]:
     """Rows in order: cfg.trials per epsilon (one pass without epsilons for
-    check-ortho and axioms), row k*trials + i seeded by (seed, that index),
-    in stacks of max(1, STACK_ENTRIES // (n d)) rows.  Raises the error of
-    the first row that fails, in that order."""
+    check-ortho and axioms), row k*trials + i seeded by (seed, that index).
+    One loop runs the rows in stacks of max(1, STACK_ENTRIES // (n d)) rows,
+    a stack holding the rows of one epsilon or of several.  Raises the error
+    of the first row that fails, in that order."""
     from .streams import philox_keys, stack_rngs  # imports numpy.random; import bjlab does not
     stack_function = _STACK_FUNCTIONS[cfg.mode]
-    epsilons = cfg.epsilons or (None,)
     s = cfg.spec
     size = max(1, STACK_ENTRIES // (s.n * s.d))
-    keys = philox_keys(cfg.seed, np.arange(len(epsilons) * cfg.trials, dtype=np.uint64))
-    pool = []
+    total = max(1, len(cfg.epsilons)) * cfg.trials
+    keys = philox_keys(cfg.seed, np.arange(total, dtype=np.uint64))
+    row_eps = np.repeat(cfg.epsilons, cfg.trials) if cfg.epsilons else None
+    pool = vars(_GENERATORS).setdefault("pool", [])
     rows = []
-    for k, eps in enumerate(epsilons):
-        for start in range(0, cfg.trials, size):
-            trials = range(start, min(start + size, cfg.trials))
-            indices = range(k * cfg.trials + trials.start, k * cfg.trials + trials.stop)
-            try:
-                columns, outcomes = stack_function(cfg, stack_rngs(keys, indices, pool), eps)
-            except BjlabError:
-                # no row depends on its stack: rerun the rows one at a time,
-                # from fresh generators, up to the first that fails alone
-                for index in indices:
-                    stack_function(cfg, [trial_rng(cfg.seed, index)], eps)
-                raise
-            # a column every row shares is given once
-            columns = [c if isinstance(c, list) else [c] * len(indices)
-                       for c in (list(trials), [f"{cfg.seed}:{i}" for i in indices],
-                                 s.p, s.q, s.n, s.d, *columns)]
-            rows += zip(zip(*columns, strict=True), outcomes, strict=True)
+    for start in range(0, total, size):
+        indices = range(start, min(start + size, total))
+        eps = None if row_eps is None else row_eps[indices.start:indices.stop]
+        try:
+            columns, outcomes = stack_function(cfg, stack_rngs(keys, indices, pool), eps)
+        except BjlabError:
+            # no row depends on its stack: rerun the rows one at a time,
+            # from fresh generators, up to the first that fails alone
+            for i, index in enumerate(indices):
+                stack_function(cfg, [trial_rng(cfg.seed, index)],
+                               None if eps is None else eps[i:i + 1])
+            raise
+        # a column every row shares is given once
+        columns = [c if isinstance(c, list) else [c] * len(indices)
+                   for c in ([i % cfg.trials for i in indices],
+                             [f"{cfg.seed}:{i}" for i in indices], s.p, s.q, s.n, s.d,
+                             *columns)]
+        rows += zip(zip(*columns, strict=True), outcomes, strict=True)
     return rows
 
 

@@ -208,7 +208,8 @@ def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray
     radius and phi_i(0).  Each row evaluates the points, and makes the float
     comparisons, of a golden section run on its own: -radius_i, radius_i,
     then the two inner points, then one point per step until its bracket is
-    GOLDEN_TOL * radius_i wide or GOLDEN_MAX_ITER steps have run.  It gets
+    GOLDEN_TOL * radius_i wide, stops shrinking (where that width underflows,
+    as on a subnormal radius) or GOLDEN_MAX_ITER steps have run.  It gets
     the best (alpha, phi_i(alpha)) over those points and 0.  Raises the
     NonFiniteValue of the first value found that is not finite.
     """
@@ -244,9 +245,9 @@ def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray
         width = b - a
         c, d = b - _INV_PHI * width, a + _INV_PHI * width
     fc, fd = f(c), f(d)
-    width_goal = GOLDEN_TOL * radius
+    width_goal, last = GOLDEN_TOL * radius, np.full(len(rows), math.inf)
     for k in range(GOLDEN_MAX_ITER):
-        done = (width <= width_goal)[live]
+        done = ((width <= width_goal) | ~(width < last))[live]
         if done.any():
             live = live[~done]
             if not len(live):
@@ -254,6 +255,7 @@ def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray
         # left: the minimum lies in [a, d], whose new inner point is c;
         # else in [c, b], whose new inner point is d
         left = fc < fd
+        last = width
         with np.errstate(over="ignore", invalid="ignore"):
             a, b = np.where(left, a, c), np.where(left, d, b)
             width = b - a
@@ -360,14 +362,16 @@ def _exact_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
 
 
 def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
-                   ny: np.ndarray, eps: float, spec: SpaceSpec) -> tuple:
+                   ny: np.ndarray, eps, spec: SpaceSpec) -> tuple:
     """is_approx_bj_orthogonal of each pair of a (B, n, d) stack, given its
-    rows' norms, as one columnar result (verdict, margin, boundary, alpha*)."""
+    rows' norms and eps (one float, or one per row), as one columnar result
+    (verdict, margin, boundary, alpha*)."""
     rows, radius = _pair_rows(nx, ny)
     a, b = _take(nx, rows), _take(ny, rows)
+    e = _take(np.broadcast_to(eps, nx.shape), rows)
     with np.errstate(over="ignore"):  # silent on Python floats
         nx2 = a * a
-        kink = 2.0 * eps * a * b
+        kink = 2.0 * e * a * b
     bad = ~((0.0 < nx2) & (nx2 < math.inf))  # nx * nx underflowed or overflowed
     if bad.any():
         raise NonFiniteValue(f"||x||^2 = {float(nx2[np.argmax(bad)])} is outside the float range")
@@ -470,11 +474,12 @@ def _certificates(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
 
 def _certificate_checks(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
                         nx: np.ndarray, by: np.ndarray, ny: np.ndarray,
-                        eps: float, spec: SpaceSpec) -> tuple:
+                        eps, spec: SpaceSpec) -> tuple:
     """certificate_check of each pair of a (B, n, d) stack with nonzero x
-    rows, given _norm_rows of both stacks, as one columnar result (verdict,
-    margin, boundary, certificate blocks).  Raises NonFiniteValue when a
-    certificate has an entry that is not finite."""
+    rows, given _norm_rows of both stacks and eps (one float, or one per
+    row), as one columnar result (verdict, margin, boundary, certificate
+    blocks).  Raises NonFiniteValue when a certificate has an entry that is
+    not finite."""
     mcv, T = _certificates(xs, ys, bx, nx, by, spec)
     if not np.isfinite(T).all():
         raise NonFiniteValue("functional contains non-finite entries")
@@ -484,11 +489,11 @@ def _certificate_checks(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
             ~y0 & (np.abs(margin) < BOUNDARY_BAND * DEFAULT_TOL), T)
 
 
-def _route_checks(xs: np.ndarray, ys: np.ndarray, eps: float,
+def _route_checks(xs: np.ndarray, ys: np.ndarray, eps,
                   spec: SpaceSpec) -> tuple[tuple, tuple]:
     """The columnar results of is_approx_bj_orthogonal and certificate_check
-    on each pair of a (B, n, d) stack; the direct checks run first, so an
-    x = 0 row raises their ZeroElement."""
+    on each pair of a (B, n, d) stack at eps (one float, or one per row); the
+    direct checks run first, so an x = 0 row raises their ZeroElement."""
     bx, nx = _norm_rows(xs, spec)
     by, ny = _norm_rows(ys, spec)
     return (_approx_checks(xs, ys, nx, ny, eps, spec),

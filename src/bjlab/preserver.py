@@ -83,11 +83,11 @@ class ScalingOperator:
         if not np.all(np.isfinite(self.factors) & (self.factors > 0.0)):
             raise BadSpec("all scaling factors must be positive and finite")
 
-    def _image(self, blocks: np.ndarray) -> np.ndarray:
-        """factors_i * blocks_i over (n, d) blocks or a (B, n, d) stack;
-        raises NonFiniteValue when an entry overflows."""
+    def _image(self, blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """factors_i * blocks_i over (n, d) blocks or a (B, n, d) stack, into
+        out when given; raises NonFiniteValue when an entry overflows."""
         with np.errstate(over="ignore"):  # an overflow is the error below
-            image = self.factors[:, None] * blocks
+            image = np.multiply(self.factors[:, None], blocks, out=out)
         if not np.isfinite(image).all():
             raise NonFiniteValue("element contains non-finite entries")
         return image
@@ -304,6 +304,20 @@ class TrialRecord:
                                    self.direct.boundary or self.second.boundary))
 
 
+def _preservation_stack(images, eps, spec: SpaceSpec, rngs) -> tuple[str, tuple, tuple]:
+    """The trials of preservation_trials on a stack whose rows may differ in
+    operator and eps: images holds (U, rows) pairs, their slices tiling the
+    stack, and eps is one float or one per row."""
+    spec.require_smooth_inner()  # the partner projection's, before any draw
+    xs, ys = _draw_pairs(spec, rngs)
+    ux, uy = np.empty_like(xs), np.empty_like(ys)
+    for U, rows in images:  # each U images a contiguous slice, a view
+        U._image(xs[rows], out=ux[rows])
+        U._image(ys[rows], out=uy[rows])
+    route = "certificate" if spec.p == 1.0 else "sip"  # the sip criterion for p > 1
+    return (route, *_route_checks(ux, uy, eps, spec))
+
+
 def preservation_trials(U: ScalingOperator, eps, spec: SpaceSpec,
                         rngs) -> tuple[str, tuple, tuple]:
     """preservation_trial on each generator of rngs in turn, run as one
@@ -314,11 +328,7 @@ def preservation_trials(U: ScalingOperator, eps, spec: SpaceSpec,
     and cannot be replayed.  harness.run reruns a failing stack row by row."""
     eps = epsilon_value(eps)
     U.check_fits(spec)
-    spec.require_smooth_inner()  # the partner projection's, before any draw
-    xs, ys = _draw_pairs(spec, rngs)
-    ux, uy = U._image(xs), U._image(ys)
-    route = "certificate" if spec.p == 1.0 else "sip"  # the sip criterion for p > 1
-    return (route, *_route_checks(ux, uy, eps, spec))
+    return _preservation_stack([(U, slice(None))], eps, spec, rngs)
 
 
 def preservation_trial(U: ScalingOperator, eps, spec: SpaceSpec,

@@ -272,9 +272,10 @@ def reference_minimize_convex_1d(phi, radius: float, tol: float = 1e-12,
     point at a time on Python floats: what each row of
     ortho._golden_sections must give, bit for bit.
 
-    tol is the terminal bracket width relative to radius.  Returns the best
-    (alpha, phi(alpha)) over all probe points, endpoints and 0 included, so
-    the reported value never exceeds any evaluated one.
+    tol is the terminal bracket width relative to radius; the loop also
+    stops once the bracket stops shrinking.  Returns the best (alpha,
+    phi(alpha)) over all probe points, endpoints and 0 included, so the
+    reported value never exceeds any evaluated one.
     """
     if not (radius > 0.0 and math.isfinite(radius)):
         raise BadSpec(f"radius must be positive and finite, got {radius}")
@@ -288,14 +289,15 @@ def reference_minimize_convex_1d(phi, radius: float, tol: float = 1e-12,
     c = b - _INV_PHI * (b - a)
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
-    width_goal = tol * radius
+    width_goal, last = tol * radius, math.inf
     for _ in range(max_iter):
         if fc < best_v:
             best_a, best_v = c, fc
         if fd < best_v:
             best_a, best_v = d, fd
-        if (b - a) <= width_goal:
+        if (b - a) <= width_goal or not (b - a) < last:
             break
+        last = b - a
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

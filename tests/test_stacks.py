@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -231,7 +232,7 @@ def test_the_first_failing_golden_row_decides_the_error(monkeypatch):
 
 
 def test_a_golden_row_that_finishes_first_leaves_the_others_running():
-    # alone, radius 1.0 takes 63 evaluations and a subnormal radius 35: in
+    # alone, radius 1.0 takes 63 evaluations and a subnormal radius 34: in
     # one stack the second row stops early and the first runs on, each with
     # the scalar loop's bits
     def phi(a):
@@ -247,7 +248,20 @@ def test_a_golden_row_that_finishes_first_leaves_the_others_running():
 
     got = ortho._golden_sections(objective, [0, 1], radius, np.full(2, phi(0.0)))
     assert described(zip(*got)) == described(reference_sections([phi, phi], radius.tolist()))
-    assert evaluations == [63, 35]
+    assert evaluations == [63, 34]
+
+
+def test_golden_section_stops_when_its_bracket_stops_shrinking():
+    # GOLDEN_TOL * 3e-318 underflows to 0, a width this bracket never
+    # reaches: it once ran all 200 steps (205 evaluations)
+    def phi(a):
+        return abs(a - 1e-318)
+
+    evaluations = []
+    got = ortho.minimize_convex_1d(lambda a: evaluations.append(a) or phi(a), 3e-318)
+    assert len(evaluations) <= 80
+    assert described([got]) == described([reference_minimize_convex_1d(phi, 3e-318)])
+    assert got == (1e-318, 0.0)
 
 
 def sweep_config(stem: str, trials: int):
@@ -290,17 +304,28 @@ def test_a_sweep_builds_no_per_row_objects(monkeypatch):
     assert built == []
 
 
+def stack_sizes(rows: int, size: int) -> list:
+    """The sizes of the stacks a run of `rows` rows takes, `size` at most."""
+    return [min(size, rows - start) for start in range(0, rows, size)]
+
+
+def recorded_stack_sizes(monkeypatch, mode: str) -> list:
+    """Patch mode's stack function to record the size of each stack."""
+    sizes = []
+    stack_function = harness._STACK_FUNCTIONS[mode]
+    monkeypatch.setitem(harness._STACK_FUNCTIONS, mode,
+                        lambda cfg, rngs, eps: sizes.append(len(rngs))
+                        or stack_function(cfg, rngs, eps))
+    return sizes
+
+
 def test_stacks_split_into_pieces_give_the_same_rows(monkeypatch):
     cfg = sweep_config("lp_sweep", 20)
     whole = run(cfg, echo=False).csv_text()
     monkeypatch.setattr(harness, "STACK_ENTRIES", 7 * cfg.spec.n * cfg.spec.d)
-    sizes = []
-    stacked = preserver.preservation_trials
-    monkeypatch.setattr(harness, "preservation_trials",
-                        lambda U, eps, spec, rngs: sizes.append(len(rngs))
-                        or stacked(U, eps, spec, rngs))
+    sizes = recorded_stack_sizes(monkeypatch, "preserver-sweep")
     report = run(cfg, echo=False)
-    assert sizes == [7, 7, 6] * len(cfg.epsilons)
+    assert sizes == stack_sizes(len(cfg.epsilons) * cfg.trials, 7)
     assert report.csv_text() == whole
     assert_rows_match_reference(report, cfg)
 
@@ -418,13 +443,9 @@ def test_mode_rows_equal_the_per_row_pipeline(monkeypatch, mode, space):
         assert report.summary[key] == outcomes.count(key)
     # stacks of 7 rows give the same CSV
     monkeypatch.setattr(harness, "STACK_ENTRIES", 7 * s.n * s.d)
-    sizes = []
-    stack_function = harness._STACK_FUNCTIONS[mode]
-    monkeypatch.setitem(harness._STACK_FUNCTIONS, mode,
-                        lambda cfg, rngs, eps: sizes.append(len(rngs))
-                        or stack_function(cfg, rngs, eps))
+    sizes = recorded_stack_sizes(monkeypatch, mode)
     assert run(cfg, echo=False).csv_text() == report.csv_text()
-    assert sizes == [7, 7, 7, 7, 2] * len(cfg.epsilons or (None,))
+    assert sizes == stack_sizes(len(cfg.epsilons or (None,)) * cfg.trials, 7)
 
 
 class ScaledDraws:
@@ -438,6 +459,20 @@ class ScaledDraws:
         values = self.rng.standard_normal(size, out=out)
         values *= self.factor
         return values
+
+
+def scaled_rows(monkeypatch, factors: dict):
+    """Patch a run's generators so row index draws ScaledDraws by
+    factors[index]: a stack draws from the pooled generators, a rerun row
+    from trial_rng."""
+    stack_rngs = streams.stack_rngs
+    monkeypatch.setattr(streams, "stack_rngs", lambda keys, indices, pool: [
+        ScaledDraws(rng, factors[index]) if index in factors else rng
+        for index, rng in zip(indices, stack_rngs(keys, indices, pool), strict=True)])
+    make = harness.trial_rng
+    monkeypatch.setattr(harness, "trial_rng", lambda seed, index: (
+        ScaledDraws(make(seed, index), factors[index]) if index in factors
+        else make(seed, index)))
 
 
 DEGENERATE = (DegenerateDraw, "^could not draw an element of usable norm$")
@@ -464,15 +499,7 @@ def test_a_mode_stack_raises_the_error_of_its_first_failing_row(monkeypatch, mod
     # check that can raise, so that mode has no failing row
     cfg = (mode_config(mode, "D", 5, seed=9) if mode == "preserver-sweep"
            else mode_config(mode, "B", 5))
-    # a stack draws from the pooled generators, a rerun row from trial_rng
-    stack_rngs = streams.stack_rngs
-    monkeypatch.setattr(streams, "stack_rngs", lambda keys, indices, pool: [
-        ScaledDraws(rng, factors[index]) if index in factors else rng
-        for index, rng in zip(indices, stack_rngs(keys, indices, pool), strict=True)])
-    make = harness.trial_rng
-    monkeypatch.setattr(harness, "trial_rng", lambda seed, index: (
-        ScaledDraws(make(seed, index), factors[index]) if index in factors
-        else make(seed, index)))
+    scaled_rows(monkeypatch, factors)
     error, message = expected
     with pytest.raises(error, match=message):
         run(cfg, echo=False)
@@ -480,6 +507,70 @@ def test_a_mode_stack_raises_the_error_of_its_first_failing_row(monkeypatch, mod
     monkeypatch.setattr(harness, "STACK_ENTRIES", 1)
     with pytest.raises(error, match=message):
         run(cfg, echo=False)
+
+
+def straddling_config(mode: str):
+    """Five rows at each of three epsilons, on space D."""
+    data = {"mode": mode, "spec": SPACES["D"], "trials": 5, "seed": 17,
+            "epsilons": [0.1, 0.3, 0.5]}
+    if mode == "preserver-sweep":
+        data["partition"] = [0, 1, 2]
+    return parse_config(json.dumps(data))
+
+
+@pytest.mark.parametrize("mode", ["preserver-sweep", "check-approx"])
+def test_a_stack_that_straddles_epsilons_gives_each_row_its_own(monkeypatch, mode):
+    # stacks of 4 rows: rows 4-7 hold the last row of eps 0.1 and the first
+    # three of 0.3, rows 8-11 the last two of 0.3 and the first two of 0.5
+    cfg = straddling_config(mode)
+    monkeypatch.setattr(harness, "STACK_ENTRIES", 4 * cfg.spec.n * cfg.spec.d)
+    sizes = recorded_stack_sizes(monkeypatch, mode)
+    report = run(cfg, echo=False)
+    assert sizes == [4, 4, 4, 3]
+    assert [row[6] for row in report.rows] == [0.1] * 5 + [0.3] * 5 + [0.5] * 5
+    if mode == "preserver-sweep":
+        assert_rows_match_reference(report, cfg)
+        return
+    for index, row in enumerate(report.rows):
+        values, _ = reference_check_row(row[6], cfg.spec, trial_rng(cfg.seed, index))
+        assert typed_bits(row[6:]) == typed_bits(values), row
+
+
+def test_a_straddling_stack_raises_the_error_of_its_first_failing_row(monkeypatch):
+    # in the stack of rows 4-7, rows 5 and 7 (both at eps 0.3) fail: the
+    # stack checks every row's ||x||^2 before any row's probes, so it raises
+    # row 7's error, but row 5 fails first when each row runs alone
+    cfg = straddling_config("preserver-sweep")
+    factors = {5: 2e153, 7: 1e200}
+    monkeypatch.setattr(harness, "STACK_ENTRIES", 4 * cfg.spec.n * cfg.spec.d)
+
+    def alone(index):
+        rng = ScaledDraws(trial_rng(cfg.seed, index), factors[index])
+        with pytest.raises(NonFiniteValue) as raised:
+            preservation_trial(cfg._operator(0.3), 0.3, cfg.spec, rng)
+        return str(raised.value)
+
+    assert re.match(MESSAGES[1e154], alone(5))
+    assert re.match(OVERFLOW[1], alone(7))
+    scaled_rows(monkeypatch, factors)
+    with pytest.raises(NonFiniteValue) as raised:
+        run(cfg, echo=False)
+    assert str(raised.value) == alone(5)
+
+
+def test_small_sweeps_run_as_one_stack_and_shipped_sweeps_in_few(monkeypatch):
+    # one stack per 1,365 rows at n d = 24, whatever the epsilons
+    sizes = recorded_stack_sizes(monkeypatch, "preserver-sweep")
+    data = {"mode": "preserver-sweep", "spec": SpaceSpec.sequence(1, 2, 8, 3).to_dict(),
+            "epsilons": [0.1, 0.3, 0.5, 0.7, 0.9], "trials": 30, "seed": 3}
+    run(parse_config(json.dumps(data)), echo=False)
+    assert sizes == [150]
+    sizes.clear()
+    cfg = sweep_config("l1_sweep", 1000)
+    run(cfg, echo=False)
+    rows = len(cfg.epsilons) * cfg.trials
+    assert len(sizes) == math.ceil(rows / 1365) == 4
+    assert sum(sizes) == rows
 
 
 def test_a_stack_that_loses_rows_is_an_error(monkeypatch):

@@ -7,13 +7,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bjlab
-from bjlab import parse_config, run
+from bjlab import harness, parse_config, run, streams
 from bjlab.harness import trial_rng
 from bjlab.streams import philox_keys, stack_rngs
 
@@ -72,6 +73,33 @@ def test_a_pooled_generator_left_mid_buffer_is_rekeyed_to_trial_rng():
     assert len(pool) == 6
     assert [plain_state(rng) for rng in longer] == [
         plain_state(trial_rng(seed, index)) for index in range(14, 20)]
+
+
+def test_a_later_run_rekeys_the_generators_an_earlier_run_built(monkeypatch):
+    def sweep(stem, trials):
+        return dataclasses.replace(parse_config((CONFIGS / f"{stem}.json").read_text()),
+                                   trials=trials, out=None)
+
+    monkeypatch.setattr(harness._GENERATORS, "pool", [], raising=False)
+    run(sweep("l1_sweep", 40), echo=False)  # one stack of 200 rows
+    built = []
+    philox = streams.Philox
+    monkeypatch.setattr(streams, "Philox", lambda *args: built.append(args) or philox(*args))
+    later = sweep("lp_sweep", 30)  # one stack of 150 rows
+    csv = run(later, echo=False).csv_text()
+    assert built == []
+    # the same CSV from a pool that starts empty
+    monkeypatch.setattr(harness._GENERATORS, "pool", [])
+    assert run(later, echo=False).csv_text() == csv
+    assert len(built) == 150
+    # a run in another thread starts from its own, empty pool
+    thread = threading.Thread(target=lambda: csvs.append(run(later, echo=False).csv_text()))
+    csvs = []
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert csvs == [csv]
+    assert len(built) == 300
 
 
 def test_stacks_call_no_seed_sequence(monkeypatch):

@@ -347,12 +347,16 @@ def zero_set(f: BochnerElement, tol: float | None = None, q: float = 2.0) -> fro
     """
     if not (_is_number(q) and q >= 1.0):
         raise BadSpec(f"q must be >= 1, got {q!r}")
-    b = block_norms(f.blocks, q)
-    if tol is None:
-        tol = DEFAULT_ZERO_TOL * (float(b.max()) if b.size else 0.0)
-    elif not (_is_number(tol) and tol >= 0.0):
+    if tol is not None and not (_is_number(tol) and tol >= 0.0):
         raise BadSpec(f"tol must be >= 0, got {tol!r}")
-    return frozenset(int(i) for i in np.nonzero(b <= tol)[0])
+    b = block_norms(f.blocks, q)
+    return frozenset(np.flatnonzero(~_nonzero_blocks(b) if tol is None else b <= tol).tolist())
+
+
+def _nonzero_blocks(b: np.ndarray) -> np.ndarray:
+    """The blocks above DEFAULT_ZERO_TOL times their element's largest block
+    norm, given block norms b with each element's blocks on the last axis."""
+    return b > DEFAULT_ZERO_TOL * b.max(axis=-1, keepdims=True, initial=0.0)
 
 
 def _duality_stack(stack: np.ndarray, b: np.ndarray, norms: np.ndarray,
@@ -363,7 +367,7 @@ def _duality_stack(stack: np.ndarray, b: np.ndarray, norms: np.ndarray,
     DEFAULT_ZERO_TOL (relative to the row's largest block norm) and zero
     blocks elsewhere.  A row f's support functional is w[:, None] * F, and
     [g, f] = ||f|| sum_i mu_i w_i F_i.g_i."""
-    active = b > DEFAULT_ZERO_TOL * b.max(axis=1, keepdims=True)
+    active = _nonzero_blocks(b)
     F = _duality_rows(stack.reshape(-1, spec.d), spec.q, active.ravel(), b.ravel())
     return (b / norms[:, None]) ** (spec.p - 1.0), F.reshape(stack.shape)
 

@@ -36,7 +36,7 @@ from .preserver import (
     u_eps_l1,
     u_eps_Lp,
 )
-from .sip import SipAxiomReport, _axiom_reports, _require_smooth_lp
+from .sip import _axiom_reports, _require_smooth_lp
 
 # The optional operand keys each mode reads.  isometry-test reads factors,
 # or epsilons and partition to build the sweep's operator.
@@ -239,14 +239,12 @@ def _sip_stack(cfg: ExperimentConfig, rngs, eps):
 
 def _axiom_stack(cfg: ExperimentConfig, rngs, eps):
     """Draw f, g, h and scalars (a, b) per row and measure the residuals of
-    the four semi-inner-product axioms on them."""
+    the four semi-inner-product axioms on them: the CSV's residual, scale and
+    pass columns."""
     F, G, H = _draw_elements(cfg.spec, rngs, 3, min_norm=0.0)
     ab = np.array([rng.standard_normal(2) for rng in rngs])
-    reports = _axiom_reports(F, G, H, ab[:, 0], ab[:, 1], cfg.spec)
-    # the report's fields are the CSV's residual and scale columns, in order
-    residuals = [[getattr(rep, f.name) for rep in reports] for f in fields(SipAxiomReport)]
-    ok = [rep.passes() for rep in reports]
-    return (*ab.T.tolist(), *residuals, ok), outcome(np.array(ok), False).tolist()
+    columns = _axiom_reports(F, G, H, ab[:, 0], ab[:, 1], cfg.spec)
+    return (*ab.T.tolist(), *(c.tolist() for c in columns)), outcome(columns[-1], False).tolist()
 
 
 def _sweep_stack(cfg: ExperimentConfig, rngs, eps):

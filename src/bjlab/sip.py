@@ -13,7 +13,7 @@ tests compare against the certificate value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -27,8 +27,8 @@ from .blockspace import (
     _norm_rows,
     check_shape,
 )
-from .errors import UnsupportedExponent
-from .ortho import certificate_check
+from .errors import NonFiniteValue, UnsupportedExponent
+from .ortho import _py_max, _squares, certificate_check
 
 
 def _require_smooth_lp(spec: SpaceSpec):
@@ -73,41 +73,52 @@ class SipAxiomReport:
     scale: float
 
     def max_relative(self) -> float:
-        worst = max(self.first_slot_linearity, self.second_slot_homogeneity,
-                    self.cauchy_schwarz, self.norm_compatibility)
-        return worst / self.scale
+        return float(_axiom_rule(*astuple(self))[0])
 
     def passes(self) -> bool:
-        return self.max_relative() <= DEFAULT_TOL
+        return bool(_axiom_rule(*astuple(self))[1])
+
+
+def _axiom_rule(lin, hom, cs, norm_gap, scale) -> tuple[np.ndarray, np.ndarray]:
+    """(max(lin, hom, cs, norm_gap) / scale, passes) of each sample, the max
+    taken in Python's order and passing at <= DEFAULT_TOL."""
+    relative = _py_max(_py_max(_py_max(lin, hom), cs), norm_gap) / scale
+    return relative, relative <= DEFAULT_TOL
+
+
+# Entries of NumPy's einsum buffer, which np.setbufsize does not change
+# (measured with NumPy 2.4.6): a call over rows of at most this many entries
+# gives each row the bits of its own np.einsum("ij,ij->"); a call over two
+# rows of (1500, 8) does not, and a call over one row does up to (4096, 8).
+EINSUM_BUFFER = 8192
 
 
 def _axiom_reports(F: np.ndarray, G: np.ndarray, H: np.ndarray, a: np.ndarray,
-                   b: np.ndarray, spec: SpaceSpec) -> list[SipAxiomReport]:
-    """sip_axiom_report of each sample of (B, n, d) stacks f, g, h and (B,)
-    scalars a, b: one weight kernel call for all 4B elements, then each
-    sample's full contractions on Python floats, which keep its bits."""
-    B = len(F)
+                   b: np.ndarray, spec: SpaceSpec) -> tuple[np.ndarray, ...]:
+    """SipAxiomReport's five columns and passes() of each sample of (B, n, d)
+    stacks f, g, h and (B,) scalars a, b, as (B,) arrays with the bits of the
+    sample alone: one weight kernel call for all 4B elements, and each
+    pairing one einsum per EINSUM_BUFFER // (n d) rows."""
     norms, W = _sip_weight_rows(np.concatenate((F, G, H, a[:, None, None] * G)), spec)
-    w_f, w_g, w_h, w_ag = W[:B], W[B:2 * B], W[2 * B:3 * B], W[3 * B:]
-    norms_f, norms_g, norms_h, _ = norms.reshape(4, B).tolist()
+    w_f, w_g, w_h, w_ag = W.reshape(4, *F.shape)
+    nf, ng, nh, _ = norms.reshape(4, -1)
+    rows = max(1, EINSUM_BUFFER // (spec.n * spec.d))
 
     def pair(w, blocks):
-        return float(np.einsum("ij,ij->", w, blocks))
+        return np.concatenate([np.einsum("bij,bij->b", w[k:k + rows], blocks[k:k + rows])
+                               for k in range(0, len(F), rows)])
 
-    reports = []
-    for k, (ak, bk, nf, ng, nh) in enumerate(zip(a.tolist(), b.tolist(),
-                                                norms_f, norms_g, norms_h)):
-        fb, gb, wh = F[k], G[k], w_h[k]
-        fg = pair(w_g[k], fb)
-        scale = (1.0 + nf) * (1.0 + ng) * (1.0 + nh) * (1.0 + abs(ak) + abs(bk)) ** 2
-        lin = abs(pair(wh, ak * fb + bk * gb) - ak * pair(wh, fb) - bk * pair(wh, gb))
-        hom = abs(pair(w_ag[k], fb) - ak * fg)
-        cs = max(0.0, abs(fg) - nf * ng)
-        norm_gap = abs(pair(w_f[k], fb) - nf * nf)
-        reports.append(SipAxiomReport(
-            first_slot_linearity=lin, second_slot_homogeneity=hom,
-            cauchy_schwarz=cs, norm_compatibility=norm_gap, scale=scale))
-    return reports
+    fg = pair(w_g, F)
+    lin = np.abs(pair(w_h, a[:, None, None] * F + b[:, None, None] * G)
+                 - a * pair(w_h, F) - b * pair(w_h, G))
+    hom = np.abs(pair(w_ag, F) - a * fg)
+    cs = _py_max(0.0, np.abs(fg) - nf * ng)
+    norm_gap = np.abs(pair(w_f, F) - nf * nf)
+    squares, overflowed = _squares(1.0 + np.abs(a) + np.abs(b))
+    if overflowed is not None:
+        raise NonFiniteValue("axiom scale (1 + |a| + |b|)^2 overflowed")
+    scale = (1.0 + nf) * (1.0 + ng) * (1.0 + nh) * squares
+    return lin, hom, cs, norm_gap, scale, _axiom_rule(lin, hom, cs, norm_gap, scale)[1]
 
 
 def sip_axiom_report(f: BochnerElement, g: BochnerElement, h: BochnerElement,
@@ -115,7 +126,8 @@ def sip_axiom_report(f: BochnerElement, g: BochnerElement, h: BochnerElement,
     """Evaluate all four axiom residuals on one sample (f, g, h, a, b)."""
     _require_smooth_lp(spec)
     f, g, h = (check_shape(e, spec)[None] for e in (f, g, h))
-    return _axiom_reports(f, g, h, np.array([float(a)]), np.array([float(b)]), spec)[0]
+    *columns, _ = _axiom_reports(f, g, h, np.array([float(a)]), np.array([float(b)]), spec)
+    return SipAxiomReport(*(float(c[0]) for c in columns))
 
 
 def sip_orthogonality_criterion(x: BochnerElement, y: BochnerElement, eps,

@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 
 from bjlab import (
     BochnerElement,
+    NonFiniteValue,
     NotSmooth,
     SpaceSpec,
     UnsupportedExponent,
@@ -70,6 +71,15 @@ def test_axiom_report_zero_sample():
     assert rep.cauchy_schwarz == 0.0
     assert rep.norm_compatibility == 0.0
     assert rep.scale == 1.0
+
+
+def test_axiom_report_scale_overflow_is_a_typed_error():
+    # (1 + |a| + |b|)^2 overflows on Python floats; at q = 1.5 the norms of
+    # a g do not
+    spec = SpaceSpec(3, 1.5, 2, 2, (1.0, 1.0))
+    f = BochnerElement(np.ones((2, 2)))
+    with pytest.raises(NonFiniteValue, match="overflowed"):
+        sip_axiom_report(f, f, f, 1e200, 0.0, spec)
 
 
 @given(spec_with_elements(count=3, nonzero_first=False, ps=(2.0,), qs=(2.0,)),

@@ -17,6 +17,7 @@ from bjlab import (
     AtomPartition,
     BochnerElement,
     DegenerateDraw,
+    ExperimentConfig,
     NonFiniteValue,
     ScalingOperator,
     SpaceSpec,
@@ -28,7 +29,7 @@ from bjlab import (
     run,
     u_eps_Lp,
 )
-from bjlab import blockspace, ortho, preserver, streams
+from bjlab import blockspace, ortho, preserver, sip, streams
 from bjlab.blockspace import outcome
 from bjlab.harness import trial_rng
 from conftest import rng_for
@@ -446,6 +447,60 @@ def test_mode_rows_equal_the_per_row_pipeline(monkeypatch, mode, space):
     sizes = recorded_stack_sizes(monkeypatch, mode)
     assert run(cfg, echo=False).csv_text() == report.csv_text()
     assert sizes == stack_sizes(len(cfg.epsilons or (None,)) * cfg.trials, 7)
+
+
+@pytest.mark.parametrize("n,d,trials", [(1024, 8, 4), (1500, 8, 2)])
+def test_axiom_rows_keep_their_bits_at_the_einsum_buffer(monkeypatch, n, d, trials):
+    # one stack each, its pairings one einsum call per row: a row has
+    # EINSUM_BUFFER = 8192 entries or more
+    spec = SpaceSpec(3, 1.5, n, d, tuple(rng_for("einsum_buffer", n).uniform(0.2, 3.0, n)))
+    cfg = ExperimentConfig(mode="axioms", spec=spec, trials=trials, seed=13)
+    sizes = recorded_stack_sizes(monkeypatch, "axioms")
+    rows = [typed_bits(row[6:]) for row in run(cfg, echo=False).rows]
+    assert sizes == [trials]
+    expected = [typed_bits(reference_axiom_row(spec, trial_rng(13, i))[0])
+                for i in range(trials)]
+    assert rows == expected
+    # one einsum call over the whole stack keeps the rows' bits while a row
+    # has at most 8192 entries, and changes them above that
+    monkeypatch.setattr(sip, "EINSUM_BUFFER", trials * n * d)
+    batched = [typed_bits(row[6:]) for row in run(cfg, echo=False).rows]
+    assert (batched == expected) == (n * d <= 8192)
+
+
+def axioms_config():
+    return parse_config((CONFIGS / "axioms.json").read_text(encoding="utf-8"))
+
+
+def test_axiom_stacks_split_into_pieces_give_the_same_rows(monkeypatch):
+    cfg = axioms_config()
+    whole = run(cfg, echo=False).csv_text()
+    monkeypatch.setattr(harness, "STACK_ENTRIES", 7 * cfg.spec.n * cfg.spec.d)
+    sizes = recorded_stack_sizes(monkeypatch, "axioms")
+    assert run(cfg, echo=False).csv_text() == whole
+    assert sizes == stack_sizes(cfg.trials, 7)
+    # one stack again, its pairings in einsum calls of 5 rows
+    monkeypatch.undo()
+    monkeypatch.setattr(sip, "EINSUM_BUFFER", 5 * cfg.spec.n * cfg.spec.d)
+    assert run(cfg, echo=False).csv_text() == whole
+
+
+def test_an_axioms_run_builds_no_per_row_objects(monkeypatch):
+    # the stack's columns go straight to the CSV: a validated element and a
+    # SipAxiomReport are built only by the one-pair API
+    built = []
+    as_blocks = blockspace._as_blocks
+    monkeypatch.setattr(blockspace, "_as_blocks",
+                        lambda *args: built.append("_as_blocks") or as_blocks(*args))
+    init = sip.SipAxiomReport.__init__
+    monkeypatch.setattr(sip.SipAxiomReport, "__init__",
+                        lambda self, *args: built.append("SipAxiomReport") or init(self, *args))
+    cfg = axioms_config()
+    assert len(run(cfg, echo=False).rows) == cfg.trials
+    assert built == []
+    f = np.ones((cfg.spec.n, cfg.spec.d))
+    sip.sip_axiom_report(*(BochnerElement(f) for _ in range(3)), 0.5, -0.5, cfg.spec)
+    assert built == ["_as_blocks"] * 3 + ["SipAxiomReport"]
 
 
 class ScaledDraws:

@@ -18,6 +18,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -187,33 +188,30 @@ def trial_rng(seed: int, index: int) -> np.random.Generator:
 @dataclass
 class RunReport:
     columns: tuple[str, ...]
-    rows: list[tuple]
+    values: list[np.ndarray]  # one array per column, one entry per row
     summary: dict
 
     def csv_text(self) -> str:
-        """A `#v1` header, then the rows; a column of floats prints "%.17g"."""
-        columns = list(zip(*self.rows))
-        floats = [all(isinstance(v, float) for v in values) for values in columns]
-        line = ",".join("%.17g" if f else "%s" for f in floats)
-        columns = [values if f else list(map(_fmt, values)) for values, f in zip(columns, floats)]
+        """A `#v1` header, then the rows: a float column prints "%.17g", a
+        bool column true/false and any other column "%s"."""
+        line = ",".join("%.17g" if v.dtype.kind == "f" else "%s" for v in self.values)
+        columns = [np.where(v, "true", "false").tolist() if v.dtype.kind == "b" else v.tolist()
+                   for v in self.values]
         return "\n".join(["#v1 " + ",".join(self.columns),
                           *(line % row for row in zip(*columns))]) + "\n"
 
-
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+    @cached_property
+    def rows(self) -> list[tuple]:
+        """The rows as tuples of Python values, derived from the columns."""
+        return list(zip(*(v.tolist() for v in self.values)))
 
 
 # A stack function measures the rows of a list of generators, one row per
 # generator, at eps: a float array of each row's epsilon, or None in the
 # modes without epsilons.  It returns their columns after the shared (trial,
-# seed, p, q, n, d) prefix, each a list of one value per row or a value every
-# row shares, and their outcomes (pass | fail | boundary); or it raises a
-# failing row's error.
+# seed, p, q, n, d) prefix, each an array of one entry per row or a value
+# every row of the run shares, and an array of their outcomes (pass | fail |
+# boundary); or it raises a failing row's error.
 
 def _check_stack(cfg: ExperimentConfig, rngs, eps):
     """Draw an orthogonal pair per row and check it (exactly at eps None)."""
@@ -223,8 +221,8 @@ def _check_stack(cfg: ExperimentConfig, rngs, eps):
         verdict, margin, boundary, _ = _exact_checks(xs, ys, nx, ny, cfg.spec)
     else:
         verdict, margin, boundary, _ = _approx_checks(xs, ys, nx, ny, eps, cfg.spec)
-    return ((0.0 if eps is None else eps.tolist(), verdict.tolist(), margin.tolist(), "none",
-             "", "", boundary.tolist()), outcome(verdict, boundary).tolist())
+    return ((0.0 if eps is None else eps, verdict, margin, "none", "", "", boundary),
+            outcome(verdict, boundary))
 
 
 def _sip_stack(cfg: ExperimentConfig, rngs, eps):
@@ -233,29 +231,30 @@ def _sip_stack(cfg: ExperimentConfig, rngs, eps):
     xs, ys = _draw_elements(cfg.spec, rngs, 2)
     (dv, dm, db, _), (cv, cm, cb, _) = _route_checks(xs, ys, eps, cfg.spec)
     boundary = db | cb | (np.abs(cm) < CROSS_ROUTE_BAND)
-    return ((eps.tolist(), dv.tolist(), dm.tolist(), "sip", cv.tolist(), cm.tolist(),
-             boundary.tolist()), outcome(dv == cv, boundary).tolist())
+    return (eps, dv, dm, "sip", cv, cm, boundary), outcome(dv == cv, boundary)
 
 
 def _axiom_stack(cfg: ExperimentConfig, rngs, eps):
-    """Draw f, g, h and scalars (a, b) per row and measure the residuals of
-    the four semi-inner-product axioms on them: the CSV's residual, scale and
-    pass columns."""
-    F, G, H = _draw_elements(cfg.spec, rngs, 3, min_norm=0.0)
-    ab = np.array([rng.standard_normal(2) for rng in rngs])
-    columns = _axiom_reports(F, G, H, ab[:, 0], ab[:, 1], cfg.spec)
-    return (*ab.T.tolist(), *(c.tolist() for c in columns)), outcome(columns[-1], False).tolist()
+    """Draw f, g, h and scalars (a, b) per row, in that order and in one call
+    on its generator, and measure the residuals of the four semi-inner-product
+    axioms on them: the CSV's residual, scale and pass columns."""
+    n, d = cfg.spec.n, cfg.spec.d
+    draws = np.empty((len(rngs), 3 * n * d + 2))
+    for rng, row in zip(rngs, draws):
+        rng.standard_normal(out=row)
+    F, G, H = (draws[:, k * n * d:(k + 1) * n * d].reshape(-1, n, d) for k in range(3))
+    a, b = draws[:, -2], draws[:, -1]
+    columns = _axiom_reports(F, G, H, a, b, cfg.spec)
+    return (a, b, *columns), outcome(columns[-1], False)
 
 
 def _sweep_stack(cfg: ExperimentConfig, rngs, eps):
-    """Preservation trials, each epsilon's rows (a contiguous slice of the
-    stack) imaged by that epsilon's operator."""
-    cuts = [0, *(np.flatnonzero(eps[1:] != eps[:-1]) + 1).tolist(), len(eps)]
-    images = [(cfg._operator(float(eps[i])), slice(i, j)) for i, j in zip(cuts, cuts[1:])]
-    route, (dv, dm, db, _), (sv, sm, sb, _) = _preservation_stack(images, eps, cfg.spec, rngs)
+    """Preservation trials, each row imaged by its epsilon's operator."""
+    values, which = np.unique(eps, return_inverse=True)
+    factors = np.stack([cfg._operator(e).factors for e in values.tolist()])[which]
+    route, (dv, dm, db, _), (sv, sm, sb, _) = _preservation_stack(factors, eps, cfg.spec, rngs)
     boundary = db | sb
-    return ((eps.tolist(), dv.tolist(), dm.tolist(), route, sv.tolist(), sm.tolist(),
-             boundary.tolist()), outcome(dv & sv, boundary).tolist())
+    return (eps, dv, dm, route, sv, sm, boundary), outcome(dv & sv, boundary)
 
 
 _STACK_FUNCTIONS = {
@@ -273,12 +272,13 @@ _STACK_FUNCTIONS = {
 _GENERATORS = threading.local()
 
 
-def _trial_rows(cfg: ExperimentConfig) -> list[tuple[tuple, str]]:
-    """Rows in order: cfg.trials per epsilon (one pass without epsilons for
-    check-ortho and axioms), row k*trials + i seeded by (seed, that index).
-    One loop runs the rows in stacks of max(1, STACK_ENTRIES // (n d)) rows,
-    a stack holding the rows of one epsilon or of several.  Raises the error
-    of the first row that fails, in that order."""
+def _trial_rows(cfg: ExperimentConfig) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each column's values and the outcomes, one entry per row, rows in
+    order: cfg.trials per epsilon (one pass without epsilons for check-ortho
+    and axioms), row k*trials + i seeded by (seed, that index).  One loop
+    runs the rows in stacks of max(1, STACK_ENTRIES // (n d)) rows, a stack
+    holding the rows of one epsilon or of several.  Raises the error of the
+    first row that fails, in that order."""
     from .streams import philox_keys, stack_rngs  # imports numpy.random; import bjlab does not
     stack_function = _STACK_FUNCTIONS[cfg.mode]
     s = cfg.spec
@@ -287,7 +287,7 @@ def _trial_rows(cfg: ExperimentConfig) -> list[tuple[tuple, str]]:
     keys = philox_keys(cfg.seed, np.arange(total, dtype=np.uint64))
     row_eps = np.repeat(cfg.epsilons, cfg.trials) if cfg.epsilons else None
     pool = vars(_GENERATORS).setdefault("pool", [])
-    rows = []
+    stacks = []
     for start in range(0, total, size):
         indices = range(start, min(start + size, total))
         eps = None if row_eps is None else row_eps[indices.start:indices.stop]
@@ -300,24 +300,28 @@ def _trial_rows(cfg: ExperimentConfig) -> list[tuple[tuple, str]]:
                 stack_function(cfg, [trial_rng(cfg.seed, index)],
                                None if eps is None else eps[i:i + 1])
             raise
-        # a column every row shares is given once
-        columns = [c if isinstance(c, list) else [c] * len(indices)
-                   for c in ([i % cfg.trials for i in indices],
-                             [f"{cfg.seed}:{i}" for i in indices], s.p, s.q, s.n, s.d,
-                             *columns)]
-        rows += zip(zip(*columns, strict=True), outcomes, strict=True)
-    return rows
+        for c in (*columns, outcomes):
+            if isinstance(c, np.ndarray) and len(c) != len(indices):
+                raise ValueError(f"a column {'shorter' if len(c) < len(indices) else 'longer'}"
+                                 f" than its stack of {len(indices)} rows")
+        stacks.append((*columns, outcomes))
+    index = np.arange(total)
+    prefix = [index % cfg.trials, np.char.add(f"{cfg.seed}:", index.astype(str)),
+              *(np.full(total, v) for v in (s.p, s.q, s.n, s.d))]
+    # a value every row shares is given once per stack
+    *columns, outcomes = (np.concatenate(c) if isinstance(c[0], np.ndarray)
+                          else np.full(total, c[0]) for c in zip(*stacks))
+    return prefix + columns, outcomes
 
 
 def _run_isometry_test(cfg: ExperimentConfig):
-    if cfg.factors is not None:
-        operator = ScalingOperator(cfg.factors)
-    else:
-        operator = cfg._operator(cfg.epsilons[0])
-    rng = trial_rng(cfg.seed, 0)
+    """isometry-test's one row, as _trial_rows gives a run's rows."""
+    operator = (cfg._operator(cfg.epsilons[0]) if cfg.factors is None
+                else ScalingOperator(cfg.factors))
     verdict, spread = is_scalar_multiple_of_isometry(
-        operator, cfg.spec, trials=cfg.trials, rng=rng)
-    return ISOMETRY_COLUMNS, [((verdict, spread, cfg.trials), str(outcome(verdict, False)))]
+        operator, cfg.spec, trials=cfg.trials, rng=trial_rng(cfg.seed, 0))
+    values = [np.array([verdict]), np.array([spread]), np.array([cfg.trials])]
+    return values, outcome(values[0], False)
 
 
 def run(config: ExperimentConfig, echo: bool = True) -> RunReport:
@@ -329,25 +333,24 @@ def run(config: ExperimentConfig, echo: bool = True) -> RunReport:
     """
     start = time.perf_counter()
     if config.mode == "isometry-test":
-        columns, row_data = _run_isometry_test(config)
+        columns, (values, outcomes) = ISOMETRY_COLUMNS, _run_isometry_test(config)
     else:
         columns = AXIOM_COLUMNS if config.mode == "axioms" else TRIAL_COLUMNS
-        row_data = _trial_rows(config)
-    rows, outcomes = zip(*row_data)
-    counts = {key: outcomes.count(key) for key in ("pass", "fail", "boundary")}
+        values, outcomes = _trial_rows(config)
+    counts = {key: int(np.count_nonzero(outcomes == key)) for key in ("pass", "fail", "boundary")}
     summary = {
         "mode": config.mode,
         "seed": config.seed,
-        "trials": len(rows),
+        "trials": len(outcomes),
         **counts,
         "wall_time_s": time.perf_counter() - start,
         "out": config.out,
     }
     if config.mode == "isometry-test":
         summary["trials"] = config.trials  # the random probes, as in the CSV
-        summary["scalar_multiple_of_isometry"] = bool(rows[0][0])
-        summary["ratio_spread"] = float(rows[0][1])
-    report = RunReport(columns=columns, rows=list(rows), summary=summary)
+        summary["scalar_multiple_of_isometry"] = bool(values[0][0])
+        summary["ratio_spread"] = float(values[1][0])
+    report = RunReport(columns=columns, values=values, summary=summary)
     if config.out is not None:
         with open(config.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(report.csv_text())

@@ -83,20 +83,22 @@ class ScalingOperator:
         if not np.all(np.isfinite(self.factors) & (self.factors > 0.0)):
             raise BadSpec("all scaling factors must be positive and finite")
 
-    def _image(self, blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """factors_i * blocks_i over (n, d) blocks or a (B, n, d) stack, into
-        out when given; raises NonFiniteValue when an entry overflows."""
-        with np.errstate(over="ignore"):  # an overflow is the error below
-            image = np.multiply(self.factors[:, None], blocks, out=out)
-        if not np.isfinite(image).all():
-            raise NonFiniteValue("element contains non-finite entries")
-        return image
-
     def check_fits(self, spec: SpaceSpec) -> None:
         """Raise ShapeMismatch unless there is one factor per atom of spec."""
         if len(self.factors) != spec.n:
             raise ShapeMismatch(
                 f"operator has {len(self.factors)} factors, space has {spec.n} atoms")
+
+
+def _image(factors: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """factors_i * blocks_i over (n, d) blocks, or over a (B, n, d) stack
+    with (n,) factors or a (B, n) row of factors per row; raises
+    NonFiniteValue when an entry overflows."""
+    with np.errstate(over="ignore"):  # an overflow is the error below
+        image = factors[..., None] * blocks
+    if not np.isfinite(image).all():
+        raise NonFiniteValue("element contains non-finite entries")
+    return image
 
 
 def _operator_epsilon(eps) -> float:
@@ -151,7 +153,7 @@ def apply_operator(U: ScalingOperator, f: BochnerElement) -> BochnerElement:
     if len(U.factors) != len(f.blocks):
         raise ShapeMismatch(
             f"operator has {len(U.factors)} factors, element has {len(f.blocks)} blocks")
-    return BochnerElement(U._image(f.blocks))
+    return BochnerElement(_image(U.factors, f.blocks))
 
 
 def h_alpha_witness(alpha: float, part: AtomPartition, x0,
@@ -174,16 +176,16 @@ def h_alpha_witness(alpha: float, part: AtomPartition, x0,
     return BochnerElement(blocks)
 
 
-def _draw_usable(out: np.ndarray, rows: np.ndarray, rngs, spec: SpaceSpec,
-                 min_norm: float) -> tuple[np.ndarray, np.ndarray]:
+def _draw_usable(out: np.ndarray, rows: np.ndarray, rngs,
+                 spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:
     """Fill out[i] for each of the increasing rows i with i.i.d. standard
     normal blocks from rngs[i], redrawing a row until its norm reaches
-    min_norm, at most 100 draws.  Returns _norm_rows of those rows; raises
+    _USABLE_NORM, at most 100 draws.  Returns _norm_rows of those rows; raises
     DegenerateDraw when a row is left without a usable draw."""
     for i in rows.tolist():
         rngs[i].standard_normal(out=out[i])
     b, norms = _norm_rows(_take(out, rows), spec)
-    pending = np.flatnonzero(~(norms >= min_norm))
+    pending = np.flatnonzero(~(norms >= _USABLE_NORM))
     for _ in range(99):
         if not len(pending):
             break
@@ -191,7 +193,7 @@ def _draw_usable(out: np.ndarray, rows: np.ndarray, rngs, spec: SpaceSpec,
         for i in redraw.tolist():
             rngs[i].standard_normal(out=out[i])
         b[pending], norms[pending] = _norm_rows(out[redraw], spec)
-        pending = pending[~(norms[pending] >= min_norm)]
+        pending = pending[~(norms[pending] >= _USABLE_NORM)]
     if len(pending):
         raise DegenerateDraw("could not draw an element of usable norm")
     return b, norms
@@ -203,14 +205,13 @@ def random_element(spec: SpaceSpec, rng: np.random.Generator) -> BochnerElement:
     return BochnerElement(out[0])
 
 
-def _draw_elements(spec: SpaceSpec, rngs, count: int,
-                   min_norm: float = _USABLE_NORM) -> list[np.ndarray]:
+def _draw_elements(spec: SpaceSpec, rngs, count: int) -> list[np.ndarray]:
     """random_element drawn count times from each generator in turn, as
-    count (B, n, d) stacks; min_norm <= 0 keeps every first draw."""
+    count (B, n, d) stacks."""
     stacks = []
     for _ in range(count):
         out = np.empty((len(rngs), spec.n, spec.d))
-        _draw_usable(out, np.arange(len(rngs)), rngs, spec, min_norm)
+        _draw_usable(out, np.arange(len(rngs)), rngs, spec)
         stacks.append(out)
     return stacks
 
@@ -223,7 +224,7 @@ def _draw_pairs(spec: SpaceSpec, rngs) -> tuple[np.ndarray, np.ndarray]:
     xs, zs, ys = np.empty(shape), np.empty(shape), None
     todo = np.arange(len(rngs))
     for _ in range(100):
-        bx, nx = _draw_usable(xs, todo, rngs, spec, _USABLE_NORM)
+        bx, nx = _draw_usable(xs, todo, rngs, spec)
         for i in todo.tolist():
             rngs[i].standard_normal(out=zs[i])
         Z = _take(zs, todo)
@@ -249,7 +250,7 @@ def draw_orthogonal_pair(spec: SpaceSpec, rng: np.random.Generator,
 
 
 def _ratio(U: ScalingOperator, blocks: np.ndarray, spec: SpaceSpec) -> float:
-    return _norm_arr(U._image(blocks), spec) / _norm_arr(blocks, spec)
+    return _norm_arr(_image(U.factors, blocks), spec) / _norm_arr(blocks, spec)
 
 
 def is_scalar_multiple_of_isometry(U: ScalingOperator, spec: SpaceSpec,
@@ -304,18 +305,14 @@ class TrialRecord:
                                    self.direct.boundary or self.second.boundary))
 
 
-def _preservation_stack(images, eps, spec: SpaceSpec, rngs) -> tuple[str, tuple, tuple]:
+def _preservation_stack(factors, eps, spec: SpaceSpec, rngs) -> tuple[str, tuple, tuple]:
     """The trials of preservation_trials on a stack whose rows may differ in
-    operator and eps: images holds (U, rows) pairs, their slices tiling the
-    stack, and eps is one float or one per row."""
+    operator and eps: factors is one operator's (n,) factors or a (B, n) row
+    per row, and eps is one float or one per row."""
     spec.require_smooth_inner()  # the partner projection's, before any draw
     xs, ys = _draw_pairs(spec, rngs)
-    ux, uy = np.empty_like(xs), np.empty_like(ys)
-    for U, rows in images:  # each U images a contiguous slice, a view
-        U._image(xs[rows], out=ux[rows])
-        U._image(ys[rows], out=uy[rows])
     route = "certificate" if spec.p == 1.0 else "sip"  # the sip criterion for p > 1
-    return (route, *_route_checks(ux, uy, eps, spec))
+    return (route, *_route_checks(_image(factors, xs), _image(factors, ys), eps, spec))
 
 
 def preservation_trials(U: ScalingOperator, eps, spec: SpaceSpec,
@@ -328,7 +325,7 @@ def preservation_trials(U: ScalingOperator, eps, spec: SpaceSpec,
     and cannot be replayed.  harness.run reruns a failing stack row by row."""
     eps = epsilon_value(eps)
     U.check_fits(spec)
-    return _preservation_stack([(U, slice(None))], eps, spec, rngs)
+    return _preservation_stack(U.factors, eps, spec, rngs)
 
 
 def preservation_trial(U: ScalingOperator, eps, spec: SpaceSpec,

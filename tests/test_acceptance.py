@@ -6,7 +6,6 @@ import time
 from itertools import islice, product
 
 import numpy as np
-import pytest
 
 from bjlab import (
     AtomPartition,
@@ -151,8 +150,8 @@ def test_criterion_5_giles_axiom_grid():
     samples = 10_000
     for k, (p, q) in enumerate(product((1.5, 2.0, 3.0, 4.0), (1.5, 2.0, 3.0))):
         spec = SpaceSpec(p, q, 3, 2, (1.0, 0.5, 2.0))
-        # the cell's samples drawn from its one generator in turn: f, g and
-        # h as _draw_elements(min_norm=0) draws them, then (a, b)
+        # the cell's samples drawn from its one generator in turn: f, g, h,
+        # then (a, b), the stream an axioms row reads, none of them redrawn
         rng = trial_rng(1005, k)
         F, G, H = (np.empty((samples, spec.n, spec.d)) for _ in range(3))
         ab = np.empty((samples, 2))

@@ -18,7 +18,6 @@ from bjlab import (
     draw_orthogonal_pair,
     h_alpha_witness,
     is_approx_bj_orthogonal,
-    is_bj_orthogonal,
     is_scalar_multiple_of_isometry,
     preservation_trial,
     random_element,

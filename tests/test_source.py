@@ -30,8 +30,9 @@ def unused_imports(path: Path) -> list[str]:
 def test_no_module_imports_a_name_it_does_not_use():
     # __init__.py imports names to re-export them
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
-    assert [hit for path in modules for hit in unused_imports(path)] == []
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    assert modules and tests
+    assert [hit for path in modules + tests for hit in unused_imports(path)] == []
 
 
 def referenced_names(paths) -> set[str]:

@@ -641,6 +641,15 @@ def test_a_stack_that_loses_rows_is_an_error(monkeypatch):
     with pytest.raises(ValueError, match="shorter"):
         run(mode_config("check-ortho", "B", 5), echo=False)
 
+    # and one that returned more rows than it was given
+    def draw_adding_rows(spec, rngs):
+        xs, ys = draw(spec, rngs)
+        return np.concatenate((xs, xs[:1])), np.concatenate((ys, ys[:1]))
+
+    monkeypatch.setattr(harness, "_draw_pairs", draw_adding_rows)
+    with pytest.raises(ValueError, match="longer"):
+        run(mode_config("check-ortho", "B", 5), echo=False)
+
 
 def test_a_stack_error_that_no_row_gives_alone_is_raised(monkeypatch):
     # rerun one at a time, every row passes: the stack's own error stands
@@ -688,11 +697,46 @@ def test_a_collapsed_partner_redraws_only_its_row():
 
 
 def test_an_axiom_stack_raises_its_draw_error(monkeypatch):
-    # axiom draws are never redrawn, so their draw cannot fail; if it did,
-    # its error would propagate out of run
-    def failing_draw(spec, rngs, count, min_norm):
+    # axiom draws are never redrawn, so their draw cannot fail; an error
+    # raised in the stack after its draw, here by its reports, propagates
+    # out of run
+    def failing_reports(*args):
         raise DegenerateDraw("no usable draw")
 
-    monkeypatch.setattr(harness, "_draw_elements", failing_draw)
+    monkeypatch.setattr(harness, "_axiom_reports", failing_reports)
     with pytest.raises(DegenerateDraw, match="^no usable draw$"):
         run(mode_config("axioms", "B", 5), echo=False)
+
+
+class CountedDraws:
+    """A generator that counts its standard_normal calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def standard_normal(self, size=None, out=None):
+        self.calls += 1
+        return self.rng.standard_normal(size, out=out)
+
+
+def test_an_axiom_stack_draws_each_row_in_one_call():
+    # f, g, h, a and b of a row fill one buffer, from the stream the per-row
+    # reference reads in four calls
+    cfg = mode_config("axioms", "B", 5)
+    rngs = [CountedDraws(trial_rng(cfg.seed, i)) for i in range(5)]
+    harness._axiom_stack(cfg, rngs, None)
+    assert [rng.calls for rng in rngs] == [1] * 5
+
+
+def test_a_stack_spanning_epsilons_images_its_rows_in_two_products(monkeypatch):
+    # one product for x and one for y, each row by its own epsilon's factors
+    images = []
+    image = preserver._image
+    monkeypatch.setattr(preserver, "_image",
+                        lambda factors, blocks: images.append(factors.shape)
+                        or image(factors, blocks))
+    sizes = recorded_stack_sizes(monkeypatch, "preserver-sweep")
+    cfg = sweep_config("l1_sweep", 6)
+    run(cfg, echo=False)
+    assert sizes == [30]
+    assert images == [(30, cfg.spec.n)] * 2

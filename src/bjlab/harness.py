@@ -306,7 +306,7 @@ def _trial_rows(cfg: ExperimentConfig) -> tuple[list[np.ndarray], np.ndarray]:
                                  f" than its stack of {len(indices)} rows")
         stacks.append((*columns, outcomes))
     index = np.arange(total)
-    prefix = [index % cfg.trials, np.char.add(f"{cfg.seed}:", index.astype(str)),
+    prefix = [index % cfg.trials, np.array([f"{cfg.seed}:{i}" for i in range(total)], object),
               *(np.full(total, v) for v in (s.p, s.q, s.n, s.d))]
     # a value every row shares is given once per stack
     *columns, outcomes = (np.concatenate(c) if isinstance(c[0], np.ndarray)

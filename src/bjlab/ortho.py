@@ -319,10 +319,12 @@ def _exact_passes(n: int, rows: np.ndarray, result: tuple) -> tuple:
 
 
 def _line_points(xs: np.ndarray, ys: np.ndarray, alphas: np.ndarray,
-                 rows) -> np.ndarray:
+                 rows, out: np.ndarray) -> np.ndarray:
     """The stack of x_i + alphas[k] y_i for the rows i = rows[k] (a slice or
-    indices)."""
-    points = ys[rows] * alphas[:, None, None]
+    increasing indices), written into out[:len(alphas)]."""
+    if type(rows) is not slice and len(rows) == len(xs):
+        rows = slice(None)  # all the rows: views, not copies
+    points = np.multiply(ys[rows], alphas[:, None, None], out=out[:len(alphas)])
     points += xs[rows]
     return points
 
@@ -353,9 +355,10 @@ def _exact_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
     norms, as one columnar result (verdict, margin, boundary, alpha*)."""
     rows, radius = _pair_rows(nx, ny)
     X, Y, norms = _take(xs, rows), _take(ys, rows), _take(nx, rows)
+    points = np.empty_like(X)  # every evaluation's line points, in turn
 
     def norm_at(alphas, live):
-        return _norm_rows(_line_points(X, Y, alphas, live), spec)[1], None
+        return _norm_rows(_line_points(X, Y, alphas, live, points), spec)[1], None
 
     return _exact_passes(len(xs), rows, _one_sided_checks(
         norm_at, radius, norms, norms, (1.0 - ONE_SIDED_NOISE_FLOOR) * norms, norms))
@@ -376,14 +379,15 @@ def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
     if bad.any():
         raise NonFiniteValue(f"||x||^2 = {float(nx2[np.argmax(bad)])} is outside the float range")
     X, Y = _take(xs, rows), _take(ys, rows)
+    points = np.empty_like(X)  # every evaluation's line points, in turn
     # psi(0) = a ** 2 - nx2 is what evaluating gives, as ||x + 0 y|| is ||x||
     # to the bit
     psi0 = _squares(a)[0] - nx2
 
     def gap(alphas, live):
         """psi(alpha) = ||x + alpha y||^2 - ||x||^2 + 2 eps ||x|| ||y|| |alpha|."""
-        squares, overflowed = _squares(_norm_rows(_line_points(X, Y, alphas, live),
-                                                  spec)[1])
+        squares, overflowed = _squares(
+            _norm_rows(_line_points(X, Y, alphas, live, points), spec)[1])
         # a lane that overflows is not finite, and its row fails
         with np.errstate(over="ignore", invalid="ignore"):
             return squares - nx2[live] + kink[live] * abs(alphas), overflowed
@@ -533,7 +537,8 @@ def _partners(xs: np.ndarray, zs: np.ndarray, bx: np.ndarray, nx: np.ndarray,
     """z_i - (T_i(z_i)/||x_i||) x_i for each pair of a (B, n, d) stack, T_i the
     support functional of x_i, given _norm_rows of the nonzero x rows."""
     T = _support_stack(xs, bx, nx, spec)
-    return zs - (_pairing_rows(T, zs, spec) / nx)[:, None, None] * xs
+    y = xs * -(_pairing_rows(T, zs, spec) / nx)[:, None, None]
+    return np.add(y, zs, out=y)
 
 
 def make_orthogonal_partner(x: BochnerElement, z: BochnerElement,

@@ -43,9 +43,13 @@ def reference_block_norms(blocks: np.ndarray, q: float) -> np.ndarray:
         return a.max(axis=1)
     if q == 1.0:
         return a.sum(axis=1)
-    if q == 2.0:
-        return np.sqrt(np.einsum("ij,ij->i", blocks, blocks))
     m = a.max(axis=1)
+    if q == 2.0:
+        # a sum of squares below 2^-900 may have underflowed: that row is
+        # m sqrt(sum((v/m)^2)) instead
+        s = np.einsum("ij,ij->i", blocks, blocks)
+        u = blocks / np.where(m > 0.0, m, 1.0)[:, None]
+        return np.where(s < 2.0 ** -900, m * np.sqrt(np.einsum("ij,ij->i", u, u)), np.sqrt(s))
     safe = np.where(m > 0.0, m, 1.0)
     return safe * ((a / safe[:, None]) ** q).sum(axis=1) ** (1.0 / q)
 
@@ -71,9 +75,13 @@ def reference_weighted_lp(b: np.ndarray, mu: np.ndarray, p: float) -> float:
     blockspace._weighted_lp_rows, bit for bit."""
     if p == 1.0:
         return float(mu @ b)
-    if p == 2.0:
-        return float(np.sqrt(mu @ (b * b)))
     m = float(b.max())
+    if p == 2.0:
+        s = mu @ (b * b)
+        if s < 2.0 ** -900 and m > 0.0:  # may have underflowed: scaled by m instead
+            u = b / m
+            return m * float(np.sqrt(mu @ (u * u)))
+        return float(np.sqrt(s))
     if m == 0.0 or math.isinf(p):
         return m
     return m * float(mu @ (b / m) ** p) ** (1.0 / p)

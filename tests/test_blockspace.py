@@ -77,6 +77,17 @@ def test_bochner_norm_examples():
     assert bochner_norm(f, spec) == pytest.approx(1.4422495703074083)  # (2+1)^(1/3)
 
 
+@pytest.mark.parametrize("p, q", [(3.0, 2.0), (2.0, 2.0), (2.0, 1.5)])
+@pytest.mark.parametrize("scale", [1e-160, 1e-300])
+def test_bochner_norm_is_homogeneous_where_squares_underflow(p, q, scale):
+    # entries this small have subnormal squares: the q = 2 block norms and the
+    # p = 2 aggregate take those rows scaled by their largest entry instead
+    spec = SpaceSpec.sequence(p, q, 4, 3)
+    x = BochnerElement(rng_for(f"tiny_squares_{p}_{q}").standard_normal((4, 3)))
+    assert bochner_norm(x * scale, spec) / scale == pytest.approx(bochner_norm(x, spec),
+                                                                  rel=1e-13)
+
+
 def test_bochner_norm_shape_mismatch():
     spec = SpaceSpec(2, 2, 2, 2, (1.0, 1.0))
     with pytest.raises(ShapeMismatch):
@@ -134,7 +145,9 @@ def test_duality_map_gradient_and_homogeneity(vals, q, a):
 
 def _kernel_inputs(n: int, d: int, rng) -> list[np.ndarray]:
     """Gaussian blocks, then the same with a zero row and a subnormal row,
-    then with rows scaled by 1e150 and 1e-150."""
+    then with rows scaled by 1e150 and 1e-150, then with signed zeros in
+    nonzero rows and a last row whose quotient by its largest entry
+    underflows (-5e-324/1e10) or whose (q - 1)-th power does at q = 3."""
     plain = rng.standard_normal((n, d))
     tiny = plain.copy()
     tiny[0] = 0.0
@@ -142,7 +155,10 @@ def _kernel_inputs(n: int, d: int, rng) -> list[np.ndarray]:
     scaled = plain.copy()
     scaled[0] *= 1e150
     scaled[-1] *= 1e-150
-    return [plain, tiny, scaled]
+    signed = plain.copy()
+    signed[::2, 0], signed[1::2, 0] = -0.0, 0.0
+    signed[-1, :3] = (1e10, -5e-324, -1e-160)[:d]
+    return [plain, tiny, scaled, signed]
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -150,9 +166,11 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, math.inf])
-@pytest.mark.parametrize("n, d", [(6, 3), (4096, 8), (5, 1), (3, 17)])
+@pytest.mark.parametrize("n, d", [(6, 3), (4096, 8), (5, 1), (3, 17), (5, 9), (4, 16),
+                                  (3, 128), (3, 129), (2, 300), (16, 300)])
 def test_kernels_match_reference_formulas_bit_for_bit(n, d, q):
-    # the kernels power in place on their own copies: same bits, input untouched
+    # the kernels power in place on their own copies: same bits, input untouched;
+    # d = 8 .. 300 reach every branch of block_norms' pairwise row sum
     rng = rng_for(f"kernel_bits_{n}_{d}_{q}")
     block_norm_rows = [np.zeros(n)]
     for blocks in _kernel_inputs(n, d, rng):

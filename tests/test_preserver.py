@@ -199,6 +199,13 @@ def test_isometry_detector_on_scalar_multiples():
             is_scalar_multiple_of_isometry(ScalingOperator(np.ones(4)), spec, trials=trials)
 
 
+def test_isometry_detector_on_a_multiple_with_subnormal_squares():
+    # images near 1e-160 square into subnormals: their norms are taken scaled
+    ok, spread = is_scalar_multiple_of_isometry(ScalingOperator([1e-160] * 3),
+                                                SpaceSpec.sequence(2, 2, 3, 2))
+    assert ok and spread <= 1e-12
+
+
 def test_isometry_detector_rejects_u_eps_operators():
     spec = SpaceSpec(2, 2, 4, 2, (1.0,) * 4)
     part = AtomPartition((0, 1), 4)

@@ -341,10 +341,10 @@ def _weighted_lp_rows(b: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
         return _l2_rows(b, mu)
     m = b.max(axis=1)
     s = _dot_rows((b / np.where(m > 0.0, m, 1.0)[:, None]) ** p, mu)
-    # m s^(1/p) on Python floats: NumPy's vector power differs from Python's
-    # in the last bit on some values
-    e = 1.0 / p
-    return np.array([mi and mi * si ** e for mi, si in zip(m.tolist(), s.tolist())])
+    # the bits of m * s ** (1/p) on Python floats: float_power runs libm's pow,
+    # as ** does (power's SIMD kernel differs in the last bit on some values)
+    with np.errstate(over="ignore"):  # to inf, silently as on Python floats
+        return m * np.float_power(s, 1.0 / p)
 
 
 def _norm_from_block_norms(b: np.ndarray, spec: SpaceSpec) -> float:

@@ -52,7 +52,7 @@ def epsilon_value(eps) -> float:
 
 def _non_finite(value: float, alpha: float, overflowed: bool) -> str:
     """The NonFiniteValue message of an objective value at alpha that is not
-    finite or whose Python float power overflowed."""
+    finite or whose square overflowed."""
     if overflowed:
         return f"objective overflowed at alpha={alpha}"
     return f"objective returned {value} at alpha={alpha}"
@@ -156,8 +156,8 @@ def _certified_probes(objective, radius: np.ndarray, phi0: np.ndarray,
     for a stack of convex objectives.
 
     objective(alphas, rows) returns phi_rows[k](alphas[k]) for every k (rows
-    a slice or indices) as an array, and the mask of the values whose Python
-    power overflowed, or None; phi0 holds each phi_i(0), and every radius is
+    a slice or indices) as an array, and the mask of the values whose square
+    overflowed, or None; phi0 holds each phi_i(0), and every radius is
     positive and finite.  Row i probes at radius_i*_PROBE_OFFSETS and
     stops at its first value below level_i.  If every value reaches level_i
     and so does their secant lower bound, it gets its best probe (alpha,
@@ -330,23 +330,14 @@ def _line_points(xs: np.ndarray, ys: np.ndarray, alphas: np.ndarray,
 
 
 def _squares(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """v ** 2 taken on Python floats, whose power differs from NumPy's square
-    in the last bit on some values, and the mask of the lanes whose power
-    overflowed, which hold inf (None when none did)."""
-    vals = v.tolist()
-    try:
-        return np.array([a ** 2 for a in vals]), None
-    except OverflowError:
-        pass
-    squares, overflowed = [], []
-    for a in vals:
-        try:
-            squares.append(a ** 2)
-            overflowed.append(False)
-        except OverflowError:
-            squares.append(math.inf)
-            overflowed.append(True)
-    return np.array(squares), np.array(overflowed)
+    """v ** 2 with the bits of Python floats (float_power runs libm's pow, as
+    Python's ** does; power's x * x differs in the last bit on some values),
+    and the mask of the finite lanes that overflowed to inf, where Python
+    raises OverflowError (None when none did)."""
+    with np.errstate(over="ignore"):
+        squares = np.float_power(v, 2.0)
+    overflowed = np.isinf(squares) & np.isfinite(v)
+    return squares, overflowed if overflowed.any() else None
 
 
 def _exact_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,

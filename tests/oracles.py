@@ -17,6 +17,7 @@ from bjlab.blockspace import (
     BOUNDARY_BAND,
     DEFAULT_ZERO_TOL,
     ONE_SIDED_NOISE_FLOOR,
+    _dot_rows,
     _duality_rows,
     _norm_arr,
     block_norms,
@@ -85,6 +86,32 @@ def reference_weighted_lp(b: np.ndarray, mu: np.ndarray, p: float) -> float:
     if m == 0.0 or math.isinf(p):
         return m
     return m * float(mu @ (b / m) ** p) ** (1.0 / p)
+
+
+def reference_weighted_lp_rows(b: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
+    """blockspace._weighted_lp_rows at p not in {1, 2, inf}, with its root
+    m s^(1/p) taken lane by lane on Python floats: the loop the library's
+    np.float_power replaced, which it must match bit for bit."""
+    m = b.max(axis=1)
+    s = _dot_rows((b / np.where(m > 0.0, m, 1.0)[:, None]) ** p, mu)
+    e = 1.0 / p
+    return np.array([mi and mi * si ** e for mi, si in zip(m.tolist(), s.tolist())])
+
+
+def reference_squares(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """v ** 2 lane by lane on Python floats, inf where ** raises
+    OverflowError, and the mask of those lanes: the loop that
+    ortho._squares' np.float_power replaced, which it must match bit for
+    bit."""
+    squares, overflowed = [], []
+    for a in v.tolist():
+        try:
+            squares.append(a ** 2)
+            overflowed.append(False)
+        except OverflowError:
+            squares.append(math.inf)
+            overflowed.append(True)
+    return np.array(squares), np.array(overflowed)
 
 
 def naive_batch_norm(arr: np.ndarray, spec: SpaceSpec) -> np.ndarray:

@@ -3,7 +3,12 @@ shipped configs and eight check-mode configs on three spaces.
 
 The hashes are this platform's (Python 3.11.7, NumPy 2.4.6): the CSV keeps
 every float's 17 significant digits, so another NumPy or libm may change a
-last bit and with it a hash.
+last bit and with it a hash.  They are also per SIMD path: NumPy picks its
+kernels by CPU at run time, and its power differs in the last bit between
+them.  With the AVX-512 kernels off
+(NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"), the hashes of
+lp_sweep, axioms, sip-B and sip-C change, while every verdict, outcome and
+boundary flag stays (ROADMAP item 6).
 """
 
 import dataclasses

@@ -200,10 +200,26 @@ def test_isometry_detector_on_scalar_multiples():
 
 
 def test_isometry_detector_on_a_multiple_with_subnormal_squares():
-    # images near 1e-160 square into subnormals: their norms are taken scaled
+    # images near 1e-160 would square into subnormals; the probes divide the
+    # factors by their max, and the q = 2 norm is taken scaled there anyway
     ok, spread = is_scalar_multiple_of_isometry(ScalingOperator([1e-160] * 3),
                                                 SpaceSpec.sequence(2, 2, 3, 2))
     assert ok and spread <= 1e-12
+
+
+@pytest.mark.parametrize("p,q", [(3.0, 1.5), (1.0, 2.0), (2.0, 2.0)])
+def test_isometry_detector_is_scale_invariant(p, q):
+    # undivided by their max, factors at 1e-320 give subnormal ratios, and at
+    # 1e300 probe norms that overflow at q = 2
+    spec = SpaceSpec.sequence(p, q, 3, 2)
+    for factors in ([1.0] * 3, [2.0] * 3, [1.0, 1.3, 1.0]):
+        ok, _ = is_scalar_multiple_of_isometry(ScalingOperator(factors), spec)
+        for c in (1e-320, 1e-310, 1e300):
+            ok_c, spread = is_scalar_multiple_of_isometry(
+                ScalingOperator([c * f for f in factors]), spec)
+            assert ok_c == ok, (factors, c)
+            if factors == [1.0] * 3:
+                assert spread <= 1e-15, c
 
 
 def test_isometry_detector_rejects_u_eps_operators():

@@ -14,7 +14,9 @@ A stage is a function wrapped from outside the package wherever a bjlab
 module refers to it, as the benchmark's traced replay wraps its layers; a
 stage entered inside another counts toward the outer one.  A stage name the
 package no longer has is listed as missing, not an error.  "rest" is what
-the runs spent outside every stage.
+the runs spent outside every stage.  The `_golden_sections` line also gives
+the number of rows it minimized, so a run shows whether its config reaches
+golden section at all.
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ def _usage() -> tuple[float, int, float]:
 
 
 class Stages:
-    """Cost totals per stage: [wall s, faults, system s, calls]."""
+    """Cost totals per stage: [wall s, faults, system s, calls, rows], rows
+    counted for _golden_sections only (its `rows` argument)."""
 
     def __init__(self):
-        self.totals = {attr.split(".")[-1]: [0.0, 0, 0.0, 0] for _, attr in STAGES}
+        self.totals = {attr.split(".")[-1]: [0.0, 0, 0.0, 0, 0] for _, attr in STAGES}
         self.missing: list[str] = []
         self._depth = 0
         self._restore: list[tuple[object, str, object]] = []
@@ -64,6 +67,8 @@ class Stages:
                 for k in range(3):
                     total[k] += end[k] - start[k]
                 total[3] += 1
+                if name == "_golden_sections":
+                    total[4] += len(args[1])
 
         return staged
 
@@ -128,11 +133,14 @@ def main(argv=None) -> int:
     total = [end[k] - start[k] for k in range(3)]
     rest = [total[k] - sum(t[k] for t in stages.totals.values()) for k in range(3)]
     print(f"{args.config}: {rows} rows in {seed - cfg.seed} runs")
-    print(f"{'stage':<20}{'wall us/row':>13}{'faults/row':>12}{'sys ms/row':>12}{'calls':>8}")
-    for name, (wall, faults, sys_s, *calls) in [*stages.totals.items(), ("rest", rest),
-                                                  ("total", total)]:
+    print(f"{'stage':<20}{'wall us/row':>13}{'faults/row':>12}{'sys ms/row':>12}{'calls':>8}"
+          f"{'rows':>8}")
+    for name, (wall, faults, sys_s, *counts) in [*stages.totals.items(), ("rest", rest),
+                                                   ("total", total)]:
+        if name != "_golden_sections":
+            counts = counts[:1]
         print(f"{name:<20}{1e6 * wall / rows:>13.1f}{faults / rows:>12.1f}"
-              f"{1e3 * sys_s / rows:>12.3f}" + (f"{calls[0]:>8}" if calls else ""))
+              f"{1e3 * sys_s / rows:>12.3f}" + "".join(f"{c:>8}" for c in counts))
     if stages.missing:
         print("missing stages: " + ", ".join(stages.missing))
     return 0

@@ -229,16 +229,20 @@ def inner_norm(v, q: float) -> float:
 
 def _l2_rows(v: np.ndarray, mu=None) -> np.ndarray:
     """sqrt(sum_j mu_j v_j^2) of each row of a 2-d array v (mu = 1 if None); a
-    row whose sum is below SQUARES_FLOOR is taken instead as
-    m sqrt(sum_j mu_j (v_j/m)^2), m its largest entry in modulus."""
+    row whose sum is below SQUARES_FLOOR or overflows to inf is taken instead
+    as m sqrt(sum_j mu_j (v_j/m)^2), m its largest entry in modulus.  Its sums
+    reach inf silently (with mu, under _weighted_lp_rows' errstate)."""
     def squares(u):
         return np.einsum("ij,ij->i", u, u) if mu is None else _dot_rows(u * u, mu)
     s = squares(v)
     norms = np.sqrt(s)
-    if len(s) and s[s.argmin()] < SQUARES_FLOOR:  # argmin: a cheaper pass than min
-        low = s < SQUARES_FLOOR
-        m = np.abs(v[low]).max(axis=1)
-        norms[low] = m * np.sqrt(squares(v[low] / np.where(m > 0.0, m, 1.0)[:, None]))
+    # argmin and argmax: cheaper passes than min and max
+    if len(s) and not (SQUARES_FLOOR <= s[s.argmin()] and s[s.argmax()] < math.inf):
+        redo = ~((SQUARES_FLOOR <= s) & (s < math.inf))
+        m = np.abs(v[redo]).max(axis=1)
+        safe = np.where((0.0 < m) & (m < math.inf), m, 1.0)  # zero rows keep 0, inf rows inf
+        with np.errstate(over="ignore"):  # to inf, silently as on Python floats
+            norms[redo] = m * np.sqrt(squares(v[redo] / safe[:, None]))
     return norms
 
 
@@ -335,15 +339,15 @@ def _weighted_lp_rows(b: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
     scaled by the row's max m to avoid overflow; m itself at p = inf."""
     if math.isinf(p):
         return b.max(axis=1)
-    if p == 1.0:
-        return _dot_rows(b, mu)
-    if p == 2.0:
-        return _l2_rows(b, mu)
-    m = b.max(axis=1)
-    s = _dot_rows((b / np.where(m > 0.0, m, 1.0)[:, None]) ** p, mu)
-    # the bits of m * s ** (1/p) on Python floats: float_power runs libm's pow,
-    # as ** does (power's SIMD kernel differs in the last bit on some values)
-    with np.errstate(over="ignore"):  # to inf, silently as on Python floats
+    with np.errstate(over="ignore"):  # sums to inf, silently as on Python floats
+        if p == 1.0:
+            return _dot_rows(b, mu)
+        if p == 2.0:
+            return _l2_rows(b, mu)
+        m = b.max(axis=1)
+        s = _dot_rows((b / np.where(m > 0.0, m, 1.0)[:, None]) ** p, mu)
+        # m * s ** (1/p) with Python's bits: float_power runs libm's pow, as **
+        # does (power's SIMD kernel differs in the last bit on some values)
         return m * np.float_power(s, 1.0 / p)
 
 

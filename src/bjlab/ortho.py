@@ -17,6 +17,7 @@ only the minimization is an independent route.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from .blockspace import (
     _pairing_rows,
     _support_norms,
     _support_stack,
-    _take,
     check_shape,
 )
 from .errors import BadSpec, NonFiniteValue, ZeroElement
@@ -50,12 +50,13 @@ def epsilon_value(eps) -> float:
     return float(eps)
 
 
-def _non_finite(value: float, alpha: float, overflowed: bool) -> str:
-    """The NonFiniteValue message of an objective value at alpha that is not
-    finite or whose square overflowed."""
-    if overflowed:
-        return f"objective overflowed at alpha={alpha}"
-    return f"objective returned {value} at alpha={alpha}"
+def _require_finite(values: np.ndarray, alphas: np.ndarray) -> None:
+    """Raise NonFiniteValue at the first of an objective's values (taken at
+    alphas) that is not finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFiniteValue(f"objective returned {float(values[i])} at alpha={float(alphas[i])}")
 
 
 # Golden section's final bracket width, relative to the radius, and step limit
@@ -68,21 +69,20 @@ def minimize_convex_1d(phi, radius: float) -> tuple[float, float]:
 
     Returns the best (alpha, phi(alpha)) over all probe points, endpoints and
     0 included, so the reported value never exceeds any evaluated one.
-    Raises NonFiniteValue at the first value that is not finite or whose
-    Python float power overflowed.
+    Raises NonFiniteValue at the first value that is not finite, a Python
+    float power that overflows included.
     """
     if not (radius > 0.0 and math.isfinite(radius)):
         raise BadSpec(f"radius must be positive and finite, got {radius}")
 
     def objective(alphas, rows):
         try:
-            return np.array([float(phi(float(alphas[0])))]), None
+            return np.array([float(phi(float(alphas[0])))])
         except OverflowError:
-            return np.array([math.inf]), np.array([True])
+            return np.array([math.inf])
 
-    phi0, overflowed = objective(np.zeros(1), None)
-    if not math.isfinite(phi0[0]):
-        raise NonFiniteValue(_non_finite(float(phi0[0]), 0.0, overflowed is not None))
+    phi0 = objective(np.zeros(1), None)
+    _require_finite(phi0, np.zeros(1))
     alpha, value = _golden_sections(objective, [0], np.array([float(radius)]), phi0)
     return float(alpha[0]), float(value[0])
 
@@ -156,9 +156,8 @@ def _certified_probes(objective, radius: np.ndarray, phi0: np.ndarray,
     for a stack of convex objectives.
 
     objective(alphas, rows) returns phi_rows[k](alphas[k]) for every k (rows
-    a slice or indices) as an array, and the mask of the values whose square
-    overflowed, or None; phi0 holds each phi_i(0), and every radius is
-    positive and finite.  Row i probes at radius_i*_PROBE_OFFSETS and
+    a slice or indices) as an array; phi0 holds each phi_i(0), and every
+    radius is positive and finite.  Row i probes at radius_i*_PROBE_OFFSETS and
     stops at its first value below level_i.  If every value reaches level_i
     and so does their secant lower bound, it gets its best probe (alpha,
     phi_i(alpha)), ties going to 0: any minimizer's value is at least the
@@ -172,19 +171,12 @@ def _certified_probes(objective, radius: np.ndarray, phi0: np.ndarray,
     values = np.empty_like(alphas)
     live = slice(None)  # a slice takes views
     for k in range(len(_OFFSETS)):
-        if k == 0:
-            v, overflowed = phi0[live], None
-        else:
-            v, overflowed = objective(alphas[live, k], live)
+        v = phi0[live] if k == 0 else objective(alphas[live, k], live)
         values[live, k] = v
         if ((v >= level[live]) & (v < math.inf)).all():  # NaN fails both
             continue
         rows = np.arange(len(radius))[live]
-        bad = ~np.isfinite(v)
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise NonFiniteValue(_non_finite(float(v[j]), float(alphas[rows[j], k]),
-                                             overflowed is not None and bool(overflowed[j])))
+        _require_finite(v, alphas[rows, k])
         live = rows[~(v < level[live])]
         if not len(live):
             return best_a, best_v
@@ -222,15 +214,11 @@ def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray
         value elsewhere, so its best stays), compared with each row's best;
         raises the error of the first row whose value is not finite."""
         if len(live) == len(rows):
-            v, overflowed = objective(alphas, rows)
+            v = objective(alphas, rows)
         else:
             v = best_v.copy()
-            v[live], overflowed = objective(alphas[live], rows[live])
-        finite = np.isfinite(v)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            over = overflowed is not None and bool(overflowed[np.searchsorted(live, i)])
-            raise NonFiniteValue(_non_finite(float(v[i]), float(alphas[i]), over))
+            v[live] = objective(alphas[live], rows[live])
+        _require_finite(v, alphas)
         if compare:
             better = v < best_v
             np.copyto(best_a, alphas, where=better)
@@ -289,70 +277,49 @@ def _one_sided_checks(objective, radius: np.ndarray, phi0: np.ndarray,
     return margin >= -DEFAULT_TOL, margin, boundary, alpha
 
 
-def _pair_rows(nx: np.ndarray, ny: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The prologue of both checks over a stack: the rows left to minimize
-    (y != 0; a y = 0 row passes exactly) and their search radii 4||x||/||y||.
-    Raises ZeroElement at the first x = 0, or NonFiniteValue at the first
-    radius that is 0 or not finite, in row order."""
-    # silent as on Python floats; the y = 0 rows, which divide by 0, are dropped
+def _radii(nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
+    """The search radii 4||x||/||y|| of both checks over a stack, and 1 where
+    y = 0, whose objective is constant (x + alpha 0 is x to the bit).  Raises
+    ZeroElement at the first x = 0, or NonFiniteValue at the first radius
+    that is 0 or not finite, in row order."""
+    # silent as on Python floats; the y = 0 rows, which divide by 0, take 1
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        radius = 4.0 * nx / ny
-    failing = (nx == 0.0) | ((ny != 0.0) & ~((0.0 < radius) & (radius < math.inf)))
+        radius = np.where(ny == 0.0, 1.0, 4.0 * nx / ny)
+    failing = (nx == 0.0) | ~((0.0 < radius) & (radius < math.inf))
     if failing.any():
         i = int(np.argmax(failing))
         if nx[i] == 0.0:
             raise ZeroElement("orthogonality from the zero element is degenerate")
         raise NonFiniteValue(f"4||x||/||y|| = {float(radius[i])} is outside the float range")
-    rows = np.flatnonzero(ny)
-    return rows, _take(radius, rows)
+    return radius
 
 
-def _exact_passes(n: int, rows: np.ndarray, result: tuple) -> tuple:
-    """A columnar result on the rows `rows` of a stack of n pairs, spread over
-    all n: every other row, where y = 0, passes with margin 0 at alpha 0."""
-    if len(rows) == n:
-        return result
-    out = (np.ones(n, dtype=bool), np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n))
-    for column, values in zip(out, result):
-        column[rows] = values
-    return out
-
-
-def _line_points(xs: np.ndarray, ys: np.ndarray, alphas: np.ndarray,
-                 rows, out: np.ndarray) -> np.ndarray:
-    """The stack of x_i + alphas[k] y_i for the rows i = rows[k] (a slice or
-    increasing indices), written into out[:len(alphas)]."""
+def _line_norms(xs: np.ndarray, ys: np.ndarray, out: np.ndarray, spec: SpaceSpec,
+                alphas: np.ndarray, rows) -> np.ndarray:
+    """||x_i + alphas[k] y_i|| for the rows i = rows[k] (a slice or increasing
+    indices) of a stack, the points written into out[:len(alphas)]: with its
+    first four arguments bound, a check's objective over one line buffer."""
     if type(rows) is not slice and len(rows) == len(xs):
         rows = slice(None)  # all the rows: views, not copies
     points = np.multiply(ys[rows], alphas[:, None, None], out=out[:len(alphas)])
     points += xs[rows]
-    return points
+    return _norm_rows(points, spec)[1]
 
 
-def _squares(v: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _squares(v: np.ndarray) -> np.ndarray:
     """v ** 2 with the bits of Python floats (float_power runs libm's pow, as
     Python's ** does; power's x * x differs in the last bit on some values),
-    and the mask of the finite lanes that overflowed to inf, where Python
-    raises OverflowError (None when none did)."""
+    inf on the finite lanes where Python raises OverflowError."""
     with np.errstate(over="ignore"):
-        squares = np.float_power(v, 2.0)
-    overflowed = np.isinf(squares) & np.isfinite(v)
-    return squares, overflowed if overflowed.any() else None
+        return np.float_power(v, 2.0)
 
 
 def _exact_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
                   ny: np.ndarray, spec: SpaceSpec) -> tuple:
     """is_bj_orthogonal of each pair of a (B, n, d) stack, given its rows'
     norms, as one columnar result (verdict, margin, boundary, alpha*)."""
-    rows, radius = _pair_rows(nx, ny)
-    X, Y, norms = _take(xs, rows), _take(ys, rows), _take(nx, rows)
-    points = np.empty_like(X)  # every evaluation's line points, in turn
-
-    def norm_at(alphas, live):
-        return _norm_rows(_line_points(X, Y, alphas, live, points), spec)[1], None
-
-    return _exact_passes(len(xs), rows, _one_sided_checks(
-        norm_at, radius, norms, norms, (1.0 - ONE_SIDED_NOISE_FLOOR) * norms, norms))
+    return _one_sided_checks(partial(_line_norms, xs, ys, np.empty_like(xs), spec),
+                             _radii(nx, ny), nx, nx, (1.0 - ONE_SIDED_NOISE_FLOOR) * nx, nx)
 
 
 def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
@@ -360,31 +327,28 @@ def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
     """is_approx_bj_orthogonal of each pair of a (B, n, d) stack, given its
     rows' norms and eps (one float, or one per row), as one columnar result
     (verdict, margin, boundary, alpha*)."""
-    rows, radius = _pair_rows(nx, ny)
-    a, b = _take(nx, rows), _take(ny, rows)
-    e = _take(np.broadcast_to(eps, nx.shape), rows)
+    radius = _radii(nx, ny)
     with np.errstate(over="ignore"):  # silent on Python floats
-        nx2 = a * a
-        kink = 2.0 * e * a * b
+        nx2 = nx * nx
+        kink = 2.0 * eps * nx * ny
     bad = ~((0.0 < nx2) & (nx2 < math.inf))  # nx * nx underflowed or overflowed
     if bad.any():
         raise NonFiniteValue(f"||x||^2 = {float(nx2[np.argmax(bad)])} is outside the float range")
-    X, Y = _take(xs, rows), _take(ys, rows)
-    points = np.empty_like(X)  # every evaluation's line points, in turn
-    # psi(0) = a ** 2 - nx2 is what evaluating gives, as ||x + 0 y|| is ||x||
+    norm_at = partial(_line_norms, xs, ys, np.empty_like(xs), spec)
+    # psi(0) = nx ** 2 - nx2 is what evaluating gives, as ||x + 0 y|| is ||x||
     # to the bit
-    psi0 = _squares(a)[0] - nx2
+    psi0 = _squares(nx) - nx2
 
     def gap(alphas, live):
         """psi(alpha) = ||x + alpha y||^2 - ||x||^2 + 2 eps ||x|| ||y|| |alpha|."""
-        squares, overflowed = _squares(
-            _norm_rows(_line_points(X, Y, alphas, live, points), spec)[1])
         # a lane that overflows is not finite, and its row fails
         with np.errstate(over="ignore", invalid="ignore"):
-            return squares - nx2[live] + kink[live] * abs(alphas), overflowed
+            return _squares(norm_at(alphas, live)) - nx2[live] + kink[live] * abs(alphas)
 
-    return _exact_passes(len(xs), rows, _one_sided_checks(
-        gap, radius, psi0, np.zeros(len(rows)), -ONE_SIDED_NOISE_FLOOR * nx2, nx2))
+    verdict, margin, boundary, alpha = _one_sided_checks(
+        gap, radius, psi0, np.zeros(len(xs)), -ONE_SIDED_NOISE_FLOOR * nx2, nx2)
+    # a y = 0 row's psi is constant but can sit an ulp of ||x||^2 off 0: its margin is 0
+    return verdict, np.where(ny == 0.0, 0.0, margin), boundary, alpha
 
 
 def _first(result: tuple) -> CheckResult:

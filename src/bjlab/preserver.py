@@ -4,6 +4,7 @@ preservation trial that exercises them."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -263,7 +264,7 @@ def is_scalar_multiple_of_isometry(U: ScalingOperator, spec: SpaceSpec,
     elements, each under the factors divided by their max, so c U gets U's
     verdict at any scale c > 0.  Returns (spread <= DEFAULT_TOL, spread) with
     spread = (max ratio - min ratio)/max ratio, or raises NonFiniteValue
-    when a probe's norm overflows or underflows so that spread is not finite.
+    when a probe's norm, or its image's, is not positive and finite.
     """
     _require_isometry_trials(trials)
     U.check_fits(spec)
@@ -272,7 +273,10 @@ def is_scalar_multiple_of_isometry(U: ScalingOperator, spec: SpaceSpec,
     factors = U.factors / U.factors.max()
 
     def ratio(blocks):
-        return _norm_arr(_image(factors, blocks), spec) / _norm_arr(blocks, spec)
+        image, norm = _norm_arr(_image(factors, blocks), spec), _norm_arr(blocks, spec)
+        if not (0.0 < image < math.inf and 0.0 < norm < math.inf):
+            raise NonFiniteValue(f"probe norm {norm} or image norm {image} is 0 or not finite")
+        return image / norm
 
     x0 = np.zeros(spec.d)
     x0[0] = 1.0
@@ -288,9 +292,7 @@ def is_scalar_multiple_of_isometry(U: ScalingOperator, spec: SpaceSpec,
             ratios.append(ratio(h_alpha_witness(alpha, part, x0, spec).blocks))
     for _ in range(trials):
         ratios.append(ratio(random_element(spec, rng).blocks))
-    spread = (max(ratios) - min(ratios)) / max(ratios) if max(ratios) > 0.0 else np.nan
-    if not np.isfinite(spread):
-        raise NonFiniteValue(f"ratio spread {spread}: a probe's norm left the float range")
+    spread = (max(ratios) - min(ratios)) / max(ratios)
     return spread <= DEFAULT_TOL, spread
 
 

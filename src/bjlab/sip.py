@@ -23,11 +23,12 @@ from .blockspace import (
     CheckResult,
     SpaceSpec,
     _duality_stack,
+    _is_number,
     _norm_from_block_norms,  # noqa: F401  perfbench/test_perfbench.py reads it here
     _norm_rows,
     check_shape,
 )
-from .errors import NonFiniteValue, UnsupportedExponent
+from .errors import BadSpec, NonFiniteValue, UnsupportedExponent
 from .ortho import _py_max, _squares, certificate_check
 
 
@@ -114,8 +115,8 @@ def _axiom_reports(F: np.ndarray, G: np.ndarray, H: np.ndarray, a: np.ndarray,
     hom = np.abs(pair(w_ag, F) - a * fg)
     cs = _py_max(0.0, np.abs(fg) - nf * ng)
     norm_gap = np.abs(pair(w_f, F) - nf * nf)
-    squares, overflowed = _squares(1.0 + np.abs(a) + np.abs(b))
-    if overflowed is not None:
+    squares = _squares(1.0 + np.abs(a) + np.abs(b))
+    if np.isinf(squares).any():
         raise NonFiniteValue("axiom scale (1 + |a| + |b|)^2 overflowed")
     scale = (1.0 + nf) * (1.0 + ng) * (1.0 + nh) * squares
     return lin, hom, cs, norm_gap, scale, _axiom_rule(lin, hom, cs, norm_gap, scale)[1]
@@ -123,8 +124,11 @@ def _axiom_reports(F: np.ndarray, G: np.ndarray, H: np.ndarray, a: np.ndarray,
 
 def sip_axiom_report(f: BochnerElement, g: BochnerElement, h: BochnerElement,
                      a: float, b: float, spec: SpaceSpec) -> SipAxiomReport:
-    """Evaluate all four axiom residuals on one sample (f, g, h, a, b)."""
+    """Evaluate all four axiom residuals on one sample (f, g, h, a, b);
+    raises BadSpec unless a and b are finite numbers."""
     _require_smooth_lp(spec)
+    if not all(_is_number(v) and np.isfinite(v) for v in (a, b)):
+        raise BadSpec(f"a and b must be finite numbers, got {a!r} and {b!r}")
     f, g, h = (check_shape(e, spec)[None] for e in (f, g, h))
     *columns, _ = _axiom_reports(f, g, h, np.array([float(a)]), np.array([float(b)]), spec)
     return SipAxiomReport(*(float(c[0]) for c in columns))

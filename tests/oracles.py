@@ -24,7 +24,7 @@ from bjlab.blockspace import (
 )
 from bjlab.errors import BadSpec, NonFiniteValue
 from bjlab.harness import CROSS_ROUTE_BAND
-from bjlab.ortho import _PROBE_OFFSETS, _non_finite
+from bjlab.ortho import _PROBE_OFFSETS
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -294,9 +294,9 @@ def _finite(phi):
         try:
             val = float(phi(alpha))
         except OverflowError as exc:  # a Python float power out of range
-            raise NonFiniteValue(_non_finite(math.inf, alpha, True)) from exc
+            raise NonFiniteValue(f"objective returned inf at alpha={alpha}") from exc
         if not math.isfinite(val):
-            raise NonFiniteValue(_non_finite(val, alpha, False))
+            raise NonFiniteValue(f"objective returned {val} at alpha={alpha}")
         return val
     return f
 

@@ -78,10 +78,11 @@ def test_bochner_norm_examples():
 
 
 @pytest.mark.parametrize("p, q", [(3.0, 2.0), (2.0, 2.0), (2.0, 1.5)])
-@pytest.mark.parametrize("scale", [1e-160, 1e-300])
+@pytest.mark.parametrize("scale", [1e-160, 1e-300, 1e154, 1e200, 1e300])
 def test_bochner_norm_is_homogeneous_where_squares_underflow(p, q, scale):
-    # entries this small have subnormal squares: the q = 2 block norms and the
-    # p = 2 aggregate take those rows scaled by their largest entry instead
+    # entries this small have subnormal squares, and entries this large
+    # squares past the float range: the q = 2 block norms and the p = 2
+    # aggregate take those rows scaled by their largest entry instead
     spec = SpaceSpec.sequence(p, q, 4, 3)
     x = BochnerElement(rng_for(f"tiny_squares_{p}_{q}").standard_normal((4, 3)))
     assert bochner_norm(x * scale, spec) / scale == pytest.approx(bochner_norm(x, spec),

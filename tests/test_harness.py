@@ -226,7 +226,7 @@ def test_summary_key_set(mode, extra, added):
 def test_csv_deterministic_across_runs(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    text = config_text("preserver-sweep", epsilons=[0.5], trials=20)
+    text = config_text("preserver-sweep", epsilons=[0.5], trials=12)
     run_quiet(dataclasses.replace(parse_config(text), out=str(out1)))
     run_quiet(dataclasses.replace(parse_config(text), out=str(out2)))
     assert out1.read_bytes() == out2.read_bytes()
@@ -439,3 +439,13 @@ def test_rowcost_splits_a_small_sweep_by_stage(tmp_path, capsys):
     stages = {line.split()[0]: line.split()[1:] for line in lines[2:]}
     assert set(stages) >= {"_draw_pairs", "_certified_probes", "csv_text", "rest", "total"}
     assert stages["_draw_pairs"][3] == stages["csv_text"][3] == "2"  # one stack per run
+    assert stages["_golden_sections"][4] == "0"  # rows it minimized: every row certifies
+    # sip rows on this space often reach golden section (819 of the 1,200
+    # pinned rows): here 7 of 8, in one call
+    space = {"p": 2.5, "q": 1.5, "n": 4, "d": 2, "weights": [1, 0.3, 1.5, 2]}
+    cfg.write_text(config_text("sip", spec=space, epsilons=[0, 0.1], trials=4), encoding="utf-8")
+    assert rowcost.main([str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{cfg}: 8 rows in 1 runs"
+    stages = {line.split()[0]: line.split()[1:] for line in lines[2:]}
+    assert stages["_golden_sections"][3:] == ["1", "7"]

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from unittest import mock
 
@@ -70,7 +71,7 @@ def test_minimize_convex_1d_rejects_non_finite():
     with pytest.raises(NonFiniteValue):
         minimize_convex_1d(lambda a: math.inf if a > 1 else a * a, radius=2.0)
     # phi(0) is checked before any other point
-    with pytest.raises(NonFiniteValue, match=r"^objective overflowed at alpha=0\.0$"):
+    with pytest.raises(NonFiniteValue, match=r"^objective returned inf at alpha=0\.0$"):
         minimize_convex_1d(lambda a: (1e200 + a) ** 2, radius=1.0)
     with pytest.raises(NonFiniteValue, match=r"^objective returned nan at alpha=0\.0$"):
         minimize_convex_1d(lambda a: math.nan, radius=1.0)
@@ -122,6 +123,14 @@ def test_bj_orthogonal_zero_cases():
         is_bj_orthogonal(single_block(0.0, 0.0), single_block(1.0, 0.0), spec)
     res = is_bj_orthogonal(single_block(1.0, 0.0), single_block(0.0, 0.0), spec)
     assert res.verdict and res.margin == 0.0
+    # ||x|| = 1.004585, whose pow square is an ulp below its x * x square:
+    # psi is that constant, and the margin still reads exactly 0
+    x = single_block(1.004585, 0.0)
+    assert ortho._squares(np.array([1.004585]))[0] != 1.004585 * 1.004585
+    for eps in (0.0, 0.3):
+        res = is_approx_bj_orthogonal(x, single_block(0.0, 0.0), eps, spec)
+        assert (res.verdict, res.margin, res.boundary, res.alpha_star) == (True, 0.0, False, 0.0)
+        assert math.copysign(1.0, res.margin) == 1.0
 
 
 def test_approx_check_true_for_orthogonal_pairs_any_eps():
@@ -460,6 +469,29 @@ def test_extreme_scales_raise_typed_errors(p, q, x_norm):
     assert certificate_check(x, y, 0.3, spec).verdict
 
 
+@pytest.mark.parametrize("p,q", [(3.0, 1.5), (3.0, 2.0), (2.0, 2.0), (1.0, 2.0)])
+@pytest.mark.parametrize("scale", [1e-310, 1e-200, 1e-160, 1e154, 1e200, 1e300])
+def test_extreme_scales_keep_the_verdict_or_raise_typed_errors(p, q, scale):
+    # at q = 2 a sum of squares past the float range once gave an inf norm,
+    # or NaN with a RuntimeWarning; it is now recomputed scaled.  The
+    # approximate route squares ||x|| first, so it may still refuse a scale
+    spec = SpaceSpec(p, q, 4, 3, (1.0, 0.5, 2.0, 1.0))
+    rng = rng_for("extreme_scale_table")
+    x, y = draw_orthogonal_pair(spec, rng)
+    for u, v in ((x, y), (x, random_element(spec, rng))):
+        exact, approx, cert = (is_bj_orthogonal(u, v, spec),
+                               is_approx_bj_orthogonal(u, v, 0.3, spec),
+                               certificate_check(u, v, 0.3, spec))
+        assert not (exact.boundary or approx.boundary or cert.boundary)
+        u, v = scale * u, scale * v
+        assert is_bj_orthogonal(u, v, spec).verdict == exact.verdict
+        assert certificate_check(u, v, 0.3, spec).verdict == cert.verdict
+        try:
+            assert is_approx_bj_orthogonal(u, v, 0.3, spec).verdict == approx.verdict
+        except NonFiniteValue:
+            pass
+
+
 def test_search_radius_outside_the_float_range_is_a_typed_error():
     # 4||x||/||y|| = 4e310 overflows; the certificate route needs no radius
     spec = SpaceSpec.sequence(3, 1.5, 6, 3)
@@ -500,7 +532,7 @@ def probe_one(f, radius, level):
     (alpha, value), or None when the probes leave it uncertified."""
     def objective(alphas, rows):
         assert np.arange(1)[rows].tolist() == [0]
-        return np.array([f(a) for a in alphas.tolist()]), None
+        return np.array([f(a) for a in alphas.tolist()])
 
     alpha, value = ortho._certified_probes(objective, np.array([radius]),
                                            np.array([f(0.0)]), np.array([level]))
@@ -597,6 +629,41 @@ def golden_section_only():
     return mock.patch.object(ortho, "_certified_probes",
                              lambda objective, radius, *args: (np.full(len(radius), np.nan),
                                                                np.full(len(radius), np.nan)))
+
+
+def typed_row(verdict, margin, boundary, alpha) -> tuple:
+    """A check's row with its floats as bits, so 0.0 and -0.0 differ."""
+    return bool(verdict), float(margin).hex(), bool(boundary), float(alpha).hex()
+
+
+@pytest.mark.parametrize("spec", [SpaceSpec(3, 1.5, 4, 2, (1.0,) * 4),
+                                  SpaceSpec(1, 2, 4, 2, (1.0, 2.0, 0.5, 1.0)),
+                                  SpaceSpec(2.5, 3, 4, 2, (1.0, 0.3, 1.5, 2.0))])
+def test_stacked_y_zero_rows_pass_at_alpha_zero(spec):
+    # rows 1 and 3 have y = 0 and row 4 is a random pair: a y = 0 row's
+    # objective is constant, so the probes, or golden section alone, keep
+    # alpha = 0, and every row gets its one-pair result
+    rng = rng_for("stacked_y_zero")
+    pairs = [draw_orthogonal_pair(spec, rng) for _ in range(4)]
+    for i in (1, 3):
+        pairs[i] = (pairs[i][0], pairs[i][1] * 0.0)
+    pairs.append((random_element(spec, rng), random_element(spec, rng)))
+    xs, ys = (np.stack([pair[k].blocks for pair in pairs]) for k in (0, 1))
+    nx, ny = ortho._norm_rows(xs, spec)[1], ortho._norm_rows(ys, spec)[1]
+    passes = typed_row(True, 0.0, False, 0.0)
+    for only in (False, True):
+        with golden_section_only() if only else contextlib.nullcontext():
+            checks = [(ortho._exact_checks(xs, ys, nx, ny, spec),
+                       [is_bj_orthogonal(x, y, spec) for x, y in pairs])]
+            for eps in (0.3, np.array([0.1, 0.3, 0.5, 0.7, 0.9])):
+                checks.append((ortho._approx_checks(xs, ys, nx, ny, eps, spec),
+                               [is_approx_bj_orthogonal(x, y, e, spec)
+                                for (x, y), e in zip(pairs, np.broadcast_to(eps, 5))]))
+        for stacked, alone in checks:
+            rows = [typed_row(*row) for row in zip(*stacked)]
+            assert rows == [typed_row(r.verdict, r.margin, r.boundary, r.alpha_star)
+                            for r in alone]
+            assert rows[1] == rows[3] == passes
 
 
 def test_failing_pair_keeps_the_golden_section_result():

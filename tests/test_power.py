@@ -59,13 +59,12 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def test_squares_match_python_floats_bit_for_bit():
     v = _signed_values()
-    squares, overflowed = _squares(v)
+    squares = _squares(v)
     expected, expected_overflowed = reference_squares(v)
     assert _same_bits(squares, expected).all()
-    assert overflowed is not None and np.array_equal(overflowed, expected_overflowed)
+    # Python raises OverflowError exactly on the finite lanes that square to inf
+    assert np.array_equal(np.isinf(squares) & np.isfinite(v), expected_overflowed)
     assert expected_overflowed.sum() > COUNT // 10  # the set reaches past 1.34e154
-    finite = v[np.isfinite(v) & (np.abs(v) < 1e150)]
-    assert _squares(finite)[1] is None  # None when no lane overflowed
 
 
 @pytest.mark.parametrize("p", ROOT_PS)

@@ -222,6 +222,17 @@ def test_isometry_detector_is_scale_invariant(p, q):
                 assert spread <= 1e-15, c
 
 
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_isometry_detector_with_huge_masses_is_a_typed_error(p):
+    # the random probes' norms overflow; silenced alone, the spread read 0
+    # for I and 1 for diag(1, 0.5, 1) at p = 1 (Python's max and min skip NaN
+    # ratios), and the sums raised a bare RuntimeWarning
+    spec = SpaceSpec(p, 2, 3, 2, (1e308,) * 3)
+    for factors in ([1.0] * 3, [1.0, 0.5, 1.0]):
+        with pytest.raises(NonFiniteValue, match="is 0 or not finite$"):
+            is_scalar_multiple_of_isometry(ScalingOperator(factors), spec)
+
+
 def test_isometry_detector_rejects_u_eps_operators():
     spec = SpaceSpec(2, 2, 4, 2, (1.0,) * 4)
     part = AtomPartition((0, 1), 4)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
 from bjlab import (
+    BadSpec,
     BochnerElement,
     NonFiniteValue,
     NotSmooth,
@@ -80,6 +83,18 @@ def test_axiom_report_scale_overflow_is_a_typed_error():
     f = BochnerElement(np.ones((2, 2)))
     with pytest.raises(NonFiniteValue, match="overflowed"):
         sip_axiom_report(f, f, f, 1e200, 0.0, spec)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("a,b", [(math.nan, 0.0), (0.5, math.nan), (math.inf, 0.0),
+                                 (0.0, -math.inf), (True, 0.0), ("1", 0.0), (0.0, None)])
+def test_axiom_report_rejects_scalars_that_are_not_finite_numbers(a, b):
+    # a and b come from the caller: NaN once gave NaN residuals and scale,
+    # and inf a bare RuntimeWarning
+    spec = SpaceSpec(3, 1.5, 2, 2, (1.0, 1.0))
+    f = BochnerElement(np.ones((2, 2)))
+    with pytest.raises(BadSpec, match="^a and b must be finite numbers"):
+        sip_axiom_report(f, f, f, a, b, spec)
 
 
 @given(spec_with_elements(count=3, nonzero_first=False, ps=(2.0,), qs=(2.0,)),

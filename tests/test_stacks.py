@@ -109,23 +109,17 @@ def recorded_sections(monkeypatch) -> list:
         keys, values = [], []
 
         def recorded(alphas, live):
-            v, overflowed = objective(alphas, live)
+            v = objective(alphas, live)
             keys.extend(zip(np.asarray(live).tolist(), alphas.tolist()))
-            values.extend(zip(v.tolist(), [False] * len(v) if overflowed is None
-                              else overflowed.tolist()))
-            return v, overflowed
+            values.extend(v.tolist())
+            return v
 
         result = sections(recorded, rows, radius, phi0)
         seen = dict(zip(keys, values))
 
         def phi(row, zero):
             def value(a):
-                if a == 0.0:
-                    return zero
-                v, overflowed = seen[row, a]
-                if overflowed:
-                    raise OverflowError
-                return v
+                return zero if a == 0.0 else seen[row, a]
             return value
 
         calls.append((described(zip(*result)), described(reference_sections(
@@ -199,15 +193,13 @@ def test_the_first_failing_golden_row_decides_the_error(monkeypatch):
     phis = golden_rows()
 
     def objective(alphas, rows):
-        values, overflowed = [], []
+        values = []
         for a, i in zip(alphas.tolist(), rows.tolist()):
             try:
                 values.append(phis[i](a))
-                overflowed.append(False)
             except OverflowError:
                 values.append(math.inf)
-                overflowed.append(True)
-        return np.array(values), np.array(overflowed)
+        return np.array(values)
 
     phi0 = np.array([phi(0.0) for phi in phis])
 
@@ -222,7 +214,7 @@ def test_the_first_failing_golden_row_decides_the_error(monkeypatch):
     # row 1 called phi at 0, -1, 1, the two inner points and once per step;
     # the last step's value is never compared
     assert got[1][1] == (-4.0 - 30).hex()
-    for row, message in ((2, "objective overflowed at alpha=0.49"),
+    for row, message in ((2, "objective returned inf at alpha=0.49"),
                          (3, "objective returned nan at alpha=1.0")):
         with pytest.raises(NonFiniteValue) as alone:
             sections([row])
@@ -245,7 +237,7 @@ def test_a_golden_row_that_finishes_first_leaves_the_others_running():
     def objective(alphas, rows):
         for i in rows.tolist():
             evaluations[i] += 1
-        return np.array([phi(a) for a in alphas.tolist()]), None
+        return np.array([phi(a) for a in alphas.tolist()])
 
     got = ortho._golden_sections(objective, [0, 1], radius, np.full(2, phi(0.0)))
     assert described(zip(*got)) == described(reference_sections([phi, phi], radius.tolist()))
@@ -375,7 +367,7 @@ OPERATOR = u_eps_Lp(0.3, AtomPartition((0, 1, 2), 6), SPACE)
 # ||Ux||^2 overflows at 1e200; at 1e154 it fits, but the squared norms of
 # the first probes overflow
 MESSAGES = {1e200: r"^\|\|x\|\|\^2 = inf is outside the float range$",
-            1e154: r"^objective overflowed at alpha=-"}
+            1e154: r"^objective returned inf at alpha=-"}
 
 
 @pytest.mark.parametrize("norm", [1e200, 1e154])
@@ -532,7 +524,7 @@ def scaled_rows(monkeypatch, factors: dict):
 
 DEGENERATE = (DegenerateDraw, "^could not draw an element of usable norm$")
 OVERFLOW = (NonFiniteValue, MESSAGES[1e200])
-PROBE_OVERFLOW = (NonFiniteValue, r"^objective overflowed at alpha=-2\.72")
+PROBE_OVERFLOW = (NonFiniteValue, r"^objective returned inf at alpha=-2\.72")
 
 
 @pytest.mark.parametrize("mode,factors,expected", [

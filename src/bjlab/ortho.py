@@ -327,28 +327,29 @@ def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
     """is_approx_bj_orthogonal of each pair of a (B, n, d) stack, given its
     rows' norms and eps (one float, or one per row), as one columnar result
     (verdict, margin, boundary, alpha*)."""
-    radius = _radii(nx, ny)
-    with np.errstate(over="ignore"):  # silent on Python floats
-        nx2 = nx * nx
+    radius, y_zero = _radii(nx, ny), ny == 0.0
+    # silent on Python floats.  A y = 0 row's psi is 0 at every alpha and any
+    # scale of x, where evaluating can sit an ulp of ||x||^2 off 0 or
+    # overflow: it takes psi = 0 and scale 1, so its kink may be NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        nx2 = np.where(y_zero, 1.0, nx * nx)
         kink = 2.0 * eps * nx * ny
+        # psi(0) = nx ** 2 - nx2 as evaluated: ||x + 0 y|| is ||x|| to the bit
+        psi0 = np.where(y_zero, 0.0, _squares(nx) - nx2)
     bad = ~((0.0 < nx2) & (nx2 < math.inf))  # nx * nx underflowed or overflowed
     if bad.any():
         raise NonFiniteValue(f"||x||^2 = {float(nx2[np.argmax(bad)])} is outside the float range")
     norm_at = partial(_line_norms, xs, ys, np.empty_like(xs), spec)
-    # psi(0) = nx ** 2 - nx2 is what evaluating gives, as ||x + 0 y|| is ||x||
-    # to the bit
-    psi0 = _squares(nx) - nx2
 
     def gap(alphas, live):
         """psi(alpha) = ||x + alpha y||^2 - ||x||^2 + 2 eps ||x|| ||y|| |alpha|."""
         # a lane that overflows is not finite, and its row fails
         with np.errstate(over="ignore", invalid="ignore"):
-            return _squares(norm_at(alphas, live)) - nx2[live] + kink[live] * abs(alphas)
+            psi = _squares(norm_at(alphas, live)) - nx2[live] + kink[live] * abs(alphas)
+        return np.where(y_zero[live], 0.0, psi)
 
-    verdict, margin, boundary, alpha = _one_sided_checks(
-        gap, radius, psi0, np.zeros(len(xs)), -ONE_SIDED_NOISE_FLOOR * nx2, nx2)
-    # a y = 0 row's psi is constant but can sit an ulp of ||x||^2 off 0: its margin is 0
-    return verdict, np.where(ny == 0.0, 0.0, margin), boundary, alpha
+    return _one_sided_checks(gap, radius, psi0, np.zeros(len(xs)),
+                             -ONE_SIDED_NOISE_FLOOR * nx2, nx2)
 
 
 def _first(result: tuple) -> CheckResult:

@@ -264,7 +264,7 @@ def is_scalar_multiple_of_isometry(U: ScalingOperator, spec: SpaceSpec,
     elements, each under the factors divided by their max, so c U gets U's
     verdict at any scale c > 0.  Returns (spread <= DEFAULT_TOL, spread) with
     spread = (max ratio - min ratio)/max ratio, or raises NonFiniteValue
-    when a probe's norm, or its image's, is not positive and finite.
+    when a probe's norm is 0 or either norm is not finite.
     """
     _require_isometry_trials(trials)
     U.check_fits(spec)
@@ -274,8 +274,8 @@ def is_scalar_multiple_of_isometry(U: ScalingOperator, spec: SpaceSpec,
 
     def ratio(blocks):
         image, norm = _norm_arr(_image(factors, blocks), spec), _norm_arr(blocks, spec)
-        if not (0.0 < image < math.inf and 0.0 < norm < math.inf):
-            raise NonFiniteValue(f"probe norm {norm} or image norm {image} is 0 or not finite")
+        if not (0.0 < norm < math.inf and image < math.inf):  # image 0: a factor underflowed
+            raise NonFiniteValue(f"probe norm {norm} is 0 or not finite, or image norm {image}")
         return image / norm
 
     x0 = np.zeros(spec.d)

@@ -226,7 +226,7 @@ def test_summary_key_set(mode, extra, added):
 def test_csv_deterministic_across_runs(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    text = config_text("preserver-sweep", epsilons=[0.5], trials=12)
+    text = config_text("preserver-sweep", epsilons=[0.5], trials=20)
     run_quiet(dataclasses.replace(parse_config(text), out=str(out1)))
     run_quiet(dataclasses.replace(parse_config(text), out=str(out2)))
     assert out1.read_bytes() == out2.read_bytes()

@@ -133,6 +133,28 @@ def test_bj_orthogonal_zero_cases():
         assert math.copysign(1.0, res.margin) == 1.0
 
 
+@pytest.mark.parametrize("x_norm", [1e-300, 1e-200, 1e200, 1.5e308])
+def test_y_zero_passes_at_every_scale_of_x(x_norm):
+    # ||x||^2 leaves the float range here, and at 1.5e308 with eps = 0.9 so
+    # does 2 eps ||x||: a y = 0 row never squares ||x||, alone or stacked
+    spec = SpaceSpec(2, 2, 1, 2, (1.0,))
+    x, zero = single_block(x_norm, 0.0), single_block(0.0, 0.0)
+    passes = (True, 0.0, False, 0.0)
+    res = is_bj_orthogonal(x, zero, spec)
+    assert (res.verdict, res.margin, res.boundary, res.alpha_star) == passes
+    for eps in (0.0, 0.3, 0.9):
+        res = is_approx_bj_orthogonal(x, zero, eps, spec)
+        assert (res.verdict, res.margin, res.boundary, res.alpha_star) == passes
+    xs = np.stack([x.blocks, np.array([[1.0, 0.0]])])
+    ys = np.stack([zero.blocks, np.array([[0.5, 1.0]])])
+    nx, ny = ortho._norm_rows(xs, spec)[1], ortho._norm_rows(ys, spec)[1]
+    alone = is_approx_bj_orthogonal(BochnerElement(xs[1]), BochnerElement(ys[1]), 0.9, spec)
+    stacked = ortho._approx_checks(xs, ys, nx, ny, 0.9, spec)
+    assert [tuple(column[0] for column in stacked)] == [passes]
+    assert tuple(column[1] for column in stacked) == (
+        alone.verdict, alone.margin, alone.boundary, alone.alpha_star)
+
+
 def test_approx_check_true_for_orthogonal_pairs_any_eps():
     spec = SpaceSpec(2, 2, 2, 2, (1.0, 1.0))
     x = BochnerElement.from_lists([[1, 0], [0, 0]])

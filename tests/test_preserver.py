@@ -229,8 +229,16 @@ def test_isometry_detector_with_huge_masses_is_a_typed_error(p):
     # ratios), and the sums raised a bare RuntimeWarning
     spec = SpaceSpec(p, 2, 3, 2, (1e308,) * 3)
     for factors in ([1.0] * 3, [1.0, 0.5, 1.0]):
-        with pytest.raises(NonFiniteValue, match="is 0 or not finite$"):
+        with pytest.raises(NonFiniteValue, match=r"^probe norm inf is 0 or not finite"):
             is_scalar_multiple_of_isometry(ScalingOperator(factors), spec)
+
+
+def test_isometry_detector_with_a_factor_that_underflows():
+    # divided by their max, the factors are (0, 1, 1e-300): the first atom's
+    # image norm is an exact 0, a ratio of 0, so the spread is 1
+    spec = SpaceSpec.sequence(2, 2, 3, 2)
+    assert is_scalar_multiple_of_isometry(ScalingOperator([1e-30, 1e300, 1.0]), spec) == (
+        False, 1.0)
 
 
 def test_isometry_detector_rejects_u_eps_operators():

@@ -140,20 +140,25 @@ def _as_blocks(blocks, what: str) -> np.ndarray:
 
 
 @dataclass
-class BochnerElement:
-    """A space element: block i is the value on atom i (an R^d vector)."""
+class _Blocks:
+    """n blocks in R^d, one per atom, every entry finite."""
 
     blocks: np.ndarray
+    what = "element"  # the array's name in errors; a class attribute, not a field
 
     def __post_init__(self):
-        self.blocks = _as_blocks(self.blocks, "element")
+        self.blocks = _as_blocks(self.blocks, self.what)
 
     @classmethod
-    def from_lists(cls, rows) -> "BochnerElement":
+    def from_lists(cls, rows):
         return cls(np.array(rows, dtype=float))
 
     def to_lists(self) -> list[list[float]]:
         return self.blocks.tolist()
+
+
+class BochnerElement(_Blocks):
+    """A space element: block i is the value on atom i (an R^d vector)."""
 
     def __add__(self, other: "BochnerElement") -> "BochnerElement":
         return BochnerElement(self.blocks + other.blocks)
@@ -170,21 +175,10 @@ class BochnerElement:
         return BochnerElement(-self.blocks)
 
 
-@dataclass
-class BlockFunctional:
+class BlockFunctional(_Blocks):
     """A dual element: block i acts on atom i, pairing sum_i mu_i T_i.g_i."""
 
-    blocks: np.ndarray
-
-    def __post_init__(self):
-        self.blocks = _as_blocks(self.blocks, "functional")
-
-    @classmethod
-    def from_lists(cls, rows) -> "BlockFunctional":
-        return cls(np.array(rows, dtype=float))
-
-    def to_lists(self) -> list[list[float]]:
-        return self.blocks.tolist()
+    what = "functional"
 
 
 @dataclass(frozen=True)
@@ -276,13 +270,14 @@ def block_norms(blocks: np.ndarray, q: float) -> np.ndarray:
     a = np.abs(blocks.T, out=np.empty(blocks.shape[::-1]))
     if math.isinf(q):
         return a.max(axis=0)
-    if q == 1.0:
-        return _pairwise_rows(a).copy()
-    m = a.max(axis=0)
-    safe = np.where(m > 0.0, m, 1.0)  # zero rows stay zero: 0 ** (1/q) = 0
-    a /= safe
-    a **= q
-    return safe * _pairwise_rows(a) ** (1.0 / q)
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        if q == 1.0:
+            return _pairwise_rows(a).copy()
+        m = a.max(axis=0)
+        safe = np.where(m > 0.0, m, 1.0)  # zero rows stay zero: 0 ** (1/q) = 0
+        a /= safe
+        a **= q
+        return safe * _pairwise_rows(a) ** (1.0 / q)
 
 
 def inner_duality_map(v, q: float) -> np.ndarray:
@@ -345,7 +340,8 @@ def _weighted_lp_rows(b: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
         if p == 2.0:
             return _l2_rows(b, mu)
         m = b.max(axis=1)
-        s = _dot_rows((b / np.where(m > 0.0, m, 1.0)[:, None]) ** p, mu)
+        # a zero row divides by 1, and so does an inf row: its norm is inf, not NaN
+        s = _dot_rows((b / np.where((0.0 < m) & (m < math.inf), m, 1.0)[:, None]) ** p, mu)
         # m * s ** (1/p) with Python's bits: float_power runs libm's pow, as **
         # does (power's SIMD kernel differs in the last bit on some values)
         return m * np.float_power(s, 1.0 / p)
@@ -405,7 +401,10 @@ def _duality_stack(stack: np.ndarray, b: np.ndarray, norms: np.ndarray,
     (b_i / divisor)^(p-1), F the norming functional of each block above
     DEFAULT_ZERO_TOL (relative to the row's largest block norm) and zero
     blocks elsewhere.  A row f's support functional is w[:, None] * F, and
-    [g, f] = ||f|| sum_i mu_i w_i F_i.g_i."""
+    [g, f] = ||f|| sum_i mu_i w_i F_i.g_i.  Raises NonFiniteValue when a
+    divisor is past the float range."""
+    if not np.isfinite(norms).all():
+        raise NonFiniteValue("a norm is past the float range")
     active = _nonzero_blocks(b)
     F = _duality_rows(stack.reshape(-1, spec.d), spec.q, active.ravel(), b.ravel())
     return (b / norms[:, None]) ** (spec.p - 1.0), F.reshape(stack.shape)

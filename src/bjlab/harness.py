@@ -145,11 +145,6 @@ class ExperimentConfig:
         build = u_eps_L1 if self.spec.p == 1.0 else u_eps_Lp
         return _value("spec/partition", build, eps, self.partition, self.spec)
 
-    @cached_property
-    def _factors(self) -> dict[float, np.ndarray]:
-        """The factors of each epsilon's operator, built once per config."""
-        return {eps: self._operator(eps).factors for eps in self.epsilons}
-
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
 
@@ -256,7 +251,7 @@ def _axiom_stack(cfg: ExperimentConfig, rngs, eps):
 def _sweep_stack(cfg: ExperimentConfig, rngs, eps):
     """Preservation trials, each row imaged by its epsilon's operator."""
     values, which = np.unique(eps, return_inverse=True)
-    factors = np.stack([cfg._factors[e] for e in values.tolist()])[which]
+    factors = np.stack([cfg._operator(e).factors for e in values.tolist()])[which]
     route, (dv, dm, db, _), (sv, sm, sb, _) = _preservation_stack(factors, eps, cfg.spec, rngs)
     boundary = db | sb
     return (eps, dv, dm, route, sv, sm, boundary), outcome(dv & sv, boundary)

@@ -438,8 +438,10 @@ def _certificate_checks(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
     """certificate_check of each pair of a (B, n, d) stack with nonzero x
     rows, given _norm_rows of both stacks and eps (one float, or one per
     row), as one columnar result (verdict, margin, boundary, certificate
-    blocks).  Raises NonFiniteValue when a certificate has an entry that is
-    not finite."""
+    blocks).  Raises NonFiniteValue when a y row's norm is past the float
+    range, or when a certificate has an entry that is not finite."""
+    if not np.isfinite(ny).all():  # the margin divides by it
+        raise NonFiniteValue("a norm is past the float range")
     mcv, T = _certificates(xs, ys, bx, nx, by, spec)
     if not np.isfinite(T).all():
         raise NonFiniteValue("functional contains non-finite entries")

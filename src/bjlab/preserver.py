@@ -185,21 +185,17 @@ def _draw_usable(out: np.ndarray, rows: np.ndarray, rngs,
     normal blocks from rngs[i], redrawing a row until its norm reaches
     _USABLE_NORM, at most 100 draws.  Returns _norm_rows of those rows; raises
     DegenerateDraw when a row is left without a usable draw."""
-    for i in rows.tolist():
-        rngs[i].standard_normal(out=out[i])
-    b, norms = _norm_rows(_take(out, rows), spec)
-    pending = np.flatnonzero(~(norms >= _USABLE_NORM))
-    for _ in range(99):
-        if not len(pending):
-            break
+    b, norms = np.empty((len(rows), spec.n)), np.empty(len(rows))
+    pending = np.arange(len(rows))
+    for _ in range(100):
         redraw = rows[pending]
         for i in redraw.tolist():
             rngs[i].standard_normal(out=out[i])
-        b[pending], norms[pending] = _norm_rows(out[redraw], spec)
+        b[pending], norms[pending] = _norm_rows(_take(out, redraw), spec)
         pending = pending[~(norms[pending] >= _USABLE_NORM)]
-    if len(pending):
-        raise DegenerateDraw("could not draw an element of usable norm")
-    return b, norms
+        if not len(pending):
+            return b, norms
+    raise DegenerateDraw("could not draw an element of usable norm")
 
 
 def random_element(spec: SpaceSpec, rng: np.random.Generator) -> BochnerElement:

@@ -48,7 +48,10 @@ def semi_inner_product(f: BochnerElement, g: BochnerElement,
     _require_smooth_lp(spec)
     fb = check_shape(f, spec)
     W = _sip_weight_rows(check_shape(g, spec)[None], spec)[1][0]
-    return float(np.einsum("ij,ij->", W, fb))  # W = 0 at g = 0
+    value = float(np.einsum("ij,ij->", W, fb))  # W = 0 at g = 0
+    if not np.isfinite(value):  # f's terms past the float range: inf, or inf - inf
+        raise NonFiniteValue("semi-inner product is past the float range")
+    return value
 
 
 def _sip_weight_rows(stack: np.ndarray, spec: SpaceSpec) -> tuple[np.ndarray, np.ndarray]:

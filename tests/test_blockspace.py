@@ -44,6 +44,11 @@ def test_inner_norm_examples():
     assert inner_norm([0.0, 0.0], 3.0) == 0.0
 
 
+def test_dual_exponent_examples():
+    assert [dual_exponent(r) for r in (1.0, 1.5, 2.0, 3.0, math.inf)] == [
+        math.inf, 3.0, 2.0, 1.5, 1.0]
+
+
 def test_inner_norm_rejects_bad_input():
     with pytest.raises(BadSpec):
         inner_norm([1.0], 0.5)
@@ -96,10 +101,26 @@ def test_bochner_norm_shape_mismatch():
 
 
 def test_element_rejects_non_finite_entries():
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(NonFiniteValue, match="^element contains"):
         BochnerElement.from_lists([[1.0, math.inf]])
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeMismatch, match="^element must be"):
         BochnerElement(np.zeros(3))  # blocks must be 2-d
+    with pytest.raises(NonFiniteValue, match="^functional contains"):
+        BlockFunctional.from_lists([[1.0, math.nan]])
+    with pytest.raises(ShapeMismatch, match="^functional must be"):
+        BlockFunctional(np.zeros(3))
+
+
+def test_element_arithmetic():
+    f = BochnerElement.from_lists([[1.0, -2.0], [0.5, 0.0]])
+    g = BochnerElement.from_lists([[3.0, 1.0], [-1.0, 4.0]])
+    for result, blocks in ((f + g, [[4.0, -1.0], [-0.5, 4.0]]),
+                           (f - g, [[-2.0, -3.0], [1.5, -4.0]]),
+                           (-f, [[-1.0, 2.0], [-0.5, 0.0]]),
+                           (2 * f, [[2.0, -4.0], [1.0, 0.0]]),
+                           (f * 2, [[2.0, -4.0], [1.0, 0.0]])):
+        assert type(result) is BochnerElement
+        assert result.to_lists() == blocks
 
 
 def test_duality_map_examples():
@@ -349,5 +370,7 @@ def test_element_serialization_roundtrip(data):
 
 def test_element_serialization_extreme_doubles():
     rows = [[5e-324, 1.7976931348623157e308], [-2.2250738585072014e-308, 0.1]]
-    back = BochnerElement.from_lists(json.loads(json.dumps(rows)))
-    assert np.array_equal(back.blocks, np.array(rows))
+    for cls in (BochnerElement, BlockFunctional):
+        back = cls.from_lists(json.loads(json.dumps(cls.from_lists(rows).to_lists())))
+        assert type(back) is cls
+        assert np.array_equal(back.blocks, np.array(rows))

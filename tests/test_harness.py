@@ -72,6 +72,8 @@ def test_parse_rejects_bad_spec_values():
         parse_config(json.dumps({**missing, "mode": "check-ortho"}))
     with pytest.raises(ConfigError, match="not valid JSON"):
         parse_config("{nope")
+    with pytest.raises(ConfigError, match="^config must be a JSON object$"):
+        parse_config(json.dumps([MINIMAL]))
 
 
 def test_parse_mode_conflict_and_merge():
@@ -157,10 +159,17 @@ MALFORMED_OR_UNREAD = [
     ("check-ortho", "spec", with_spec(weights=[1, "2", 1, 1])),
     ("isometry-test", "factors", {"factors": [1, True, 1, 1]}),
     ("isometry-test", "factors", {"factors": [1, "2", 1, 1]}),
+    # specs that SpaceSpec.from_dict or SpaceSpec refuses
+    ("check-ortho", "spec", with_spec(q=0.5)),
+    ("check-ortho", "spec", {"spec": [1, 2, 4, 2, [1, 1, 1, 1]]}),
+    ("check-ortho", "spec", {"spec": {"p": 1, "q": 2, "n": 4, "d": 2}}),
+    ("check-ortho", "spec", with_spec(q="two")),
+    # an isometry test with no operator to test
+    ("isometry-test", "factors", {}),
 ]
 # Each case keeps a fixed number, not its position, in its test id, so
 # deleting a case renames no other; 2, 3, 28 and 29 are retired.
-CASE_NUMBERS = [0, 1, *range(4, 28), *range(30, 38)]
+CASE_NUMBERS = [0, 1, *range(4, 28), *range(30, 43)]
 
 
 @pytest.mark.parametrize("mode,key,extra", MALFORMED_OR_UNREAD, ids=[

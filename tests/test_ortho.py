@@ -28,9 +28,13 @@ from bjlab import (
     min_certificate_value,
     minimize_convex_1d,
     random_element,
+    semi_inner_product,
+    sip_axiom_report,
     sip_orthogonality_criterion,
+    support_functional,
     u_eps_Lp,
 )
+from bjlab.blockspace import block_norms
 from conftest import rng_for, spec_with_elements
 from oracles import (
     brute_min_certificate,
@@ -153,6 +157,36 @@ def test_y_zero_passes_at_every_scale_of_x(x_norm):
     assert [tuple(column[0] for column in stacked)] == [passes]
     assert tuple(column[1] for column in stacked) == (
         alone.verdict, alone.margin, alone.boundary, alone.alpha_star)
+
+
+@pytest.mark.parametrize("p,q", [(3.0, 1.5), (3.0, 2.0), (1.0, 3.0), (2.0, 1.5), (1.0, 2.0),
+                                 (2.0, 2.0), (1.0, 1.5), (3.0, 1.0), (1.0, 1.0)])
+def test_a_norm_past_the_float_range_is_inf_or_a_typed_error(p, q):
+    # the first block's l^q norm overflows: it and the Bochner norm read inf,
+    # and every route through either raises NonFiniteValue; a RuntimeWarning
+    # is an error in this suite, so none escapes
+    spec = SpaceSpec(p, q, 2, 3, (1.0, 0.5))
+    huge = BochnerElement.from_lists([[1.5e308, 1.5e308, 1e308], [1.0, -2.0, 0.5]])
+    y = BochnerElement.from_lists([[0.3, -1.0, 2.0], [1.0, 0.5, -0.25]])
+    assert block_norms(huge.blocks, q)[0] == bochner_norm(huge, spec) == math.inf
+    routes = [lambda: is_bj_orthogonal(huge, y, spec), lambda: is_bj_orthogonal(y, huge, spec),
+              lambda: is_approx_bj_orthogonal(huge, y, 0.1, spec),
+              lambda: is_approx_bj_orthogonal(y, huge, 0.1, spec)]
+    if q > 1.0:  # the support-functional routes need a smooth inner norm
+        routes += [lambda: support_functional(huge, spec),
+                   lambda: min_certificate_value(huge, y, spec),
+                   lambda: certificate_check(huge, y, 0.1, spec),
+                   lambda: certificate_check(y, huge, 0.1, spec),
+                   lambda: make_orthogonal_partner(huge, y, spec)]
+    if p > 1.0 and q > 1.0:  # and the semi-inner product p > 1 as well
+        routes += [lambda: semi_inner_product(y, huge, spec),
+                   lambda: semi_inner_product(huge, y, spec),
+                   lambda: sip_orthogonality_criterion(huge, y, 0.1, spec),
+                   lambda: sip_orthogonality_criterion(y, huge, 0.1, spec),
+                   lambda: sip_axiom_report(huge, y, y, 1.0, 1.0, spec)]
+    for route in routes:
+        with pytest.raises(NonFiniteValue, match="float range"):
+            route()
 
 
 def test_approx_check_true_for_orthogonal_pairs_any_eps():

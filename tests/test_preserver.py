@@ -8,6 +8,7 @@ from bjlab import (
     AtomPartition,
     BadSpec,
     BochnerElement,
+    DegenerateDraw,
     NonFiniteValue,
     ScalingOperator,
     ShapeMismatch,
@@ -47,6 +48,8 @@ def test_atom_partition_validation():
     for n in (2.5, "4", True):
         with pytest.raises(BadSpec, match="partition size"):
             AtomPartition((0,), n)
+    with pytest.raises(BadSpec, match="^partition is over 4 atoms, space has 3$"):
+        part.mask(L1_SEQ3)
 
 
 def test_scaling_operator_validation():
@@ -183,9 +186,18 @@ def test_h_alpha_witness_norms():
 
     with pytest.raises(BadSpec):
         h_alpha_witness(1.0, part, np.array([2.0, 0.0]), spec)  # not unit
+    with pytest.raises(BadSpec, match=r"^x0 must be a 2-vector, got shape \(3,\)$"):
+        h_alpha_witness(1.0, part, np.array([1.0, 0.0, 0.0]), spec)
     for alpha in (math.inf, -math.inf, math.nan):  # before any inf * 0 warning
         with pytest.raises(BadSpec, match="alpha"):
             h_alpha_witness(alpha, part, x0, spec)
+
+
+def test_pair_draw_raises_when_every_partner_collapses():
+    # at n = d = 1 every y is a multiple of x, so the projection
+    # z - (T(z)/||x||) x leaves nothing of z, on every one of the 100 draws
+    with pytest.raises(DegenerateDraw, match="^partner collapsed to zero on every redraw$"):
+        draw_orthogonal_pair(SpaceSpec.sequence(2.0, 2.0, 1, 1), rng_for("collapse"))
 
 
 def test_isometry_detector_on_scalar_multiples():

@@ -8,7 +8,8 @@ The script runs it in this one process: three short warm-up runs (at most
 two trials each), then runs of the config at seeds seed, seed + 1, ... until
 N rows are measured (default: one run's rows), each run followed by its
 `RunReport.csv_text()` as `harness.run` writes it.  Faults and system time
-come from `resource.getrusage` on this process only.
+come from `resource.getrusage` on this process only, and so does the max
+RSS printed under the table.
 
 A stage is a function wrapped from outside the package wherever a bjlab
 module refers to it, as the benchmark's traced replay wraps its layers; a
@@ -141,6 +142,8 @@ def main(argv=None) -> int:
             counts = counts[:1]
         print(f"{name:<20}{1e6 * wall / rows:>13.1f}{faults / rows:>12.1f}"
               f"{1e3 * sys_s / rows:>12.3f}" + "".join(f"{c:>8}" for c in counts))
+    # ru_maxrss is in KiB on Linux: the peak includes the workspace the runs keep
+    print(f"max RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MiB")
     if stages.missing:
         print("missing stages: " + ", ".join(stages.missing))
     return 0

@@ -8,6 +8,8 @@ weighted sum, so duality and support functionals have closed forms.
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -33,6 +35,45 @@ BOUNDARY_BAND = 10.0
 # noise, not an uncertain verdict.
 ONE_SIDED_NOISE_FLOOR = 1e-13
 SQUARES_FLOOR = 2.0 ** -900  # a sum of squares below it may have lost bits to underflow
+
+
+# The workspace of the run in progress in each thread (harness._trial_rows
+# lends it for a run's length), None outside a run: see _scratch.
+_RUN = threading.local()
+
+
+@contextmanager
+def _workspace(buffers: dict):
+    """Let _scratch in this thread hand out views of buffers (name -> 1-d
+    float64 array, replaced by a larger one when a stack outgrows it) until
+    the with block ends."""
+    _RUN.buffers = buffers
+    try:
+        yield
+    finally:
+        _RUN.buffers = None
+
+
+def _scratch(name: str, shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array of shape: during a run in this thread
+    a view of the workspace's buffer `name`, valid until the next
+    _scratch(name), else a new array.  So a stack's arrays keep their pages
+    from row to row, and nothing that outlives its stack may be one."""
+    buffers = getattr(_RUN, "buffers", None)
+    if buffers is None:
+        return np.empty(shape)
+    size = math.prod(shape)
+    buf = buffers.get(name)
+    if buf is None or len(buf) < size:
+        buf = buffers[name] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _repeat(values: np.ndarray, shape: tuple) -> np.ndarray:
+    """values (one per block) repeated along the blocks' last axis to shape:
+    an operation on two arrays of one shape runs along the long axis, where
+    one broadcast along the blocks runs along rows of d."""
+    return np.repeat(values, shape[-1]).reshape(shape)
 
 
 def _is_int(v) -> bool:
@@ -160,14 +201,21 @@ class _Blocks:
 class BochnerElement(_Blocks):
     """A space element: block i is the value on atom i (an R^d vector)."""
 
+    @staticmethod
+    def _of(op, *operands) -> "BochnerElement":
+        """The element op(*operands); an entry past the float range raises
+        the NonFiniteValue of the entry check, not numpy's warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return BochnerElement(op(*operands))
+
     def __add__(self, other: "BochnerElement") -> "BochnerElement":
-        return BochnerElement(self.blocks + other.blocks)
+        return self._of(np.add, self.blocks, other.blocks)
 
     def __sub__(self, other: "BochnerElement") -> "BochnerElement":
-        return BochnerElement(self.blocks - other.blocks)
+        return self._of(np.subtract, self.blocks, other.blocks)
 
     def __mul__(self, a: float) -> "BochnerElement":
-        return BochnerElement(self.blocks * float(a))
+        return self._of(np.multiply, self.blocks, float(a))
 
     __rmul__ = __mul__
 
@@ -267,7 +315,7 @@ def block_norms(blocks: np.ndarray, q: float) -> np.ndarray:
     if q == 2.0:
         return _l2_rows(blocks)
     # one owned transposed copy: every step runs in place over its long rows
-    a = np.abs(blocks.T, out=np.empty(blocks.shape[::-1]))
+    a = np.abs(blocks.T, out=_scratch("abs", blocks.shape[::-1]))
     if math.isinf(q):
         return a.max(axis=0)
     with np.errstate(over="ignore"):  # a norm past the float range is inf
@@ -297,8 +345,9 @@ def inner_duality_map(v, q: float) -> np.ndarray:
 
 
 def _duality_rows(blocks: np.ndarray, q: float, active: np.ndarray,
-                  norms: np.ndarray) -> np.ndarray:
-    """Row-wise duality map; rows outside `active` come back zero.
+                  norms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise duality map, written into out (a new array when None); rows
+    outside `active` come back zero.
 
     norms holds the rows' l^q norms, block_norms(blocks, q).
     """
@@ -306,19 +355,27 @@ def _duality_rows(blocks: np.ndarray, q: float, active: np.ndarray,
     # output: a boolean gather and scatter cost twice the formula at n=4096
     every = active.all()
     sub, norms = (blocks, norms) if every else (blocks[active], norms[active])
-    a = np.abs(sub)  # the one owned temporary: divided and powered in place
+    a = np.abs(sub, out=out if every else None)  # |v|, divided and powered in place
     m = a[:, 0].copy()  # row maxima column by column: 10x faster than along C rows
     for j in range(1, a.shape[1]):
         np.maximum(m, a[:, j], out=m)
-    a /= m[:, None]
-    zero = a == 0.0  # sign(sub / m) is 0 there, however sub is signed
-    a **= q - 1.0
-    np.copysign(a, sub, out=a)
-    a[zero] = 0.0
-    a /= (norms / m)[:, None] ** (q - 1.0)
+    if q == 2.0:
+        # sign(v)|v|/m is v/m, whose -0.0 entries += 0.0 turns into the +0.0
+        # that the mask below sets; the power by q - 1 = 1 is the identity
+        np.divide(sub, _repeat(m, a.shape), out=a)
+        a += 0.0
+        a /= _repeat(norms / m, a.shape)
+    else:
+        a /= _repeat(m, a.shape)
+        zero = a == 0.0  # sign(sub / m) is 0 there, however sub is signed
+        a **= q - 1.0
+        np.copysign(a, sub, out=a)
+        a[zero] = 0.0
+        a /= _repeat((norms / m) ** (q - 1.0), a.shape)
     if every:
         return a
-    out = np.zeros_like(blocks)
+    out = np.empty_like(blocks) if out is None else out
+    out[~active] = 0.0
     out[active] = a
     return out
 
@@ -406,7 +463,8 @@ def _duality_stack(stack: np.ndarray, b: np.ndarray, norms: np.ndarray,
     if not np.isfinite(norms).all():
         raise NonFiniteValue("a norm is past the float range")
     active = _nonzero_blocks(b)
-    F = _duality_rows(stack.reshape(-1, spec.d), spec.q, active.ravel(), b.ravel())
+    F = _duality_rows(stack.reshape(-1, spec.d), spec.q, active.ravel(), b.ravel(),
+                      _scratch("support", (b.size, spec.d)))
     return (b / norms[:, None]) ** (spec.p - 1.0), F.reshape(stack.shape)
 
 
@@ -415,7 +473,7 @@ def _support_stack(stack: np.ndarray, b: np.ndarray, norms: np.ndarray,
     """Blocks of the support functionals w[:, None] * F (_duality_stack) of a
     (B, n, d) stack of nonzero elements, given _norm_rows(stack)."""
     w, F = _duality_stack(stack, b, norms, spec)
-    return np.multiply(F, w[:, :, None], out=F)
+    return np.multiply(F, _repeat(w, F.shape), out=F)
 
 
 def _support_norms(stack: np.ndarray, spec: SpaceSpec

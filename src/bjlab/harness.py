@@ -22,7 +22,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .blockspace import DEFAULT_TOL, SpaceSpec, _is_int, _is_number, _norm_rows, outcome
+from .blockspace import (
+    DEFAULT_TOL,
+    SpaceSpec,
+    _is_int,
+    _is_number,
+    _norm_rows,
+    _workspace,
+    outcome,
+)
 from .errors import BjlabError, ConfigError
 from .ortho import _approx_checks, _exact_checks, _route_checks, epsilon_value
 from .preserver import (
@@ -266,9 +274,11 @@ _STACK_FUNCTIONS = {
 }
 
 # Each thread's pool of the generators that runs re-key for their stacks
-# (streams.stack_rngs).  It outlives a run, so a later run re-keys generators
-# instead of building them, and holds as many as the largest stack run so far
-# in its thread; runs in two threads share no generator.
+# (streams.stack_rngs), and its workspace: the stack-sized arrays that runs
+# lend to the kernels (blockspace._scratch).  Both outlive a run, so a later
+# run re-keys generators instead of building them and writes its stacks into
+# pages already in memory; each holds as much as the largest stack run so
+# far in its thread, and runs in two threads share neither.
 _GENERATORS = threading.local()
 
 
@@ -288,23 +298,25 @@ def _trial_rows(cfg: ExperimentConfig) -> tuple[list[np.ndarray], np.ndarray]:
     row_eps = np.repeat(cfg.epsilons, cfg.trials) if cfg.epsilons else None
     pool = vars(_GENERATORS).setdefault("pool", [])
     stacks = []
-    for start in range(0, total, size):
-        indices = range(start, min(start + size, total))
-        eps = None if row_eps is None else row_eps[indices.start:indices.stop]
-        try:
-            columns, outcomes = stack_function(cfg, stack_rngs(keys, indices, pool), eps)
-        except BjlabError:
-            # no row depends on its stack: rerun the rows one at a time,
-            # from fresh generators, up to the first that fails alone
-            for i, index in enumerate(indices):
-                stack_function(cfg, [trial_rng(cfg.seed, index)],
-                               None if eps is None else eps[i:i + 1])
-            raise
-        for c in (*columns, outcomes):
-            if isinstance(c, np.ndarray) and len(c) != len(indices):
-                raise ValueError(f"a column {'shorter' if len(c) < len(indices) else 'longer'}"
-                                 f" than its stack of {len(indices)} rows")
-        stacks.append((*columns, outcomes))
+    # a stack's columns are new arrays: none is a view of the workspace
+    with _workspace(vars(_GENERATORS).setdefault("workspace", {})):
+        for start in range(0, total, size):
+            indices = range(start, min(start + size, total))
+            eps = None if row_eps is None else row_eps[indices.start:indices.stop]
+            try:
+                columns, outcomes = stack_function(cfg, stack_rngs(keys, indices, pool), eps)
+            except BjlabError:
+                # no row depends on its stack: rerun the rows one at a time,
+                # from fresh generators, up to the first that fails alone
+                for i, index in enumerate(indices):
+                    stack_function(cfg, [trial_rng(cfg.seed, index)],
+                                   None if eps is None else eps[i:i + 1])
+                raise
+            for c in (*columns, outcomes):
+                if isinstance(c, np.ndarray) and len(c) != len(indices):
+                    raise ValueError(f"a column {'shorter' if len(c) < len(indices) else 'longer'}"
+                                     f" than its stack of {len(indices)} rows")
+            stacks.append((*columns, outcomes))
     index = np.arange(total)
     prefix = [index % cfg.trials, np.array([f"{cfg.seed}:{i}" for i in range(total)], object),
               *(np.full(total, v) for v in (s.p, s.q, s.n, s.d))]

@@ -33,6 +33,7 @@ from .blockspace import (
     _is_number,
     _norm_rows,
     _pairing_rows,
+    _scratch,
     _support_norms,
     _support_stack,
     check_shape,
@@ -318,7 +319,7 @@ def _exact_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
                   ny: np.ndarray, spec: SpaceSpec) -> tuple:
     """is_bj_orthogonal of each pair of a (B, n, d) stack, given its rows'
     norms, as one columnar result (verdict, margin, boundary, alpha*)."""
-    return _one_sided_checks(partial(_line_norms, xs, ys, np.empty_like(xs), spec),
+    return _one_sided_checks(partial(_line_norms, xs, ys, _scratch("line", xs.shape), spec),
                              _radii(nx, ny), nx, nx, (1.0 - ONE_SIDED_NOISE_FLOOR) * nx, nx)
 
 
@@ -339,7 +340,7 @@ def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
     bad = ~((0.0 < nx2) & (nx2 < math.inf))  # nx * nx underflowed or overflowed
     if bad.any():
         raise NonFiniteValue(f"||x||^2 = {float(nx2[np.argmax(bad)])} is outside the float range")
-    norm_at = partial(_line_norms, xs, ys, np.empty_like(xs), spec)
+    norm_at = partial(_line_norms, xs, ys, _scratch("line", xs.shape), spec)
 
     def gap(alphas, live):
         """psi(alpha) = ||x + alpha y||^2 - ||x||^2 + 2 eps ||x|| ||y|| |alpha|."""
@@ -423,12 +424,16 @@ def _certificates(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
     free = ~T.any(axis=2)  # the zero blocks of x (at p = 1 every weight is 1)
     for i in np.flatnonzero(free.any(axis=1)).tolist():
         f, si = free[i], float(s[i])
-        c = (spec.mu * by[i])[f]  # reach of each free block
-        taken = np.clip(abs(si) - (np.cumsum(c) - c), 0.0, c)
+        # a sum of reaches past the float range is inf, and cancels all of S
+        with np.errstate(over="ignore"):
+            c = (spec.mu * by[i])[f]  # reach of each free block
+            if not (math.isfinite(si) and np.isfinite(c).all()):
+                raise NonFiniteValue("a free block's reach or S is past the float range")
+            taken = np.clip(abs(si) - (np.cumsum(c) - c), 0.0, c)
+            mcv[i] = max(0.0, abs(si) - float(c.sum()))
         t = np.divide(taken, c, out=np.zeros_like(c), where=c > 0.0)
         Fy = _duality_rows(ys[i][f], spec.q, c > 0.0, by[i][f])
         T[i][f] = -np.sign(si) * t[:, None] * Fy
-        mcv[i] = max(0.0, abs(si) - float(c.sum()))
     return mcv, T
 
 
@@ -491,11 +496,12 @@ def certificate_check(x: BochnerElement, y: BochnerElement, eps,
 
 
 def _partners(xs: np.ndarray, zs: np.ndarray, bx: np.ndarray, nx: np.ndarray,
-              spec: SpaceSpec) -> np.ndarray:
+              spec: SpaceSpec, out: np.ndarray | None = None) -> np.ndarray:
     """z_i - (T_i(z_i)/||x_i||) x_i for each pair of a (B, n, d) stack, T_i the
-    support functional of x_i, given _norm_rows of the nonzero x rows."""
+    support functional of x_i, given _norm_rows of the nonzero x rows;
+    written into out (a new array when None)."""
     T = _support_stack(xs, bx, nx, spec)
-    y = xs * -(_pairing_rows(T, zs, spec) / nx)[:, None, None]
+    y = np.multiply(xs, -(_pairing_rows(T, zs, spec) / nx)[:, None, None], out=out)
     return np.add(y, zs, out=y)
 
 

@@ -18,6 +18,8 @@ from .blockspace import (
     _is_number,
     _norm_arr,
     _norm_rows,
+    _repeat,
+    _scratch,
     _take,
     inner_norm,
     outcome,
@@ -93,12 +95,15 @@ class ScalingOperator:
                 f"operator has {len(self.factors)} factors, space has {spec.n} atoms")
 
 
-def _image(factors: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+def _image(factors: np.ndarray, blocks: np.ndarray, out: np.ndarray | None = None
+           ) -> np.ndarray:
     """factors_i * blocks_i over (n, d) blocks, or over a (B, n, d) stack
-    with (n,) factors or a (B, n) row of factors per row; raises
-    NonFiniteValue when an entry overflows."""
+    with (n,) factors or a (B, n) row of factors per row, written into out
+    (a new array when None; it may be blocks); raises NonFiniteValue when an
+    entry overflows."""
     with np.errstate(over="ignore"):  # an overflow is the error below
-        image = factors[..., None] * blocks
+        image = np.multiply(_repeat(factors, factors.shape + blocks.shape[-1:]), blocks,
+                            out=out)
     if not np.isfinite(image).all():
         raise NonFiniteValue("element contains non-finite entries")
     return image
@@ -208,11 +213,35 @@ def _draw_elements(spec: SpaceSpec, rngs, count: int) -> list[np.ndarray]:
     """random_element drawn count times from each generator in turn, as
     count (B, n, d) stacks."""
     stacks = []
-    for _ in range(count):
-        out = np.empty((len(rngs), spec.n, spec.d))
+    for k in range(count):
+        out = _scratch(f"draw{k}", (len(rngs), spec.n, spec.d))
         _draw_usable(out, np.arange(len(rngs)), rngs, spec)
         stacks.append(out)
     return stacks
+
+
+def _max_abs(stack: np.ndarray) -> np.ndarray:
+    """The largest entry in modulus of each row of a (B, n, d) stack, with
+    no temporary of the stack's size."""
+    return np.maximum(stack.max(axis=(1, 2)), -stack.min(axis=(1, 2)))
+
+
+def _collapsed(Y: np.ndarray, Z: np.ndarray, spec: SpaceSpec) -> np.ndarray:
+    """not ||Y_i|| > 1e-9 ||Z_i|| for each row of two (B, n, d) stacks, as
+    the norms decide it.  Most rows are decided from their largest entries,
+    by mu_min^(1/p) max|v| <= ||v|| <= (sum mu)^(1/p) d^(1/q) max|v| with a
+    2x slack for rounding (and a normal lower bound); only the others are
+    normed."""
+    with np.errstate(over="ignore"):  # a bound past the float range decides nothing
+        low = spec.mu.min() ** (1.0 / spec.p) * _max_abs(Y)
+        high = float(spec.mu.sum()) ** (1.0 / spec.p) * spec.d ** (1.0 / spec.q) * _max_abs(Z)
+        kept = (low > 2e-9 * high) & (low >= 2.0 ** -1022)  # the smallest normal double
+    collapsed = np.zeros(len(Y), dtype=bool)
+    rows = np.flatnonzero(~kept)
+    if len(rows):
+        collapsed[rows] = ~(_norm_rows(_take(Y, rows), spec)[1]
+                            > 1e-9 * _norm_rows(_take(Z, rows), spec)[1])
+    return collapsed
 
 
 def _draw_pairs(spec: SpaceSpec, rngs) -> tuple[np.ndarray, np.ndarray]:
@@ -220,20 +249,19 @@ def _draw_pairs(spec: SpaceSpec, rngs) -> tuple[np.ndarray, np.ndarray]:
     of x and y.  Each row takes its draws from its own generator in the
     order the one-pair draw takes them."""
     shape = (len(rngs), spec.n, spec.d)
-    xs, zs, ys = np.empty(shape), np.empty(shape), None
+    xs, zs, ys = _scratch("draw0", shape), _scratch("draw1", shape), _scratch("partner", shape)
     todo = np.arange(len(rngs))
     for _ in range(100):
         bx, nx = _draw_usable(xs, todo, rngs, spec)
         for i in todo.tolist():
             rngs[i].standard_normal(out=zs[i])
         Z = _take(zs, todo)
-        Y = _partners(_take(xs, todo), Z, bx, nx, spec)
-        if ys is None:  # the first round projects every row: no copy
-            ys = Y
-        else:
+        # the first round projects every row straight into ys
+        Y = _partners(_take(xs, todo), Z, bx, nx, spec, ys if len(todo) == len(ys) else None)
+        if Y is not ys:
             ys[todo] = Y
         # redraw the rows whose partner collapsed to zero
-        todo = todo[~(_norm_rows(Y, spec)[1] > 1e-9 * _norm_rows(Z, spec)[1])]
+        todo = todo[_collapsed(Y, Z, spec)]
         if not len(todo):
             return xs, ys
     raise DegenerateDraw("partner collapsed to zero on every redraw")
@@ -314,7 +342,8 @@ def _preservation_stack(factors, eps, spec: SpaceSpec, rngs) -> tuple[str, tuple
     spec.require_smooth_inner()  # the partner projection's, before any draw
     xs, ys = _draw_pairs(spec, rngs)
     route = "certificate" if spec.p == 1.0 else "sip"  # the sip criterion for p > 1
-    return (route, *_route_checks(_image(factors, xs), _image(factors, ys), eps, spec))
+    # the pair is imaged in place: the rows need only its image
+    return (route, *_route_checks(_image(factors, xs, xs), _image(factors, ys, ys), eps, spec))
 
 
 def preservation_trials(U: ScalingOperator, eps, spec: SpaceSpec,

@@ -57,6 +57,31 @@ def reference_block_norms(blocks: np.ndarray, q: float) -> np.ndarray:
 
 def reference_duality_rows(blocks: np.ndarray, q: float, active: np.ndarray,
                            norms: np.ndarray) -> np.ndarray:
+    """blockspace._duality_rows as it was before its divisors were repeated
+    to the rows' shape and q = 2 took v/m: the same map, each divisor
+    broadcast along the short rows and every q through the power, sign and
+    zero mask.  The kernel must match it bit for bit."""
+    every = active.all()
+    sub, norms = (blocks, norms) if every else (blocks[active], norms[active])
+    a = np.abs(sub)
+    m = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(m, a[:, j], out=m)
+    a /= m[:, None]
+    zero = a == 0.0
+    a **= q - 1.0
+    np.copysign(a, sub, out=a)
+    a[zero] = 0.0
+    a /= (norms / m)[:, None] ** (q - 1.0)
+    if every:
+        return a
+    out = np.zeros_like(blocks)
+    out[active] = a
+    return out
+
+
+def formula_duality_rows(blocks: np.ndarray, q: float, active: np.ndarray,
+                         norms: np.ndarray) -> np.ndarray:
     """Row-wise duality map sign(v)|v|^(q-1)/||v||_q^(q-1) on max-scaled
     rows, zero outside active: the formula blockspace._duality_rows must
     match bit for bit."""

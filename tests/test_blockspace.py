@@ -25,9 +25,10 @@ from bjlab import (
     support_functional,
     zero_set,
 )
-from bjlab.blockspace import _duality_rows, _weighted_lp_rows, block_norms
+from bjlab.blockspace import _duality_rows, _weighted_lp_rows, _workspace, block_norms
 from conftest import SMOOTH_QS, rng_for, spec_with_elements, specs
 from oracles import (
+    formula_duality_rows,
     forward_diff_gradient,
     mc_dual_norm,
     naive_norm,
@@ -123,6 +124,46 @@ def test_element_arithmetic():
         assert result.to_lists() == blocks
 
 
+def _duality_inputs(rng) -> np.ndarray:
+    """Rows of d = 4 with signed zeros, quotients by the row max that are
+    subnormal or underflow to 0, 1e300 beside 1e-300, then random rows of
+    Gaussian and of log-uniform magnitudes."""
+    special = [[0.0, -0.0, 1.0, -2.0], [-5e-324, 1e10, -0.0, 3.0],
+               [1e300, -1e-300, 0.0, -1e-300], [-1e-300, 1e300, -5e-324, 2.5e-320],
+               [1e-310, -1e-310, 5e-324, -5e-324], [-0.0, -0.0, -0.0, 7.0],
+               [-1e-160, 1e10, 1e-200, -2.0], [1e300, 1e300, -1e300, 1e-300]]
+    gauss = rng.standard_normal((300, 4))
+    spread = gauss * np.exp(rng.uniform(-700.0, 700.0, (300, 4)))
+    return np.concatenate((special, gauss, spread))
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+def test_duality_kernel_keeps_the_bits_of_the_broadcast_kernel(q):
+    # the divisors repeated to the rows' shape, and q = 2's v / m with += 0.0,
+    # give every bit of the kernel that broadcast them, -0.0 and +0.0 included
+    blocks = _duality_inputs(rng_for(f"duality_bits_{q}"))
+    norms = block_norms(blocks, q)
+    nonzero = norms > 0.0
+    for active in (nonzero, nonzero & (np.arange(len(blocks)) % 3 > 0)):
+        expected = reference_duality_rows(blocks, q, active, norms)
+        assert _same_bits(_duality_rows(blocks, q, active, norms), expected)
+        # into an output holding stale values, as a workspace buffer does
+        out = np.full(blocks.shape, np.nan)
+        assert _duality_rows(blocks, q, active, norms, out) is out
+        assert _same_bits(out, expected)
+    with _workspace({}):  # the workspace changes no bit either
+        assert _same_bits(block_norms(blocks, q), norms)
+
+
+def test_element_arithmetic_past_the_float_range_raises_a_typed_error():
+    f = BochnerElement.from_lists([[1.0, -2.0]])
+    big = BochnerElement.from_lists([[1e308, -1e308]])
+    for make in (lambda: f * 1e308, lambda: 1e308 * f, lambda: big + big,
+                 lambda: big - -big, lambda: f * math.inf, lambda: f * math.nan):
+        with pytest.raises(NonFiniteValue, match="^element contains non-finite entries$"):
+            make()
+
+
 def test_duality_map_examples():
     np.testing.assert_allclose(inner_duality_map([3.0, 4.0], 2.0), [0.6, 0.8])
     np.testing.assert_allclose(inner_duality_map([1.0, 0.0], 3.0), [1.0, 0.0])
@@ -205,7 +246,7 @@ def test_kernels_match_reference_formulas_bit_for_bit(n, d, q):
         for active in (nonzero, nonzero & (rng.random(n) < 0.5),
                        np.zeros(n, dtype=bool)):
             rows = _duality_rows(blocks, q, active, norms)
-            assert _same_bits(rows, reference_duality_rows(blocks, q, active, norms))
+            assert _same_bits(rows, formula_duality_rows(blocks, q, active, norms))
             assert np.array_equal(blocks, kept)
     # the outer aggregate of each row, p = inf being functional_norm's at p = 1
     b, mu = np.array(block_norm_rows), rng.uniform(0.1, 5.0, n)

@@ -1,6 +1,8 @@
 import dataclasses
 import importlib.util
 import json
+import re
+import resource
 from pathlib import Path
 
 import numpy as np
@@ -449,6 +451,11 @@ def test_rowcost_splits_a_small_sweep_by_stage(tmp_path, capsys):
     assert set(stages) >= {"_draw_pairs", "_certified_probes", "csv_text", "rest", "total"}
     assert stages["_draw_pairs"][3] == stages["csv_text"][3] == "2"  # one stack per run
     assert stages["_golden_sections"][4] == "0"  # rows it minimized: every row certifies
+    # the process's peak memory, beside the faults the workspace saves
+    (rss,) = [re.fullmatch(r"max RSS: (\d+\.\d) MiB", line) for line in lines[2:]
+              if line.startswith("max RSS")]
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert float(rss.group(1)) == pytest.approx(peak, abs=0.05)
     # sip rows on this space often reach golden section (819 of the 1,200
     # pinned rows): here 7 of 8, in one call
     space = {"p": 2.5, "q": 1.5, "n": 4, "d": 2, "weights": [1, 0.3, 1.5, 2]}

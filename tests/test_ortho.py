@@ -189,6 +189,22 @@ def test_a_norm_past_the_float_range_is_inf_or_a_typed_error(p, q):
             route()
 
 
+@pytest.mark.parametrize("q", [3.0, 2.0, 1.5])
+def test_a_free_block_past_the_float_range_raises_a_typed_error(q):
+    # p = 1 with a zero block in x: y's reach there, mu_0 ||y_0||_q, is past
+    # the float range, so the closed-form minimum cannot be formed
+    spec = SpaceSpec(1.0, q, 2, 3, (1.0, 1.0))
+    x = BochnerElement.from_lists([[0.0, 0.0, 0.0], [1.0, 0.5, -0.25]])
+    y = BochnerElement.from_lists([[1.5e308, 1.5e308, 1e308], [1.0, 2.0, 3.0]])
+    with pytest.raises(NonFiniteValue, match="float range"):
+        min_certificate_value(x, y, spec)
+    # two finite reaches whose sum overflows cancel all of S: the minimum is 0
+    spec = SpaceSpec(1.0, q, 3, 3, (1.0, 1.0, 1.0))
+    x = BochnerElement.from_lists([[0.0] * 3, [0.0] * 3, [1.0, 0.5, -0.25]])
+    y = BochnerElement.from_lists([[1e308, 0.0, 0.0], [-1e308, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    assert min_certificate_value(x, y, spec) == 0.0
+
+
 def test_approx_check_true_for_orthogonal_pairs_any_eps():
     spec = SpaceSpec(2, 2, 2, 2, (1.0, 1.0))
     x = BochnerElement.from_lists([[1, 0], [0, 0]])

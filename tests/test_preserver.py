@@ -26,6 +26,8 @@ from bjlab import (
     u_eps_l1,
     u_eps_Lp,
 )
+from bjlab import preserver
+from bjlab.blockspace import _norm_rows
 from bjlab.harness import trial_rng
 from conftest import rng_for
 
@@ -198,6 +200,56 @@ def test_pair_draw_raises_when_every_partner_collapses():
     # z - (T(z)/||x||) x leaves nothing of z, on every one of the 100 draws
     with pytest.raises(DegenerateDraw, match="^partner collapsed to zero on every redraw$"):
         draw_orthogonal_pair(SpaceSpec.sequence(2.0, 2.0, 1, 1), rng_for("collapse"))
+
+
+def _stacks_around_the_collapse_threshold(spec: SpaceSpec, rng):
+    """(Y, Z) stacks whose rows have ||Y|| / ||Z|| log-uniform in
+    [1e-10, 1e-3] or equal to 1e-9, with Y spread or on one entry of the
+    lightest atom (where mu_min^(1/p) max|Y| is ||Y||) and Z spread or of
+    equal moduli (where (sum mu)^(1/p) d^(1/q) max|Z| is ||Z||); a last
+    group is scaled to 1e-300, where the lower bound is subnormal."""
+    B, shape = 240, (spec.n, spec.d)
+    Z = rng.standard_normal((B, *shape))
+    Z[1::2] = rng.choice((-1.0, 1.0), (B // 2, *shape))
+    Y = rng.standard_normal((B, *shape))
+    Y[::3] = 0.0
+    Y[::3, int(np.argmin(spec.mu)), 0] = 1.0
+    ratio = 10.0 ** rng.uniform(-10.0, -3.0, B)
+    ratio[::5] = 1e-9
+    Y *= (ratio * _norm_rows(Z, spec)[1] / _norm_rows(Y, spec)[1])[:, None, None]
+    Y[-20:] *= 1e-300
+    Z[-20:] *= 1e-300
+    return Y, Z
+
+
+@pytest.mark.parametrize("p,q,weights", [(1.0, 2.0, (0.1, 4.0, 1.0, 2.5)),
+                                         (3.0, 1.5, (1.0,) * 4),
+                                         (1.5, 3.0, (0.3, 0.3, 7.0, 1.0))])
+def test_the_collapse_bound_redraws_the_rows_the_norms_redraw(monkeypatch, p, q, weights):
+    spec = SpaceSpec(p, q, 4, 3, weights)
+    Y, Z = _stacks_around_the_collapse_threshold(spec, rng_for(f"collapse_{p}_{q}"))
+    exact = ~(_norm_rows(Y, spec)[1] > 1e-9 * _norm_rows(Z, spec)[1])
+    normed = []
+    monkeypatch.setattr(preserver, "_norm_rows",
+                        lambda stack, spec: normed.append(len(stack)) or _norm_rows(stack, spec))
+    assert np.array_equal(preserver._collapsed(Y, Z, spec), exact)
+    assert 0 < exact.sum() < len(exact)
+    # the bound decided most rows, and the norms the rest
+    assert len(normed) == 2 and 0 < normed[0] < len(Y) // 2
+
+
+def test_the_collapse_bound_keeps_its_slack_where_it_is_exact():
+    # p = 1, q = inf, Z all ones and Y = 1e-9 ||Z|| on an atom of mass 1 =
+    # mu_min: both bounds are the norms themselves, up to the order their
+    # sums round in (sum mu against mu @ ones), so only the 2x slack keeps
+    # the bound from deciding a row the norms call collapsed
+    rng = rng_for("collapse_slack")
+    for n in rng.integers(3, 40, 60).tolist():
+        spec = SpaceSpec(1.0, math.inf, n, 1, (1.0, *rng.uniform(1.0, 3.0, n - 1)))
+        Z = np.ones((1, n, 1))
+        Y = np.zeros((1, n, 1))
+        Y[0, 0, 0] = 1e-9 * _norm_rows(Z, spec)[1][0]
+        assert preserver._collapsed(Y, Z, spec).tolist() == [True]
 
 
 def test_isometry_detector_on_scalar_multiples():

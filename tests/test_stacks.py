@@ -725,8 +725,8 @@ def test_a_stack_spanning_epsilons_images_its_rows_in_two_products(monkeypatch):
     images = []
     image = preserver._image
     monkeypatch.setattr(preserver, "_image",
-                        lambda factors, blocks: images.append(factors.shape)
-                        or image(factors, blocks))
+                        lambda factors, blocks, out: images.append(factors.shape)
+                        or image(factors, blocks, out))
     sizes = recorded_stack_sizes(monkeypatch, "preserver-sweep")
     cfg = sweep_config("l1_sweep", 6)
     run(cfg, echo=False)

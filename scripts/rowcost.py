@@ -1,13 +1,16 @@
 """Per-row cost of a bjlab config: wall time, minor page faults and system
 time, split by stage.
 
-    PYTHONPATH=src python scripts/rowcost.py CONFIG [--rows N]
+    PYTHONPATH=src python scripts/rowcost.py CONFIG [--rows N] [--out PATH]
 
-CONFIG is a bjlab JSON config; its `out` is ignored and nothing is written.
-The script runs it in this one process: three short warm-up runs (at most
-two trials each), then runs of the config at seeds seed, seed + 1, ... until
-N rows are measured (default: one run's rows), each run followed by its
-`RunReport.csv_text()` as `harness.run` writes it.  Faults and system time
+CONFIG is a bjlab JSON config; its `out` is ignored.  The script runs it in
+this one process: three short warm-up runs (at most two trials each), then
+runs of the config at seeds seed, seed + 1, ... until N rows are measured
+(default: one run's rows).  Without --out nothing is written, and each run is
+followed by its `RunReport.csv_text()` as `harness.run` writes it.  With
+--out every run, warm-ups included, writes its CSV to PATH through
+`harness.run`, so each measured run rewrites the file the one before it
+wrote, and the write is its own stage.  Faults and system time
 come from `resource.getrusage` on this process only, and so does the max
 RSS printed under the table.
 
@@ -33,7 +36,7 @@ from bjlab.harness import run
 
 STAGES = [("bjlab.preserver", "_draw_pairs"), ("bjlab.ortho", "_certified_probes"),
           ("bjlab.ortho", "_golden_sections"), ("bjlab.ortho", "_certificates"),
-          ("bjlab.harness", "RunReport.csv_text")]
+          ("bjlab.harness", "RunReport.csv_text"), ("bjlab.harness", "_write_csv")]
 
 
 def _usage() -> tuple[float, int, float]:
@@ -104,9 +107,11 @@ class Stages:
 
 
 def _run(cfg) -> int:
-    """One run of cfg and its CSV text; returns its row count."""
+    """One run of cfg and its CSV text, which the run writes to cfg.out
+    when that is set; returns its row count."""
     report = run(cfg, echo=False)
-    report.csv_text()
+    if cfg.out is None:
+        report.csv_text()
     return len(report.values[0])
 
 
@@ -115,9 +120,11 @@ def main(argv=None) -> int:
     ap.add_argument("config")
     ap.add_argument("--rows", type=int, default=None,
                     help="rows to measure (default: one run's rows)")
+    ap.add_argument("--out", default=None,
+                    help="write each run's CSV to this path (default: write nothing)")
     args = ap.parse_args(argv)
     with open(args.config, encoding="utf-8") as fh:
-        cfg = dataclasses.replace(parse_config(fh.read()), out=None)
+        cfg = dataclasses.replace(parse_config(fh.read()), out=args.out)
     for _ in range(3):
         _run(dataclasses.replace(cfg, trials=min(cfg.trials, 2)))
     stages = Stages()

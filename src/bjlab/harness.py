@@ -15,6 +15,8 @@ for each stack (`streams`), to the same state.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import threading
 import time
 from dataclasses import dataclass, fields
@@ -336,6 +338,24 @@ def _run_isometry_test(cfg: ExperimentConfig):
     return values, outcome(values[0], False)
 
 
+def _write_csv(path: str, text: str) -> None:
+    """Write text to path as UTF-8, over the file already there, then cut a
+    regular file to the written length.  Opening without O_TRUNC spares the
+    filesystem's truncate of the old file to zero on every run; a target
+    that is not a regular file (/dev/null, a FIFO, a tty) takes the write
+    alone, since ftruncate raises on it."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:  # one write, unless a pipe takes part of it
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def run(config: ExperimentConfig, echo: bool = True) -> RunReport:
     """Execute a configured experiment.
 
@@ -364,8 +384,7 @@ def run(config: ExperimentConfig, echo: bool = True) -> RunReport:
         summary["ratio_spread"] = float(values[1][0])
     report = RunReport(columns=columns, values=values, summary=summary)
     if config.out is not None:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report.csv_text())
+        _write_csv(config.out, report.csv_text())
     if echo:
         print(json.dumps(summary, sort_keys=True))
     return report

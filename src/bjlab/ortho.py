@@ -415,9 +415,16 @@ def _certificates(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
     (B, n, d) stack with nonzero x rows, given _norm_rows of the x rows and
     the y rows' block norms.  At p = 1 the zero blocks of x take, in order,
     clamped multiples of -sign(S) F_{y_i} until they have cancelled as much
-    of S as they can."""
+    of S as they can.  Raises NonFiniteValue at the first row, in row order,
+    whose S = T_x(y) is not finite (inf, or nan from opposite infinite
+    blocks), at every p."""
     T = _support_stack(xs, bx, nx, spec)
-    s = _pairing_rows(T, ys, spec)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised as the typed error
+        s = _pairing_rows(T, ys, spec)
+    bad = ~np.isfinite(s)
+    if bad.any():
+        value = float(s[np.argmax(bad)])
+        raise NonFiniteValue(f"S = {value}: the pairing is past the float range")
     mcv = np.abs(s)
     if spec.p > 1.0:
         return mcv, T
@@ -427,8 +434,8 @@ def _certificates(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
         # a sum of reaches past the float range is inf, and cancels all of S
         with np.errstate(over="ignore"):
             c = (spec.mu * by[i])[f]  # reach of each free block
-            if not (math.isfinite(si) and np.isfinite(c).all()):
-                raise NonFiniteValue("a free block's reach or S is past the float range")
+            if not np.isfinite(c).all():
+                raise NonFiniteValue("a free block's reach is past the float range")
             taken = np.clip(abs(si) - (np.cumsum(c) - c), 0.0, c)
             mcv[i] = max(0.0, abs(si) - float(c.sum()))
         t = np.divide(taken, c, out=np.zeros_like(c), where=c > 0.0)

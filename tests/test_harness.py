@@ -1,8 +1,10 @@
 import dataclasses
 import importlib.util
 import json
+import os
 import re
 import resource
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +267,69 @@ def test_csv_format(tmp_path):
     assert row[6] == f"{0.1:.17g}"  # decimals carry 17 significant digits
 
 
+@pytest.mark.parametrize("old", [b"x" * 4096, b"#v1 short\n", None],
+                         ids=["longer", "shorter", "absent"])
+def test_csv_is_written_over_the_old_file(tmp_path, old):
+    # the old file keeps its inode and ends where the new CSV ends
+    out = tmp_path / "rows.csv"
+    if old is not None:
+        out.write_bytes(old)
+    inode = out.stat().st_ino if old is not None else None
+    report = run_quiet(dataclasses.replace(parse_config(config_text("check-ortho")),
+                                           out=str(out)))
+    assert out.read_bytes() == report.csv_text().encode("utf-8")
+    assert len(report.csv_text()) < 4096  # the longer old file was cut
+    if inode is not None:
+        assert out.stat().st_ino == inode
+
+
+def test_csv_write_never_truncates_on_open(tmp_path, monkeypatch):
+    # opening with O_TRUNC would cut the old file to zero before the write
+    flags = []
+    real_open = os.open
+
+    def recording_open(path, flag, *args):
+        flags.append(flag)
+        return real_open(path, flag, *args)
+
+    monkeypatch.setattr(harness.os, "open", recording_open)
+    harness._write_csv(str(tmp_path / "rows.csv"), "#v1 a\n1\n")
+    assert len(flags) == 1
+    assert flags[0] & os.O_CREAT and flags[0] & os.O_WRONLY
+    assert not flags[0] & os.O_TRUNC
+
+
+def test_a_failed_format_leaves_the_old_file(tmp_path, monkeypatch):
+    out = tmp_path / "rows.csv"
+    out.write_bytes(b"#v1 old\n")
+
+    def broken(self):
+        raise RuntimeError("format failed")
+
+    monkeypatch.setattr(harness.RunReport, "csv_text", broken)
+    with pytest.raises(RuntimeError, match="format failed"):
+        run_quiet(dataclasses.replace(parse_config(config_text("check-ortho")), out=str(out)))
+    assert out.read_bytes() == b"#v1 old\n"
+
+
+def test_csv_goes_to_targets_that_are_not_regular_files(tmp_path):
+    # /dev/null and a FIFO take the write alone: ftruncate would raise there
+    cfg = parse_config(config_text("preserver-sweep", epsilons=[0.1, 0.5], trials=500))
+    report = run_quiet(dataclasses.replace(cfg, out=os.devnull))
+    assert len(report.csv_text()) > 65536  # more than a pipe buffer holds
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        run_quiet(dataclasses.replace(cfg, out=str(fifo)))
+    finally:
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [report.csv_text().encode("utf-8")]
+
+
 def test_seed_changes_rows():
     text = config_text("check-ortho", trials=10)
     r1 = run_quiet(parse_config(text))
@@ -365,6 +430,20 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert err.startswith("bjlab: config error: seed: ") and "Traceback" not in err
 
 
+def test_cli_write_errors_exit_two(tmp_path, capsys):
+    # a CSV path that cannot be opened for writing is an unexplained failure
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config_text("check-ortho"), encoding="utf-8")
+    for out, error in [(tmp_path, "IsADirectoryError"),
+                       (tmp_path / "missing" / "x.csv", "FileNotFoundError")]:
+        assert main(["check-ortho", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"bjlab: error: {error}: ")
+        assert str(out) in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("factors,code,outcome", [
     ([2, 2, 2], 0, "pass"),  # a scalar multiple of the identity
     ([1, 2, 1], 2, "fail"),
@@ -442,15 +521,19 @@ def test_rowcost_splits_a_small_sweep_by_stage(tmp_path, capsys):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(config_text("preserver-sweep", epsilons=[0.1, 0.5], trials=2),
                    encoding="utf-8")
-    before = (harness._draw_pairs, harness.RunReport.csv_text)
+    def wrapped():
+        return harness._draw_pairs, harness.RunReport.csv_text, harness._write_csv
+
+    before = wrapped()
     assert rowcost.main([str(cfg), "--rows", "6"]) == 0
-    assert (harness._draw_pairs, harness.RunReport.csv_text) == before
+    assert wrapped() == before
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"{cfg}: 8 rows in 2 runs"
     stages = {line.split()[0]: line.split()[1:] for line in lines[2:]}
     assert set(stages) >= {"_draw_pairs", "_certified_probes", "csv_text", "rest", "total"}
     assert stages["_draw_pairs"][3] == stages["csv_text"][3] == "2"  # one stack per run
     assert stages["_golden_sections"][4] == "0"  # rows it minimized: every row certifies
+    assert stages["_write_csv"][3] == "0"  # without --out nothing is written
     # the process's peak memory, beside the faults the workspace saves
     (rss,) = [re.fullmatch(r"max RSS: (\d+\.\d) MiB", line) for line in lines[2:]
               if line.startswith("max RSS")]
@@ -465,3 +548,14 @@ def test_rowcost_splits_a_small_sweep_by_stage(tmp_path, capsys):
     assert lines[0] == f"{cfg}: 8 rows in 1 runs"
     stages = {line.split()[0]: line.split()[1:] for line in lines[2:]}
     assert stages["_golden_sections"][3:] == ["1", "7"]
+    # with --out each run writes its CSV through harness.run, over the last
+    out = tmp_path / "rows.csv"
+    assert rowcost.main([str(cfg), "--rows", "16", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{cfg}: 16 rows in 2 runs"
+    stages = {line.split()[0]: line.split()[1:] for line in lines[2:]}
+    assert stages["_write_csv"][3] == stages["csv_text"][3] == "2"  # one per run
+    last = parse_config(cfg.read_text(encoding="utf-8"))
+    assert out.read_text(encoding="utf-8") == \
+        run_quiet(dataclasses.replace(last, seed=last.seed + 1)).csv_text()
+    assert wrapped() == before

@@ -205,6 +205,40 @@ def test_a_free_block_past_the_float_range_raises_a_typed_error(q):
     assert min_certificate_value(x, y, spec) == 0.0
 
 
+@pytest.mark.parametrize("p,q", [(1.0, 2.0), (1.0, 1.5), (3.0, 2.0), (3.0, 1.5)])
+def test_a_pairing_past_the_float_range_raises_at_every_p(p, q):
+    # S = T_x(y) overflows while ||y|| is finite: one rule at every p, the
+    # typed error, where a dense x at p = 1 or any x at p > 1 once read inf
+    spec = SpaceSpec(p, q, 2, 3, (1.0, 1.0))
+    dense = BochnerElement.from_lists([[1.0, 1.0, 1.0], [1.0, 0.5, -0.25]])
+    zero_block = BochnerElement.from_lists([[0.0, 0.0, 0.0], [1.0, 0.5, -0.25]])
+    y = BochnerElement.from_lists([[1.5e308, 1.5e308, 1e308], [1.0, 2.0, 3.0]])
+    with pytest.raises(NonFiniteValue, match=r"^S = inf: the pairing is past the float range$"):
+        min_certificate_value(dense, y, spec)
+    if p == 1.0:  # y's reach on the free block is past the float range
+        with pytest.raises(NonFiniteValue, match="reach is past the float range"):
+            min_certificate_value(zero_block, y, spec)
+    else:  # T vanishes on x's zero block, so S never meets y's huge block
+        cut = BochnerElement.from_lists([[0.0] * 3, [1.0, 2.0, 3.0]])
+        assert min_certificate_value(zero_block, y, spec) == \
+            min_certificate_value(zero_block, cut, spec)
+    for x in (dense, zero_block):  # the margin divides by ||y||, which is inf
+        with pytest.raises(NonFiniteValue, match="float range"):
+            certificate_check(x, y, 0.1, spec)
+    # blocks that pair to +inf and -inf make S nan (at p = 1, q = 1.5), which
+    # raises the same error and no bare RuntimeWarning
+    opposed = BochnerElement.from_lists([[1.5e308, 1.5e308, 1e308],
+                                         [-1.5e308, -1.5e308, -1e308]])
+    with pytest.raises(NonFiniteValue, match="the pairing is past the float range"):
+        min_certificate_value(dense, opposed, spec)
+    # in a stack, the first row in row order names the error: S is odd in y
+    ys = np.stack([np.ones((2, 3)), -y.blocks, y.blocks])
+    xs = np.repeat(dense.blocks[None], 3, axis=0)
+    bx, nx = ortho._norm_rows(xs, spec)
+    with pytest.raises(NonFiniteValue, match=r"^S = -inf:"):
+        ortho._certificates(xs, ys, bx, nx, ortho._norm_rows(ys, spec)[0], spec)
+
+
 def test_approx_check_true_for_orthogonal_pairs_any_eps():
     spec = SpaceSpec(2, 2, 2, 2, (1.0, 1.0))
     x = BochnerElement.from_lists([[1, 0], [0, 0]])

@@ -20,7 +20,10 @@ stage entered inside another counts toward the outer one.  A stage name the
 package no longer has is listed as missing, not an error.  "rest" is what
 the runs spent outside every stage.  The `_golden_sections` line also gives
 the number of rows it minimized, so a run shows whether its config reaches
-golden section at all.
+golden section at all.  The norm kernel, `blockspace._norm_rows`, is
+counted, not timed, wherever a bjlab module refers to it, and its calls per
+run are printed under the table: a direct check's probes show there as one
+call per batch.
 """
 
 from __future__ import annotations
@@ -47,10 +50,12 @@ def _usage() -> tuple[float, int, float]:
 
 class Stages:
     """Cost totals per stage: [wall s, faults, system s, calls, rows], rows
-    counted for _golden_sections only (its `rows` argument)."""
+    counted for _golden_sections only (its `rows` argument), and the calls
+    of the norm kernel."""
 
     def __init__(self):
         self.totals = {attr.split(".")[-1]: [0.0, 0, 0.0, 0, 0] for _, attr in STAGES}
+        self.norm_calls = 0
         self.missing: list[str] = []
         self._depth = 0
         self._restore: list[tuple[object, str, object]] = []
@@ -77,7 +82,13 @@ class Stages:
         return staged
 
     def install(self) -> None:
-        wrappers = {}
+        norm_rows = sys.modules["bjlab.blockspace"]._norm_rows
+
+        def counted(*args, **kwargs):
+            self.norm_calls += 1
+            return norm_rows(*args, **kwargs)
+
+        wrappers = {id(norm_rows): (norm_rows, counted)}
         for module_name, attr in STAGES:
             owner = sys.modules.get(module_name)
             *path, leaf = attr.split(".")
@@ -149,6 +160,7 @@ def main(argv=None) -> int:
             counts = counts[:1]
         print(f"{name:<20}{1e6 * wall / rows:>13.1f}{faults / rows:>12.1f}"
               f"{1e3 * sys_s / rows:>12.3f}" + "".join(f"{c:>8}" for c in counts))
+    print(f"_norm_rows calls/run: {stages.norm_calls / (seed - cfg.seed):.1f}")
     # ru_maxrss is in KiB on Linux: the peak includes the workspace the runs keep
     print(f"max RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MiB")
     if stages.missing:

@@ -37,9 +37,18 @@ ONE_SIDED_NOISE_FLOOR = 1e-13
 SQUARES_FLOOR = 2.0 ** -900  # a sum of squares below it may have lost bits to underflow
 
 
+# Entries (rows x n x d) of one stack of rows: 256 KiB of float64, so the
+# few stacks a sweep keeps live fit a core's L2 cache (see _budget_rows).
+STACK_ENTRIES = 2**15
+
 # The workspace of the run in progress in each thread (harness._trial_rows
 # lends it for a run's length), None outside a run: see _scratch.
 _RUN = threading.local()
+
+
+def _budget_rows(entries: int) -> int:
+    """Arrays of `entries` entries per STACK_ENTRIES, at least 1."""
+    return max(1, STACK_ENTRIES // entries)
 
 
 @contextmanager
@@ -386,17 +395,26 @@ def _dot_rows(a: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], mu)[:, 0]
 
 
+def _row_max(b: np.ndarray, reduce=np.maximum.reduce) -> np.ndarray:
+    """b.max(axis=1) of a 2-d array, or b.min with np.minimum.reduce, bit for
+    bit; rows shorter than the row count reduce as columns of a transposed
+    copy (15 us at (1365, 8), where NumPy's reduce over short rows takes 103)."""
+    if b.shape[1] < b.shape[0]:
+        return reduce(np.ascontiguousarray(b.T), axis=0)
+    return reduce(b, axis=1)
+
+
 def _weighted_lp_rows(b: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
     """(sum_i mu_i b_i^p)^(1/p) of each nonnegative row of a 2-d array b,
     scaled by the row's max m to avoid overflow; m itself at p = inf."""
     if math.isinf(p):
-        return b.max(axis=1)
+        return _row_max(b)
     with np.errstate(over="ignore"):  # sums to inf, silently as on Python floats
         if p == 1.0:
             return _dot_rows(b, mu)
         if p == 2.0:
             return _l2_rows(b, mu)
-        m = b.max(axis=1)
+        m = _row_max(b)
         # a zero row divides by 1, and so does an inf row: its norm is inf, not NaN
         s = _dot_rows((b / np.where((0.0 < m) & (m < math.inf), m, 1.0)[:, None]) ** p, mu)
         # m * s ** (1/p) with Python's bits: float_power runs libm's pow, as **
@@ -447,8 +465,8 @@ def zero_set(f: BochnerElement, tol: float | None = None, q: float = 2.0) -> fro
 
 def _nonzero_blocks(b: np.ndarray) -> np.ndarray:
     """The blocks above DEFAULT_ZERO_TOL times their element's largest block
-    norm, given block norms b with each element's blocks on the last axis."""
-    return b > DEFAULT_ZERO_TOL * b.max(axis=-1, keepdims=True, initial=0.0)
+    norm, given nonnegative block norms b, each element's on the last axis."""
+    return b > DEFAULT_ZERO_TOL * _row_max(b.reshape(-1, b.shape[-1])).reshape(*b.shape[:-1], 1)
 
 
 def _duality_stack(stack: np.ndarray, b: np.ndarray, norms: np.ndarray,
@@ -502,12 +520,19 @@ def support_functional(f: BochnerElement, spec: SpaceSpec) -> BlockFunctional:
 
 def _pairing_rows(T: np.ndarray, G: np.ndarray, spec: SpaceSpec) -> np.ndarray:
     """sum_i mu_i T_i.g_i for each row of two (B, n, d) stacks, each row with
-    the bits of mu @ its blockwise dot products."""
-    return _dot_rows(np.einsum("bij,bij->bi", T, G), spec.mu)
+    the bits of mu @ its blockwise dot products.  Raises NonFiniteValue at
+    the first row whose S is not finite (inf, or nan from +inf and -inf)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # raised as the typed error
+        s = _dot_rows(np.einsum("bij,bij->bi", T, G), spec.mu)
+    bad = ~np.isfinite(s)
+    if bad.any():
+        value = float(s[np.argmax(bad)])
+        raise NonFiniteValue(f"S = {value}: the pairing is past the float range")
+    return s
 
 
 def apply_functional(T: BlockFunctional, g: BochnerElement, spec: SpaceSpec) -> float:
-    """Dual pairing sum_i mu_i T_i.g_i."""
+    """Dual pairing sum_i mu_i T_i.g_i; NonFiniteValue where not finite."""
     return float(_pairing_rows(check_shape(T, spec, "functional")[None],
                                check_shape(g, spec)[None], spec)[0])
 

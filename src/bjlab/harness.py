@@ -27,6 +27,7 @@ import numpy as np
 from .blockspace import (
     DEFAULT_TOL,
     SpaceSpec,
+    _budget_rows,
     _is_int,
     _is_number,
     _norm_rows,
@@ -64,11 +65,6 @@ _MODES_NEEDING_EPS = ("check-approx", "sip", "preserver-sweep")
 # distance to the boundary, so verdicts cannot be matched closer than the
 # square root of the decision tolerance.
 CROSS_ROUTE_BAND = 1e-3
-
-# Entries (rows x n x d) of one stack of rows: 256 KiB of float64, so the
-# few stacks a sweep keeps live fit a core's L2 cache.  A stack holds
-# max(1, STACK_ENTRIES // (n d)) rows.
-STACK_ENTRIES = 2**15
 
 TRIAL_COLUMNS = ("trial", "seed", "p", "q", "n", "d", "epsilon",
                  "direct_verdict", "direct_margin", "second_route",
@@ -288,13 +284,13 @@ def _trial_rows(cfg: ExperimentConfig) -> tuple[list[np.ndarray], np.ndarray]:
     """Each column's values and the outcomes, one entry per row, rows in
     order: cfg.trials per epsilon (one pass without epsilons for check-ortho
     and axioms), row k*trials + i seeded by (seed, that index).  One loop
-    runs the rows in stacks of max(1, STACK_ENTRIES // (n d)) rows, a stack
+    runs the rows in stacks of _budget_rows(n d) rows (blockspace), a stack
     holding the rows of one epsilon or of several.  Raises the error of the
     first row that fails, in that order."""
     from .streams import philox_keys, stack_rngs  # imports numpy.random; import bjlab does not
     stack_function = _STACK_FUNCTIONS[cfg.mode]
     s = cfg.spec
-    size = max(1, STACK_ENTRIES // (s.n * s.d))
+    size = _budget_rows(s.n * s.d)
     total = max(1, len(cfg.epsilons)) * cfg.trials
     keys = philox_keys(cfg.seed, np.arange(total, dtype=np.uint64))
     row_eps = np.repeat(cfg.epsilons, cfg.trials) if cfg.epsilons else None

@@ -29,8 +29,10 @@ from .blockspace import (
     BochnerElement,
     CheckResult,
     SpaceSpec,
+    _budget_rows,
     _duality_rows,
     _is_number,
+    _nonzero_blocks,
     _norm_rows,
     _pairing_rows,
     _scratch,
@@ -53,11 +55,11 @@ def epsilon_value(eps) -> float:
 
 def _require_finite(values: np.ndarray, alphas: np.ndarray) -> None:
     """Raise NonFiniteValue at the first of an objective's values (taken at
-    alphas) that is not finite."""
+    alphas of the same shape), in C order, that is not finite."""
     finite = np.isfinite(values)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise NonFiniteValue(f"objective returned {float(values[i])} at alpha={float(alphas[i])}")
+        raise NonFiniteValue(f"objective returned {values.flat[i]} at alpha={alphas.flat[i]}")
 
 
 # Golden section's final bracket width, relative to the radius, and step limit
@@ -152,42 +154,51 @@ _BY_ALPHA = np.array(sorted(range(len(_PROBE_OFFSETS)), key=_PROBE_OFFSETS.__get
 
 
 def _certified_probes(objective, radius: np.ndarray, phi0: np.ndarray,
-                      level: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                      level: np.ndarray, width: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Certify min phi_i >= level_i over [-radius_i, radius_i] from 13 probes,
     for a stack of convex objectives.
 
-    objective(alphas, rows) returns phi_rows[k](alphas[k]) for every k (rows
-    a slice or indices) as an array; phi0 holds each phi_i(0), and every
-    radius is positive and finite.  Row i probes at radius_i*_PROBE_OFFSETS and
-    stops at its first value below level_i.  If every value reaches level_i
-    and so does their secant lower bound, it gets its best probe (alpha,
-    phi_i(alpha)), ties going to 0: any minimizer's value is at least the
-    true minimum, hence at least level, so a certified row gets the verdict
-    and boundary flag full minimization would give it.  Returns (alpha,
-    value) arrays, NaN on every other row for the caller to minimize in
-    full.  Raises the NonFiniteValue of the first value found not finite.
+    objective(alphas, rows) returns phi_rows[k](alphas[..., k]) for every k
+    (rows a slice or indices) as an array of alphas' shape, (m,) or (w, m);
+    phi0 holds each phi_i(0), and every radius is positive and finite.  Row
+    i probes at radius_i*_PROBE_OFFSETS and stops at its first value below
+    level_i.  The probes after 0 run `width` to a call, each batch replayed
+    against that rule: a row may be evaluated past its first value below
+    level, but its results and errors (the first value not finite in (probe,
+    row) order raising) are those of one probe per call.  If every value
+    reaches level_i and so does their secant lower bound, row i gets its
+    best probe (alpha, phi_i(alpha)), ties going to 0: any minimizer's value
+    is at least the true minimum, hence at least level, so a certified row
+    gets the verdict and boundary flag full minimization would give it.
+    Returns (alpha, value) arrays, NaN on every other row for the caller to
+    minimize in full.
     """
     best_a, best_v = np.full(len(radius), math.nan), np.full(len(radius), math.nan)
-    alphas = radius[:, None] * _OFFSETS
+    alphas = _OFFSETS[:, None] * radius  # (probes, rows)
     values = np.empty_like(alphas)
+    values[0] = phi0
     live = slice(None)  # a slice takes views
-    for k in range(len(_OFFSETS)):
-        v = phi0[live] if k == 0 else objective(alphas[live, k], live)
-        values[live, k] = v
+    starts = [0, *range(1, len(_OFFSETS), width)]  # phi0 first, then the batches
+    for k, stop in zip(starts, starts[1:] + [len(_OFFSETS)]):
+        if k:
+            a = alphas[k:stop, live] if stop - k > 1 else alphas[k, live]
+            values[k:stop, live] = objective(a, live)
+        v = values[k:stop, live]
         if ((v >= level[live]) & (v < math.inf)).all():  # NaN fails both
             continue
-        rows = np.arange(len(radius))[live]
-        _require_finite(v, alphas[rows, k])
-        live = rows[~(v < level[live])]
+        below = v < level[live]
+        reached = np.cumsum(below, axis=0) == below  # no earlier value below level
+        _require_finite(np.where(reached, v, 0.0), alphas[k:stop, live])
+        live = np.arange(len(radius))[live][~below.any(axis=0)]
         if not len(live):
             return best_a, best_v
-    A = alphas[live][:, _BY_ALPHA]
+    A = alphas[_BY_ALPHA][:, live].T
     # the smallest offsets can underflow onto each other
     certified = (A[:, 1:] > A[:, :-1]).all(axis=1)
-    certified &= _secant_lower_bound(A, values[live][:, _BY_ALPHA]) >= level[live]
+    certified &= _secant_lower_bound(A, values[_BY_ALPHA][:, live].T) >= level[live]
     rows = np.arange(len(radius))[live][certified]
-    best = values[rows].argmin(axis=1)  # the first of equals: alpha = 0
-    best_a[rows], best_v[rows] = alphas[rows, best], values[rows, best]
+    best = values[:, rows].argmin(axis=0)  # the first of equals: alpha = 0
+    best_a[rows], best_v[rows] = alphas[best, rows], values[best, rows]
     return best_a, best_v
 
 
@@ -260,15 +271,16 @@ def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray
 
 
 def _one_sided_checks(objective, radius: np.ndarray, phi0: np.ndarray,
-                      at_zero: np.ndarray, level: np.ndarray, scale: np.ndarray) -> tuple:
+                      at_zero: np.ndarray, level: np.ndarray, scale: np.ndarray,
+                      width: int) -> tuple:
     """Verdicts on min phi_i >= at_zero_i over [-radius_i, radius_i] for a
     stack of convex objectives, at_zero_i being the exact phi_i(0) and phi0_i
-    the value evaluating gives: certified probes at level (objective as in
-    _certified_probes), else golden section.  Returns the columnar result
-    (verdict, margin, boundary, alpha*), one entry per row.
+    the value evaluating gives: certified probes at level, `width` to a call
+    (objective as in _certified_probes), else golden section.  Returns the
+    columnar result (verdict, margin, boundary, alpha*), one entry per row.
     margin = (min - at_zero)/scale is <= 0 up to rounding, so only the
     uncertain-fail zone below the noise floor is a boundary case."""
-    alpha, val = _certified_probes(objective, radius, phi0, level)
+    alpha, val = _certified_probes(objective, radius, phi0, level, width)
     todo = np.flatnonzero(np.isnan(val))
     if len(todo):
         alpha[todo], val[todo] = _golden_sections(objective, todo, radius[todo], phi0[todo])
@@ -297,14 +309,23 @@ def _radii(nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
 
 def _line_norms(xs: np.ndarray, ys: np.ndarray, out: np.ndarray, spec: SpaceSpec,
                 alphas: np.ndarray, rows) -> np.ndarray:
-    """||x_i + alphas[k] y_i|| for the rows i = rows[k] (a slice or increasing
-    indices) of a stack, the points written into out[:len(alphas)]: with its
-    first four arguments bound, a check's objective over one line buffer."""
+    """||x_i + a y_i|| at each a of alphas[..., k], (m,) or (w, m), for the
+    rows i = rows[k] (a slice or increasing indices) of a stack, the points
+    written into the first alphas.size blocks of out."""
     if type(rows) is not slice and len(rows) == len(xs):
         rows = slice(None)  # all the rows: views, not copies
-    points = np.multiply(ys[rows], alphas[:, None, None], out=out[:len(alphas)])
+    points = out[:alphas.size].reshape(alphas.shape + xs.shape[1:])  # a view
+    np.multiply(ys[rows], alphas[..., None, None], out=points)
     points += xs[rows]
-    return _norm_rows(points, spec)[1]
+    return _norm_rows(out[:alphas.size], spec)[1].reshape(alphas.shape)
+
+
+def _line_objective(xs: np.ndarray, ys: np.ndarray, spec: SpaceSpec):
+    """A check's objective over a (B, n, d) stack, _line_norms over its line
+    buffer, and its probes per call: as many of the 12 as fill STACK_ENTRIES."""
+    width = min(len(_OFFSETS) - 1, _budget_rows(xs.size))
+    out = _scratch("line", (width * len(xs), *xs.shape[1:]))
+    return partial(_line_norms, xs, ys, out, spec), width
 
 
 def _squares(v: np.ndarray) -> np.ndarray:
@@ -319,8 +340,9 @@ def _exact_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
                   ny: np.ndarray, spec: SpaceSpec) -> tuple:
     """is_bj_orthogonal of each pair of a (B, n, d) stack, given its rows'
     norms, as one columnar result (verdict, margin, boundary, alpha*)."""
-    return _one_sided_checks(partial(_line_norms, xs, ys, _scratch("line", xs.shape), spec),
-                             _radii(nx, ny), nx, nx, (1.0 - ONE_SIDED_NOISE_FLOOR) * nx, nx)
+    norm_at, width = _line_objective(xs, ys, spec)
+    return _one_sided_checks(norm_at, _radii(nx, ny), nx, nx,
+                             (1.0 - ONE_SIDED_NOISE_FLOOR) * nx, nx, width)
 
 
 def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
@@ -340,7 +362,7 @@ def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
     bad = ~((0.0 < nx2) & (nx2 < math.inf))  # nx * nx underflowed or overflowed
     if bad.any():
         raise NonFiniteValue(f"||x||^2 = {float(nx2[np.argmax(bad)])} is outside the float range")
-    norm_at = partial(_line_norms, xs, ys, _scratch("line", xs.shape), spec)
+    norm_at, width = _line_objective(xs, ys, spec)
 
     def gap(alphas, live):
         """psi(alpha) = ||x + alpha y||^2 - ||x||^2 + 2 eps ||x|| ||y|| |alpha|."""
@@ -350,7 +372,7 @@ def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
         return np.where(y_zero[live], 0.0, psi)
 
     return _one_sided_checks(gap, radius, psi0, np.zeros(len(xs)),
-                             -ONE_SIDED_NOISE_FLOOR * nx2, nx2)
+                             -ONE_SIDED_NOISE_FLOOR * nx2, nx2, width)
 
 
 def _first(result: tuple) -> CheckResult:
@@ -419,16 +441,11 @@ def _certificates(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
     whose S = T_x(y) is not finite (inf, or nan from opposite infinite
     blocks), at every p."""
     T = _support_stack(xs, bx, nx, spec)
-    with np.errstate(over="ignore", invalid="ignore"):  # raised as the typed error
-        s = _pairing_rows(T, ys, spec)
-    bad = ~np.isfinite(s)
-    if bad.any():
-        value = float(s[np.argmax(bad)])
-        raise NonFiniteValue(f"S = {value}: the pairing is past the float range")
+    s = _pairing_rows(T, ys, spec)
     mcv = np.abs(s)
     if spec.p > 1.0:
         return mcv, T
-    free = ~T.any(axis=2)  # the zero blocks of x (at p = 1 every weight is 1)
+    free = ~_nonzero_blocks(bx)  # x's zero blocks: T's too, every weight being 1
     for i in np.flatnonzero(free.any(axis=1)).tolist():
         f, si = free[i], float(s[i])
         # a sum of reaches past the float range is inf, and cancels all of S

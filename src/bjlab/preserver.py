@@ -19,6 +19,7 @@ from .blockspace import (
     _norm_arr,
     _norm_rows,
     _repeat,
+    _row_max,
     _scratch,
     _take,
     inner_norm,
@@ -221,9 +222,10 @@ def _draw_elements(spec: SpaceSpec, rngs, count: int) -> list[np.ndarray]:
 
 
 def _max_abs(stack: np.ndarray) -> np.ndarray:
-    """The largest entry in modulus of each row of a (B, n, d) stack, with
-    no temporary of the stack's size."""
-    return np.maximum(stack.max(axis=(1, 2)), -stack.min(axis=(1, 2)))
+    """The largest entry in modulus of each row of a (B, n, d) stack: its
+    max and -min, each reduced along the long axis (_row_max)."""
+    flat = stack.reshape(len(stack), -1)
+    return np.maximum(_row_max(flat), -_row_max(flat, np.minimum.reduce))
 
 
 def _collapsed(Y: np.ndarray, Z: np.ndarray, spec: SpaceSpec) -> np.ndarray:

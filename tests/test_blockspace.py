@@ -25,7 +25,13 @@ from bjlab import (
     support_functional,
     zero_set,
 )
-from bjlab.blockspace import _duality_rows, _weighted_lp_rows, _workspace, block_norms
+from bjlab.blockspace import (
+    _duality_rows,
+    _row_max,
+    _weighted_lp_rows,
+    _workspace,
+    block_norms,
+)
 from conftest import SMOOTH_QS, rng_for, spec_with_elements, specs
 from oracles import (
     formula_duality_rows,
@@ -415,3 +421,17 @@ def test_element_serialization_extreme_doubles():
         back = cls.from_lists(json.loads(json.dumps(cls.from_lists(rows).to_lists())))
         assert type(back) is cls
         assert np.array_equal(back.blocks, np.array(rows))
+
+
+@pytest.mark.parametrize("shape", [(1, 4096), (12, 4096), (150, 6), (1365, 8)])
+def test_row_max_has_the_bits_of_numpy_max_along_rows(shape):
+    # short rows are reduced as columns of a transposed copy; max and min
+    # are exact, so zeros, subnormals and inf come back as NumPy gives them
+    b = np.abs(rng_for(f"row_max_{shape}").standard_normal(shape))
+    b[0] = 0.0
+    b[-1, 0] = math.inf
+    b[len(b) // 2, ::2] = 5e-324
+    for got, expected in ((_row_max(b), b.max(axis=1)),
+                          (_row_max(-b, np.minimum.reduce), (-b).min(axis=1))):
+        assert got.shape == expected.shape
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()]

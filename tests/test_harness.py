@@ -522,7 +522,8 @@ def test_rowcost_splits_a_small_sweep_by_stage(tmp_path, capsys):
     cfg.write_text(config_text("preserver-sweep", epsilons=[0.1, 0.5], trials=2),
                    encoding="utf-8")
     def wrapped():
-        return harness._draw_pairs, harness.RunReport.csv_text, harness._write_csv
+        return (harness._draw_pairs, harness.RunReport.csv_text, harness._write_csv,
+                harness._norm_rows)
 
     before = wrapped()
     assert rowcost.main([str(cfg), "--rows", "6"]) == 0
@@ -534,6 +535,9 @@ def test_rowcost_splits_a_small_sweep_by_stage(tmp_path, capsys):
     assert stages["_draw_pairs"][3] == stages["csv_text"][3] == "2"  # one stack per run
     assert stages["_golden_sections"][4] == "0"  # rows it minimized: every row certifies
     assert stages["_write_csv"][3] == "0"  # without --out nothing is written
+    # the norm kernel, counted outside the stages: the draw's call, the two
+    # routes' and one for all 12 probes, which this 4-row stack batches
+    assert "_norm_rows calls/run: 4.0" in lines
     # the process's peak memory, beside the faults the workspace saves
     (rss,) = [re.fullmatch(r"max RSS: (\d+\.\d) MiB", line) for line in lines[2:]
               if line.startswith("max RSS")]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from bjlab import ortho
+from bjlab import blockspace, ortho
 from bjlab import (
     AtomPartition,
     BadSpec,
@@ -231,6 +231,12 @@ def test_a_pairing_past_the_float_range_raises_at_every_p(p, q):
                                          [-1.5e308, -1.5e308, -1e308]])
     with pytest.raises(NonFiniteValue, match="the pairing is past the float range"):
         min_certificate_value(dense, opposed, spec)
+    # and so do the other two routes through the pairing, which once leaked
+    # "invalid value encountered in matmul" at p = 1, q = 1.5
+    with pytest.raises(NonFiniteValue, match="the pairing is past the float range"):
+        make_orthogonal_partner(dense, opposed, spec)
+    with pytest.raises(NonFiniteValue, match="the pairing is past the float range"):
+        apply_functional(support_functional(dense, spec), opposed, spec)
     # in a stack, the first row in row order names the error: S is odd in y
     ys = np.stack([np.ones((2, 3)), -y.blocks, y.blocks])
     xs = np.repeat(dense.blocks[None], 3, axis=0)
@@ -798,3 +804,139 @@ def test_probes_keep_verdicts_and_boundary_flags(data, eps):
         assert (a.verdict, a.boundary) == (b.verdict, b.boundary)
         # a certified margin and golden section's both lie in [-floor, 0]
         assert a.margin == pytest.approx(b.margin, abs=ortho.ONE_SIDED_NOISE_FLOOR)
+
+
+# Probe batches: a direct check evaluates its probes `width` to an objective
+# call, as many as fill blockspace.STACK_ENTRIES, and replays each batch
+# against the one-probe-per-call rule.
+
+def with_width(monkeypatch, width: int, stack: np.ndarray) -> None:
+    """Set the stack budget so that the direct checks on stack take width
+    probes per objective call."""
+    monkeypatch.setattr(blockspace, "STACK_ENTRIES", width * stack.size)
+
+
+def line_row(u, v) -> tuple[list, list]:
+    """x = [[1, 0], [u, 0]], y = [[0, 0], [v, 0]] at p = 1, q = 2, where
+    ||x + a y|| = 1 + |u + a v|: one kink, at a = -u/v."""
+    return [[1.0, 0.0], [u, 0.0]], [[0.0, 0.0], [v, 0.0]]
+
+
+def test_probe_batches_keep_every_column_bit_for_bit(monkeypatch):
+    # ±R can never fall below the level of a line (||x + a y|| >= 3||x|| at
+    # |a| = R), so the earliest a check's row can fail is probe 3 or 4;
+    # these rows fail first at probes 3, 4, 6 and 12, and the others are
+    # certified or have y = 0
+    spec = SpaceSpec(1, 2, 2, 2, (1.0, 1.0))
+    rows = [line_row(0.0638, 1.0), line_row(0.0638, -1.0), line_row(6e-4, -1.0),
+            line_row(6e-8, -1.0), ([[1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]),
+            ([[1.0, 2.0], [-0.5, 0.0]], [[0.0] * 2] * 2), line_row(6e-8, -1.0)]
+    xs, ys = (np.array([row[k] for row in rows]) for k in (0, 1))
+    rng = rng_for("probe_batches")
+    pairs = [draw_orthogonal_pair(spec, rng) for _ in range(3)]
+    xs = np.concatenate([xs, [x.blocks for x, _ in pairs]])
+    ys = np.concatenate([ys, [y.blocks for _, y in pairs]])
+    nx, ny = ortho._norm_rows(xs, spec)[1], ortho._norm_rows(ys, spec)[1]
+    seen, calls = {}, []
+    line_norms = ortho._line_norms
+    monkeypatch.setattr(ortho, "_line_norms", lambda *args: calls.append(args[-2].shape)
+                        or line_norms(*args))
+    for width in (1, 2, 5, 12):
+        with_width(monkeypatch, width, xs)
+        calls.clear()
+        checks = [ortho._exact_checks(xs, ys, nx, ny, spec),
+                  *(ortho._approx_checks(xs, ys, nx, ny, eps, spec)
+                    for eps in (0.0, np.linspace(0.0, 0.9, len(xs))))]
+        seen[width] = [[typed_row(*row) for row in zip(*check)] for check in checks]
+        # the first call of each check is a batch of min(width, 12) probes
+        assert calls[0] == ((min(width, 12), len(xs)) if width > 1 else (len(xs),))
+    assert seen[2] == seen[5] == seen[12] == seen[1]
+    exact = seen[1][0]
+    assert [verdict for verdict, *_ in exact] == [False] * 4 + [True] * 2 + [False] \
+        + [True] * 3
+    assert exact[3] == exact[6]  # a row's bits do not depend on its neighbours
+
+
+def table_objective(table: dict, calls: list):
+    """An objective over a stack whose row i takes the value table[i][a] at
+    alpha = a, recording each call's alphas shape."""
+    def objective(alphas, rows):
+        calls.append(alphas.shape)
+        index = np.arange(len(table))[rows]
+        a = alphas if alphas.ndim == 2 else alphas[None]
+        v = np.array([[table[i][x] for i, x in zip(index.tolist(), line)]
+                      for line in a.tolist()])
+        return v if alphas.ndim == 2 else v[0]
+    return objective
+
+
+def probe_table(radius: np.ndarray, values: list) -> dict:
+    """{row: {alpha: value}} for each row's 13 probe values."""
+    alphas = radius[:, None] * ortho._OFFSETS
+    return {i: dict(zip(alphas[i].tolist(), row)) for i, row in enumerate(values)}
+
+
+def test_probe_batches_replay_the_rule_of_one_probe_per_call():
+    # rows 0-2 fall below level first at probes 1, 6 and 12, with NaN after
+    # it that no row reaches; row 3 certifies, and row 4 has every probe
+    # above level but a V-shaped dip between two of them, which its secant
+    # bound sees (test_dip_between_probes_is_not_certified)
+    offsets = np.array(ortho._PROBE_OFFSETS)
+    values = []
+    for first in (1, 6, 12):
+        row = np.abs(offsets)
+        row[first] = -1.0
+        row[first + 1:] = math.nan
+        values.append(row.tolist())
+    values.append(np.abs(offsets).tolist())
+    values.append((1e-9 * (np.abs(4.0 * offsets - 1.2) / 0.4 - 1.0)).tolist())
+    radius = np.array([2.0, 0.5, 3.0, 1.0, 4.0])
+    table = probe_table(radius, values)
+    phi0, level = np.zeros(5), np.full(5, -1e-13)
+    results = {}
+    for width in (1, 2, 5, 12):
+        calls = []
+        alpha, value = ortho._certified_probes(table_objective(table, calls), radius, phi0,
+                                               level, width)
+        results[width] = [float(v).hex() for v in (*alpha, *value)]
+        assert len(calls) == -(-12 // width)
+    assert results[2] == results[5] == results[12] == results[1]
+    assert results[1][3] == results[1][8] == "0x0.0p+0"  # row 3 at alpha = 0
+    assert [r == "nan" for r in results[1]] == [True] * 3 + [False] + [True] * 4 \
+        + [False] + [True]
+
+
+def test_a_batch_raises_the_error_a_probe_at_a_time_would_meet():
+    # row 0 drops below level at probe 2 and is NaN at probe 3 of the same
+    # batch, which it never reaches alone; row 1 is inf at probe 5.  Then a
+    # later row's error at an earlier probe comes first: (probe, row) order
+    offsets = np.array(ortho._PROBE_OFFSETS)
+    radius, phi0, level = np.ones(3), np.zeros(3), np.full(3, -1e-13)
+    rows = [np.abs(offsets) for _ in range(3)]
+    rows[0][2], rows[0][3] = -1.0, math.nan
+    rows[1][5] = math.inf
+    for width in (1, 2, 5, 12):
+        table = probe_table(radius, [r.tolist() for r in rows])
+        with pytest.raises(NonFiniteValue, match=r"^objective returned inf at alpha=-0\.0001$"):
+            ortho._certified_probes(table_objective(table, []), radius, phi0, level, width)
+        late = [rows[0], rows[1], rows[2].copy()]
+        late[2][4] = -math.inf
+        table = probe_table(radius, [r.tolist() for r in late])
+        with pytest.raises(NonFiniteValue, match=r"^objective returned -inf at alpha=0\.01$"):
+            ortho._certified_probes(table_objective(table, []), radius, phi0, level, width)
+
+
+@pytest.mark.parametrize("n,d,rows,calls", [(8, 3, 150, 2), (6, 3, 150, 1), (4096, 8, 1, 12)])
+def test_a_stack_fills_its_probe_batches_to_the_budget(monkeypatch, n, d, rows, calls):
+    # paper-scale stacks of 150 rows take 9 (n = 8) or all 12 probes per
+    # call; a row at n d = STACK_ENTRIES takes one per call
+    spec = SpaceSpec.sequence(1, 2, n, d)
+    rng = rng_for(f"budget_{n}")
+    pairs = [draw_orthogonal_pair(spec, rng) for _ in range(rows)]
+    xs, ys = (np.stack([pair[k].blocks for pair in pairs]) for k in (0, 1))
+    nx, ny = ortho._norm_rows(xs, spec)[1], ortho._norm_rows(ys, spec)[1]
+    seen = []
+    line_norms = ortho._line_norms
+    monkeypatch.setattr(ortho, "_line_norms", lambda *args: seen.append(1) or line_norms(*args))
+    verdict = ortho._approx_checks(xs, ys, nx, ny, 0.3, spec)[0]
+    assert verdict.all() and len(seen) == calls

@@ -139,10 +139,10 @@ STREAMS = ((SpaceSpec(1, 2, 4, 2, (1.0, 2.0, 0.5, 1.0)), 1007),
 
 def checked_streams(streams) -> list:
     """Every check result on the pairs of each (spec, xs, ys) stream, in
-    stream order, run in stacks of max(1, STACK_ENTRIES // (n d)) pairs."""
+    stream order, run in stacks of blockspace._budget_rows(n d) pairs."""
     results = []
     for spec, xs, ys in streams:
-        size = max(1, harness.STACK_ENTRIES // (spec.n * spec.d))
+        size = blockspace._budget_rows(spec.n * spec.d)
         for start in range(0, len(xs), size):
             x, y = xs[start:start + size], ys[start:start + size]
             nx, ny = ortho._norm_rows(x, spec)[1], ortho._norm_rows(y, spec)[1]
@@ -168,7 +168,7 @@ def test_golden_sections_match_the_scalar_loop_bit_for_bit(monkeypatch):
         assert got == reference
     # stacks of 499 pairs: other rows beside each row, the same results
     monkeypatch.undo()
-    monkeypatch.setattr(harness, "STACK_ENTRIES", 499 * 4 * 2)
+    monkeypatch.setattr(blockspace, "STACK_ENTRIES", 499 * 4 * 2)
     assert checked_streams(streams) == whole
 
 
@@ -315,7 +315,7 @@ def recorded_stack_sizes(monkeypatch, mode: str) -> list:
 def test_stacks_split_into_pieces_give_the_same_rows(monkeypatch):
     cfg = sweep_config("lp_sweep", 20)
     whole = run(cfg, echo=False).csv_text()
-    monkeypatch.setattr(harness, "STACK_ENTRIES", 7 * cfg.spec.n * cfg.spec.d)
+    monkeypatch.setattr(blockspace, "STACK_ENTRIES", 7 * cfg.spec.n * cfg.spec.d)
     sizes = recorded_stack_sizes(monkeypatch, "preserver-sweep")
     report = run(cfg, echo=False)
     assert sizes == stack_sizes(len(cfg.epsilons) * cfg.trials, 7)
@@ -435,7 +435,7 @@ def test_mode_rows_equal_the_per_row_pipeline(monkeypatch, mode, space):
     for key in ("pass", "fail", "boundary"):
         assert report.summary[key] == outcomes.count(key)
     # stacks of 7 rows give the same CSV
-    monkeypatch.setattr(harness, "STACK_ENTRIES", 7 * s.n * s.d)
+    monkeypatch.setattr(blockspace, "STACK_ENTRIES", 7 * s.n * s.d)
     sizes = recorded_stack_sizes(monkeypatch, mode)
     assert run(cfg, echo=False).csv_text() == report.csv_text()
     assert sizes == stack_sizes(len(cfg.epsilons or (None,)) * cfg.trials, 7)
@@ -467,7 +467,7 @@ def axioms_config():
 def test_axiom_stacks_split_into_pieces_give_the_same_rows(monkeypatch):
     cfg = axioms_config()
     whole = run(cfg, echo=False).csv_text()
-    monkeypatch.setattr(harness, "STACK_ENTRIES", 7 * cfg.spec.n * cfg.spec.d)
+    monkeypatch.setattr(blockspace, "STACK_ENTRIES", 7 * cfg.spec.n * cfg.spec.d)
     sizes = recorded_stack_sizes(monkeypatch, "axioms")
     assert run(cfg, echo=False).csv_text() == whole
     assert sizes == stack_sizes(cfg.trials, 7)
@@ -551,7 +551,7 @@ def test_a_mode_stack_raises_the_error_of_its_first_failing_row(monkeypatch, mod
     with pytest.raises(error, match=message):
         run(cfg, echo=False)
     # the same error when each row runs alone, as in a loop over the rows
-    monkeypatch.setattr(harness, "STACK_ENTRIES", 1)
+    monkeypatch.setattr(blockspace, "STACK_ENTRIES", 1)
     with pytest.raises(error, match=message):
         run(cfg, echo=False)
 
@@ -570,7 +570,7 @@ def test_a_stack_that_straddles_epsilons_gives_each_row_its_own(monkeypatch, mod
     # stacks of 4 rows: rows 4-7 hold the last row of eps 0.1 and the first
     # three of 0.3, rows 8-11 the last two of 0.3 and the first two of 0.5
     cfg = straddling_config(mode)
-    monkeypatch.setattr(harness, "STACK_ENTRIES", 4 * cfg.spec.n * cfg.spec.d)
+    monkeypatch.setattr(blockspace, "STACK_ENTRIES", 4 * cfg.spec.n * cfg.spec.d)
     sizes = recorded_stack_sizes(monkeypatch, mode)
     report = run(cfg, echo=False)
     assert sizes == [4, 4, 4, 3]
@@ -589,7 +589,7 @@ def test_a_straddling_stack_raises_the_error_of_its_first_failing_row(monkeypatc
     # row 7's error, but row 5 fails first when each row runs alone
     cfg = straddling_config("preserver-sweep")
     factors = {5: 2e153, 7: 1e200}
-    monkeypatch.setattr(harness, "STACK_ENTRIES", 4 * cfg.spec.n * cfg.spec.d)
+    monkeypatch.setattr(blockspace, "STACK_ENTRIES", 4 * cfg.spec.n * cfg.spec.d)
 
     def alone(index):
         rng = ScaledDraws(trial_rng(cfg.seed, index), factors[index])

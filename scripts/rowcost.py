@@ -4,9 +4,10 @@ time, split by stage.
     PYTHONPATH=src python scripts/rowcost.py CONFIG [--rows N] [--out PATH]
 
 CONFIG is a bjlab JSON config; its `out` is ignored.  The script runs it in
-this one process: three short warm-up runs (at most two trials each), then
-runs of the config at seeds seed, seed + 1, ... until N rows are measured
-(default: one run's rows).  Without --out nothing is written, and each run is
+this one process: three warm-up runs of as many trials as fill one stack
+(at least two, at most the config's), so the measured runs find the
+workspace at full size, then runs of the config at seeds seed, seed + 1,
+... until N rows are measured (default: one run's rows).  Without --out nothing is written, and each run is
 followed by its `RunReport.csv_text()` as `harness.run` writes it.  With
 --out every run, warm-ups included, writes its CSV to PATH through
 `harness.run`, so each measured run rewrites the file the one before it
@@ -23,7 +24,9 @@ the number of rows it minimized, so a run shows whether its config reaches
 golden section at all.  The norm kernel, `blockspace._norm_rows`, is
 counted, not timed, wherever a bjlab module refers to it, and its calls per
 run are printed under the table: a direct check's probes show there as one
-call per batch.
+call per batch.  So is this thread's workspace (`blockspace._scratch`): its
+buffer count, its size in KiB and how many buffers the measured runs grew,
+0 when the warm-ups reached the largest stack.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import resource
 import sys
 from time import perf_counter
 
-from bjlab import parse_config
+from bjlab import blockspace, parse_config
 from bjlab.harness import run
 
 STAGES = [("bjlab.preserver", "_draw_pairs"), ("bjlab.ortho", "_certified_probes"),
@@ -136,8 +139,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     with open(args.config, encoding="utf-8") as fh:
         cfg = dataclasses.replace(parse_config(fh.read()), out=args.out)
+    stack_trials = -(-blockspace._budget_rows(cfg.spec.n * cfg.spec.d)
+                     // max(1, len(cfg.epsilons)))
     for _ in range(3):
-        _run(dataclasses.replace(cfg, trials=min(cfg.trials, 2)))
+        _run(dataclasses.replace(cfg, trials=min(cfg.trials, max(2, stack_trials))))
+    workspace = vars(blockspace._WORKSPACE)
+    warm = dict(workspace)  # holds the buffers, so a replaced one is a new object
     stages = Stages()
     stages.install()
     rows, seed = 0, cfg.seed
@@ -161,6 +168,10 @@ def main(argv=None) -> int:
         print(f"{name:<20}{1e6 * wall / rows:>13.1f}{faults / rows:>12.1f}"
               f"{1e3 * sys_s / rows:>12.3f}" + "".join(f"{c:>8}" for c in counts))
     print(f"_norm_rows calls/run: {stages.norm_calls / (seed - cfg.seed):.1f}")
+    grown = sum(buf is not warm.get(name) for name, buf in workspace.items())
+    print(f"workspace: {len(workspace)} buffers, "
+          f"{sum(buf.nbytes for buf in workspace.values()) / 1024:.1f} KiB, "
+          f"{grown} grown by the measured runs")
     # ru_maxrss is in KiB on Linux: the peak includes the workspace the runs keep
     print(f"max RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MiB")
     if stages.missing:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -41,9 +40,9 @@ SQUARES_FLOOR = 2.0 ** -900  # a sum of squares below it may have lost bits to u
 # few stacks a sweep keeps live fit a core's L2 cache (see _budget_rows).
 STACK_ENTRIES = 2**15
 
-# The workspace of the run in progress in each thread (harness._trial_rows
-# lends it for a run's length), None outside a run: see _scratch.
-_RUN = threading.local()
+# Each thread's workspace: its attributes are the float64 buffers _scratch
+# hands out, each as long as the longest array asked of it in the thread.
+_WORKSPACE = threading.local()
 
 
 def _budget_rows(entries: int) -> int:
@@ -51,26 +50,12 @@ def _budget_rows(entries: int) -> int:
     return max(1, STACK_ENTRIES // entries)
 
 
-@contextmanager
-def _workspace(buffers: dict):
-    """Let _scratch in this thread hand out views of buffers (name -> 1-d
-    float64 array, replaced by a larger one when a stack outgrows it) until
-    the with block ends."""
-    _RUN.buffers = buffers
-    try:
-        yield
-    finally:
-        _RUN.buffers = None
-
-
 def _scratch(name: str, shape: tuple) -> np.ndarray:
-    """An uninitialized float64 array of shape: during a run in this thread
-    a view of the workspace's buffer `name`, valid until the next
-    _scratch(name), else a new array.  So a stack's arrays keep their pages
-    from row to row, and nothing that outlives its stack may be one."""
-    buffers = getattr(_RUN, "buffers", None)
-    if buffers is None:
-        return np.empty(shape)
+    """An uninitialized float64 array of shape, a view of this thread's buffer
+    `name` (grown when short), valid until the next _scratch(name) in the
+    thread: a stack's arrays keep their pages from row to row and run to run,
+    and no public result is one, as _as_blocks copies."""
+    buffers = vars(_WORKSPACE)
     size = math.prod(shape)
     buf = buffers.get(name)
     if buf is None or len(buf) < size:
@@ -180,8 +165,28 @@ class SpaceSpec:
         return cls(**{**data, "q": q})
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """values as a new float64 array (from bool, int, float, numeric string
+    or Fraction); ShapeMismatch if ragged, BadSpec if complex or not numeric."""
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:  # nested sequences of unequal lengths
+        raise ShapeMismatch(f"{what} is ragged: {exc}") from exc
+    # a float conversion would drop the imaginary parts
+    if arr.dtype.kind == "c" or arr.dtype == object and any(
+            isinstance(v, (complex, np.complexfloating)) for v in arr.flat):
+        raise BadSpec(f"{what} has complex entries")
+    try:  # entry by entry, as a list mixing bools and numeric strings needs
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise BadSpec(f"{what} must hold real numbers: {exc}") from exc
+
+
 def _as_blocks(blocks, what: str) -> np.ndarray:
-    arr = np.asarray(blocks, dtype=float)
+    """blocks as a new finite 2-d float64 array, a copy even of one: every
+    element and functional owns its blocks, never a view of its argument or
+    of the workspace.  Raises as _real_array, ShapeMismatch, NonFiniteValue."""
+    arr = _real_array(blocks, what)
     if arr.ndim != 2:
         raise ShapeMismatch(f"{what} must be a 2-d array of blocks, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -201,7 +206,7 @@ class _Blocks:
 
     @classmethod
     def from_lists(cls, rows):
-        return cls(np.array(rows, dtype=float))
+        return cls(rows)
 
     def to_lists(self) -> list[list[float]]:
         return self.blocks.tolist()
@@ -272,7 +277,7 @@ def check_shape(x, spec: SpaceSpec, what: str = "element") -> np.ndarray:
 
 def inner_norm(v, q: float) -> float:
     """l^q norm of a single block; q may be inf."""
-    row = _as_blocks(np.reshape(v, (1, -1)), "vector")
+    row = _as_blocks(_real_array(v, "vector").reshape(1, -1), "vector")
     if not (_is_number(q) and q >= 1.0):
         raise BadSpec(f"q must be >= 1, got {q!r}")
     return float(block_norms(row, q)[0]) if row.size else 0.0
@@ -343,7 +348,7 @@ def inner_duality_map(v, q: float) -> np.ndarray:
     Components sign(v_j)|v_j|^(q-1) / ||v||_q^(q-1); satisfies F_v.v = ||v||_q
     and ||F_v||_{q*} = 1.  Equals the gradient of the l^q norm at v.
     """
-    row = _as_blocks(np.reshape(v, (1, -1)), "vector")
+    row = _as_blocks(_real_array(v, "vector").reshape(1, -1), "vector")
     if not (_is_number(q) and q >= 1.0):
         raise BadSpec(f"q must be > 1, got {q!r}")
     if q == 1.0 or math.isinf(q):
@@ -395,13 +400,13 @@ def _dot_rows(a: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], mu)[:, 0]
 
 
-def _row_max(b: np.ndarray, reduce=np.maximum.reduce) -> np.ndarray:
-    """b.max(axis=1) of a 2-d array, or b.min with np.minimum.reduce, bit for
-    bit; rows shorter than the row count reduce as columns of a transposed
-    copy (15 us at (1365, 8), where NumPy's reduce over short rows takes 103)."""
+def _row_max(b: np.ndarray) -> np.ndarray:
+    """b.max(axis=1) of a 2-d array, bit for bit; rows shorter than the row
+    count reduce as columns of a transposed copy (15 us at (1365, 8), where
+    NumPy's reduce over short rows takes 103)."""
     if b.shape[1] < b.shape[0]:
-        return reduce(np.ascontiguousarray(b.T), axis=0)
-    return reduce(b, axis=1)
+        return np.ascontiguousarray(b.T).max(axis=0)
+    return b.max(axis=1)
 
 
 def _weighted_lp_rows(b: np.ndarray, mu: np.ndarray, p: float) -> np.ndarray:
@@ -476,8 +481,8 @@ def _duality_stack(stack: np.ndarray, b: np.ndarray, norms: np.ndarray,
     (b_i / divisor)^(p-1), F the norming functional of each block above
     DEFAULT_ZERO_TOL (relative to the row's largest block norm) and zero
     blocks elsewhere.  A row f's support functional is w[:, None] * F, and
-    [g, f] = ||f|| sum_i mu_i w_i F_i.g_i.  Raises NonFiniteValue when a
-    divisor is past the float range."""
+    [g, f] = ||f|| sum_i mu_i w_i F_i.g_i.  F is a workspace view (_scratch).
+    Raises NonFiniteValue when a divisor is past the float range."""
     if not np.isfinite(norms).all():
         raise NonFiniteValue("a norm is past the float range")
     active = _nonzero_blocks(b)
@@ -489,7 +494,7 @@ def _duality_stack(stack: np.ndarray, b: np.ndarray, norms: np.ndarray,
 def _support_stack(stack: np.ndarray, b: np.ndarray, norms: np.ndarray,
                    spec: SpaceSpec) -> np.ndarray:
     """Blocks of the support functionals w[:, None] * F (_duality_stack) of a
-    (B, n, d) stack of nonzero elements, given _norm_rows(stack)."""
+    (B, n, d) stack of nonzero elements, given _norm_rows(stack), in F's view."""
     w, F = _duality_stack(stack, b, norms, spec)
     return np.multiply(F, _repeat(w, F.shape), out=F)
 

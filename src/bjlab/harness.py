@@ -8,8 +8,8 @@ draws from its own counter-based generator (Philox keyed on (seed, row
 index)), so any row can be recomputed on its own and no row's output depends
 on the rows before it or on the stack it ran in.  `trial_rng` defines a
 row's generator and builds it for a row rerun alone; a run hashes every
-row's key at once and re-keys a pool of generators, kept from run to run,
-for each stack (`streams`), to the same state.
+row's key at once and re-keys each thread's pool of generators, kept from
+run to run, for each stack (`streams`), to the same state.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import stat
-import threading
 import time
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -31,7 +30,6 @@ from .blockspace import (
     _is_int,
     _is_number,
     _norm_rows,
-    _workspace,
     outcome,
 )
 from .errors import BjlabError, ConfigError
@@ -271,15 +269,6 @@ _STACK_FUNCTIONS = {
     "preserver-sweep": _sweep_stack,
 }
 
-# Each thread's pool of the generators that runs re-key for their stacks
-# (streams.stack_rngs), and its workspace: the stack-sized arrays that runs
-# lend to the kernels (blockspace._scratch).  Both outlive a run, so a later
-# run re-keys generators instead of building them and writes its stacks into
-# pages already in memory; each holds as much as the largest stack run so
-# far in its thread, and runs in two threads share neither.
-_GENERATORS = threading.local()
-
-
 def _trial_rows(cfg: ExperimentConfig) -> tuple[list[np.ndarray], np.ndarray]:
     """Each column's values and the outcomes, one entry per row, rows in
     order: cfg.trials per epsilon (one pass without epsilons for check-ortho
@@ -294,27 +283,24 @@ def _trial_rows(cfg: ExperimentConfig) -> tuple[list[np.ndarray], np.ndarray]:
     total = max(1, len(cfg.epsilons)) * cfg.trials
     keys = philox_keys(cfg.seed, np.arange(total, dtype=np.uint64))
     row_eps = np.repeat(cfg.epsilons, cfg.trials) if cfg.epsilons else None
-    pool = vars(_GENERATORS).setdefault("pool", [])
-    stacks = []
-    # a stack's columns are new arrays: none is a view of the workspace
-    with _workspace(vars(_GENERATORS).setdefault("workspace", {})):
-        for start in range(0, total, size):
-            indices = range(start, min(start + size, total))
-            eps = None if row_eps is None else row_eps[indices.start:indices.stop]
-            try:
-                columns, outcomes = stack_function(cfg, stack_rngs(keys, indices, pool), eps)
-            except BjlabError:
-                # no row depends on its stack: rerun the rows one at a time,
-                # from fresh generators, up to the first that fails alone
-                for i, index in enumerate(indices):
-                    stack_function(cfg, [trial_rng(cfg.seed, index)],
-                                   None if eps is None else eps[i:i + 1])
-                raise
-            for c in (*columns, outcomes):
-                if isinstance(c, np.ndarray) and len(c) != len(indices):
-                    raise ValueError(f"a column {'shorter' if len(c) < len(indices) else 'longer'}"
-                                     f" than its stack of {len(indices)} rows")
-            stacks.append((*columns, outcomes))
+    stacks = []  # a stack's columns are new arrays: the next stack reuses the workspace
+    for start in range(0, total, size):
+        indices = range(start, min(start + size, total))
+        eps = None if row_eps is None else row_eps[indices.start:indices.stop]
+        try:
+            columns, outcomes = stack_function(cfg, stack_rngs(keys, indices), eps)
+        except BjlabError:
+            # no row depends on its stack: rerun the rows one at a time,
+            # from fresh generators, up to the first that fails alone
+            for i, index in enumerate(indices):
+                stack_function(cfg, [trial_rng(cfg.seed, index)],
+                               None if eps is None else eps[i:i + 1])
+            raise
+        for c in (*columns, outcomes):
+            if isinstance(c, np.ndarray) and len(c) != len(indices):
+                raise ValueError(f"a column {'shorter' if len(c) < len(indices) else 'longer'}"
+                                 f" than its stack of {len(indices)} rows")
+        stacks.append((*columns, outcomes))
     index = np.arange(total)
     prefix = [index % cfg.trials, np.array([f"{cfg.seed}:{i}" for i in range(total)], object),
               *(np.full(total, v) for v in (s.p, s.q, s.n, s.d))]

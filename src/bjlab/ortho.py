@@ -435,11 +435,12 @@ def _certificates(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
                   ) -> tuple[np.ndarray, np.ndarray]:
     """(min_certificate_value, blocks of a T attaining it) for each pair of a
     (B, n, d) stack with nonzero x rows, given _norm_rows of the x rows and
-    the y rows' block norms.  At p = 1 the zero blocks of x take, in order,
-    clamped multiples of -sign(S) F_{y_i} until they have cancelled as much
-    of S as they can.  Raises NonFiniteValue at the first row, in row order,
-    whose S = T_x(y) is not finite (inf, or nan from opposite infinite
-    blocks), at every p."""
+    the y rows' block norms; T is a workspace view (_support_stack), valid
+    until the next call in the thread.  At p = 1 the zero blocks of x take,
+    in order, clamped multiples of -sign(S) F_{y_i} until they have
+    cancelled as much of S as they can.  Raises NonFiniteValue at the first
+    row, in row order, whose S = T_x(y) is not finite (inf, or nan from
+    opposite infinite blocks), at every p."""
     T = _support_stack(xs, bx, nx, spec)
     s = _pairing_rows(T, ys, spec)
     mcv = np.abs(s)
@@ -467,8 +468,9 @@ def _certificate_checks(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
     """certificate_check of each pair of a (B, n, d) stack with nonzero x
     rows, given _norm_rows of both stacks and eps (one float, or one per
     row), as one columnar result (verdict, margin, boundary, certificate
-    blocks).  Raises NonFiniteValue when a y row's norm is past the float
-    range, or when a certificate has an entry that is not finite."""
+    blocks, a workspace view as in _certificates).  Raises NonFiniteValue
+    when a y row's norm is past the float range, or when a certificate has
+    an entry that is not finite."""
     if not np.isfinite(ny).all():  # the margin divides by it
         raise NonFiniteValue("a norm is past the float range")
     mcv, T = _certificates(xs, ys, bx, nx, by, spec)

@@ -18,6 +18,7 @@ from .blockspace import (
     _is_number,
     _norm_arr,
     _norm_rows,
+    _real_array,
     _repeat,
     _row_max,
     _scratch,
@@ -173,7 +174,7 @@ def h_alpha_witness(alpha: float, part: AtomPartition, x0,
     """
     if not (_is_number(alpha) and np.isfinite(alpha)):
         raise BadSpec(f"alpha must be a finite number, got {alpha!r}")
-    x0 = np.asarray(x0, dtype=float)
+    x0 = _real_array(x0, "x0")
     if x0.shape != (spec.d,):
         raise BadSpec(f"x0 must be a {spec.d}-vector, got shape {x0.shape}")
     if abs(inner_norm(x0, spec.q) - 1.0) > 1e-9:
@@ -212,7 +213,7 @@ def random_element(spec: SpaceSpec, rng: np.random.Generator) -> BochnerElement:
 
 def _draw_elements(spec: SpaceSpec, rngs, count: int) -> list[np.ndarray]:
     """random_element drawn count times from each generator in turn, as
-    count (B, n, d) stacks."""
+    count (B, n, d) stacks, workspace views until the thread's next call."""
     stacks = []
     for k in range(count):
         out = _scratch(f"draw{k}", (len(rngs), spec.n, spec.d))
@@ -221,22 +222,18 @@ def _draw_elements(spec: SpaceSpec, rngs, count: int) -> list[np.ndarray]:
     return stacks
 
 
-def _max_abs(stack: np.ndarray) -> np.ndarray:
-    """The largest entry in modulus of each row of a (B, n, d) stack: its
-    max and -min, each reduced along the long axis (_row_max)."""
-    flat = stack.reshape(len(stack), -1)
-    return np.maximum(_row_max(flat), -_row_max(flat, np.minimum.reduce))
-
-
 def _collapsed(Y: np.ndarray, Z: np.ndarray, spec: SpaceSpec) -> np.ndarray:
     """not ||Y_i|| > 1e-9 ||Z_i|| for each row of two (B, n, d) stacks, as
     the norms decide it.  Most rows are decided from their largest entries,
     by mu_min^(1/p) max|v| <= ||v|| <= (sum mu)^(1/p) d^(1/q) max|v| with a
     2x slack for rounding (and a normal lower bound); only the others are
     normed."""
+    # |Y| and |Z| in the support buffer, free by now: at q = 2 "abs" is unused
+    my, mz = (_row_max(np.abs(v, out=_scratch("support", v.shape)).reshape(len(v), -1))
+              for v in (Y, Z))
     with np.errstate(over="ignore"):  # a bound past the float range decides nothing
-        low = spec.mu.min() ** (1.0 / spec.p) * _max_abs(Y)
-        high = float(spec.mu.sum()) ** (1.0 / spec.p) * spec.d ** (1.0 / spec.q) * _max_abs(Z)
+        low = spec.mu.min() ** (1.0 / spec.p) * my
+        high = float(spec.mu.sum()) ** (1.0 / spec.p) * spec.d ** (1.0 / spec.q) * mz
         kept = (low > 2e-9 * high) & (low >= 2.0 ** -1022)  # the smallest normal double
     collapsed = np.zeros(len(Y), dtype=bool)
     rows = np.flatnonzero(~kept)
@@ -248,8 +245,8 @@ def _collapsed(Y: np.ndarray, Z: np.ndarray, spec: SpaceSpec) -> np.ndarray:
 
 def _draw_pairs(spec: SpaceSpec, rngs) -> tuple[np.ndarray, np.ndarray]:
     """draw_orthogonal_pair from each generator in turn, as (B, n, d) stacks
-    of x and y.  Each row takes its draws from its own generator in the
-    order the one-pair draw takes them."""
+    of x and y, workspace views until the thread's next call.  Each row takes
+    its draws from its own generator in the order the one-pair draw does."""
     shape = (len(rngs), spec.n, spec.d)
     xs, zs, ys = _scratch("draw0", shape), _scratch("draw1", shape), _scratch("partner", shape)
     todo = np.arange(len(rngs))
@@ -340,7 +337,7 @@ class TrialRecord:
 def _preservation_stack(factors, eps, spec: SpaceSpec, rngs) -> tuple[str, tuple, tuple]:
     """The trials of preservation_trials on a stack whose rows may differ in
     operator and eps: factors is one operator's (n,) factors or a (B, n) row
-    per row, and eps is one float or one per row."""
+    per row, and eps is one float or one per row; certificates are workspace views."""
     spec.require_smooth_inner()  # the partner projection's, before any draw
     xs, ys = _draw_pairs(spec, rngs)
     route = "certificate" if spec.p == 1.0 else "sip"  # the sip criterion for p > 1
@@ -355,10 +352,12 @@ def preservation_trials(U: ScalingOperator, eps, spec: SpaceSpec,
     row's bits: the second route's name and both routes' columnar results
     (ortho._route_checks).  When trials raise, one failing row's error is
     raised, not always the first row's: the generators have been drawn from
-    and cannot be replayed.  harness.run reruns a failing stack row by row."""
+    and cannot be replayed.  harness.run reruns a failing stack row by row.
+    The certificate blocks are copied out of the workspace."""
     eps = epsilon_value(eps)
     U.check_fits(spec)
-    return _preservation_stack(U.factors, eps, spec, rngs)
+    route, direct, (*second, T) = _preservation_stack(U.factors, eps, spec, rngs)
+    return route, direct, (*second, T.copy())
 
 
 def preservation_trial(U: ScalingOperator, eps, spec: SpaceSpec,

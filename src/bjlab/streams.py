@@ -3,9 +3,14 @@ Philox key hashed at once by SeedSequence's own algorithm, and pooled
 generators re-keyed for each stack, each equal to `harness.trial_rng`'s.
 Importing this module imports numpy.random; importing bjlab does not."""
 
+import threading
+
 import numpy as np
 from numpy.random import Generator, Philox
 from numpy.random.bit_generator import ISeedSequence
+
+# Each thread's `pool` for stack_rngs, which later runs re-key, not rebuild.
+_GENERATORS = threading.local()
 
 # SeedSequence's running hash constants mod 2**32: hash call k xors constant k
 # and multiplies by constant k + 1.  hashmix calls 0-3 fill the 4-word pool,
@@ -56,9 +61,11 @@ class _Key(ISeedSequence):
         return self.key
 
 
-def stack_rngs(keys: np.ndarray, indices: range, pool: list) -> list:
-    """The pool's first len(indices) generators (it grows when short), re-keyed
-    to the start of the streams of rows `indices`, given every row's key."""
+def stack_rngs(keys: np.ndarray, indices: range) -> list:
+    """The first len(indices) generators of this thread's pool (grown when
+    short), re-keyed to the start of the streams of rows `indices`, given
+    every row's key; valid until the thread's next call."""
+    pool = vars(_GENERATORS).setdefault("pool", [])
     keys = keys[indices.start:indices.stop]
     # counter 0 and an empty buffer, as in a new Philox
     state = {"bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": None},

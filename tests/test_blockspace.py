@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from bjlab import (
+    AtomPartition,
     BadSpec,
     BlockFunctional,
     BochnerElement,
@@ -20,16 +22,17 @@ from bjlab import (
     bochner_norm,
     dual_exponent,
     functional_norm,
+    h_alpha_witness,
     inner_duality_map,
     inner_norm,
     support_functional,
     zero_set,
 )
 from bjlab.blockspace import (
+    _WORKSPACE,
     _duality_rows,
     _row_max,
     _weighted_lp_rows,
-    _workspace,
     block_norms,
 )
 from conftest import SMOOTH_QS, rng_for, spec_with_elements, specs
@@ -118,6 +121,62 @@ def test_element_rejects_non_finite_entries():
         BlockFunctional(np.zeros(3))
 
 
+def test_an_element_owns_its_blocks():
+    # construction copies, so writing to the source array afterwards
+    # changes neither an element nor a functional
+    for cls in (BochnerElement, BlockFunctional):
+        source = np.ones((2, 3))
+        f = cls(source)
+        source[0, 0] = 5.0
+        assert f.blocks.tolist() == [[1.0] * 3] * 2
+        assert not np.shares_memory(f.blocks, source)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BochnerElement(np.array([[1 + 1j, 2j]])),  # its norm is sqrt(6), not 1
+    lambda: BochnerElement.from_lists([[np.complex128(1.0), 2.0]]),
+    lambda: BlockFunctional([[1.0, 2j]]),
+    lambda: BochnerElement(np.array([[np.complex128(1j), 1.0]], dtype=object)),
+    lambda: BochnerElement.from_lists([[Fraction(1, 2), 1j]]),
+    lambda: inner_norm(np.array([3j, 4j]), 2.0),  # 5, not 0
+    lambda: inner_duality_map([1.0, 1j], 2.0),
+    lambda: h_alpha_witness(2.0, AtomPartition((0,), 2), [1 + 1j, 0.0],
+                            SpaceSpec.sequence(1, 2, 2, 2)),
+])
+def test_complex_entries_are_a_bad_spec(make):
+    with pytest.raises(BadSpec, match="^(element|functional|vector|x0) has complex entries$"):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: BochnerElement.from_lists([[1.0, 2.0], [3.0]]),
+    lambda: BlockFunctional([[1.0], [2.0, 3.0]]),
+    lambda: BochnerElement([np.ones(2), np.ones(3)]),
+    lambda: inner_norm([[1.0, 2.0], [3.0]], 2.0),
+    lambda: inner_duality_map([1.0, [2.0, 3.0]], 2.0),
+])
+def test_ragged_input_is_a_shape_mismatch(make):
+    with pytest.raises(ShapeMismatch, match="^(element|functional|vector) is ragged"):
+        make()
+
+
+@pytest.mark.parametrize("value", [[["a"]], [[object()]], {"blocks": [[1.0]]},
+                                   [[1.0, "two"]]])
+def test_non_numeric_input_is_a_bad_spec(value):
+    for make in (BochnerElement, BlockFunctional.from_lists, lambda v: inner_norm(v, 2.0),
+                 lambda v: inner_duality_map(v, 2.0)):
+        with pytest.raises(BadSpec, match="must hold real numbers"):
+            make(value)
+
+
+def test_real_input_of_every_numeric_type_converts():
+    rows = [[True, 2, 0.5], ["1.5", Fraction(1, 4), np.float32(2.0)]]
+    for cls in (BochnerElement, BlockFunctional):
+        assert cls.from_lists(rows).blocks.tolist() == [[1.0, 2.0, 0.5], [1.5, 0.25, 2.0]]
+    assert inner_norm(["3", Fraction(4), False], 2.0) == 5.0
+    np.testing.assert_allclose(inner_duality_map([np.int8(3), "4"], 2.0), [0.6, 0.8])
+
+
 def test_element_arithmetic():
     f = BochnerElement.from_lists([[1.0, -2.0], [0.5, 0.0]])
     g = BochnerElement.from_lists([[3.0, 1.0], [-1.0, 4.0]])
@@ -157,8 +216,10 @@ def test_duality_kernel_keeps_the_bits_of_the_broadcast_kernel(q):
         out = np.full(blocks.shape, np.nan)
         assert _duality_rows(blocks, q, active, norms, out) is out
         assert _same_bits(out, expected)
-    with _workspace({}):  # the workspace changes no bit either
-        assert _same_bits(block_norms(blocks, q), norms)
+    # stale workspace buffers change no bit either
+    for buf in vars(_WORKSPACE).values():
+        buf.fill(np.nan)
+    assert _same_bits(block_norms(blocks, q), norms)
 
 
 def test_element_arithmetic_past_the_float_range_raises_a_typed_error():
@@ -425,13 +486,12 @@ def test_element_serialization_extreme_doubles():
 
 @pytest.mark.parametrize("shape", [(1, 4096), (12, 4096), (150, 6), (1365, 8)])
 def test_row_max_has_the_bits_of_numpy_max_along_rows(shape):
-    # short rows are reduced as columns of a transposed copy; max and min
-    # are exact, so zeros, subnormals and inf come back as NumPy gives them
+    # short rows are reduced as columns of a transposed copy; max is exact,
+    # so zeros, subnormals and inf come back as NumPy gives them
     b = np.abs(rng_for(f"row_max_{shape}").standard_normal(shape))
     b[0] = 0.0
     b[-1, 0] = math.inf
     b[len(b) // 2, ::2] = 5e-324
-    for got, expected in ((_row_max(b), b.max(axis=1)),
-                          (_row_max(-b, np.minimum.reduce), (-b).min(axis=1))):
-        assert got.shape == expected.shape
-        assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()]
+    got, expected = _row_max(b), b.max(axis=1)
+    assert got.shape == expected.shape
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected.tolist()]

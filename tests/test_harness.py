@@ -15,6 +15,7 @@ from bjlab import (
     ConfigError,
     ExperimentConfig,
     SpaceSpec,
+    blockspace,
     parse_config,
     preservation_trial,
     run,
@@ -538,6 +539,11 @@ def test_rowcost_splits_a_small_sweep_by_stage(tmp_path, capsys):
     # the norm kernel, counted outside the stages: the draw's call, the two
     # routes' and one for all 12 probes, which this 4-row stack batches
     assert "_norm_rows calls/run: 4.0" in lines
+    # this thread's workspace, which the warm-ups grew to the runs' stack size
+    workspace = vars(blockspace._WORKSPACE)
+    assert (f"workspace: {len(workspace)} buffers, "
+            f"{sum(buf.nbytes for buf in workspace.values()) / 1024:.1f} KiB, "
+            "0 grown by the measured runs") in lines
     # the process's peak memory, beside the faults the workspace saves
     (rss,) = [re.fullmatch(r"max RSS: (\d+\.\d) MiB", line) for line in lines[2:]
               if line.startswith("max RSS")]

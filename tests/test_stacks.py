@@ -513,9 +513,9 @@ def scaled_rows(monkeypatch, factors: dict):
     factors[index]: a stack draws from the pooled generators, a rerun row
     from trial_rng."""
     stack_rngs = streams.stack_rngs
-    monkeypatch.setattr(streams, "stack_rngs", lambda keys, indices, pool: [
+    monkeypatch.setattr(streams, "stack_rngs", lambda keys, indices: [
         ScaledDraws(rng, factors[index]) if index in factors else rng
-        for index, rng in zip(indices, stack_rngs(keys, indices, pool), strict=True)])
+        for index, rng in zip(indices, stack_rngs(keys, indices), strict=True)])
     make = harness.trial_rng
     monkeypatch.setattr(harness, "trial_rng", lambda seed, index: (
         ScaledDraws(make(seed, index), factors[index]) if index in factors
@@ -681,7 +681,8 @@ def test_a_collapsed_partner_redraws_only_its_row():
         return [trial_rng(13, 0), CollapsingPartner(trial_rng(13, 1)), trial_rng(13, 2)]
 
     stack = rngs()
-    xs, ys = preserver._draw_pairs(spec, stack)
+    # copies: the one-pair draws below reuse the workspace the stack drew into
+    xs, ys = (a.copy() for a in preserver._draw_pairs(spec, stack))
     assert len(stack[1].draws) == 4  # x and z, then x and z again
     pairs = [draw_orthogonal_pair(spec, rng) for rng in rngs()]
     assert xs.tobytes() == np.stack([x.blocks for x, _ in pairs]).tobytes()

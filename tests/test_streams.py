@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import bjlab
-from bjlab import harness, parse_config, run, streams
+from bjlab import parse_config, run, streams
 from bjlab.harness import trial_rng
 from bjlab.streams import philox_keys, stack_rngs
 
@@ -49,18 +49,18 @@ def test_a_seed_wider_than_the_pool_is_an_error():
         philox_keys(2**64, np.arange(3, dtype=np.uint64))
 
 
-def test_a_pooled_generator_left_mid_buffer_is_rekeyed_to_trial_rng():
+def test_a_pooled_generator_left_mid_buffer_is_rekeyed_to_trial_rng(monkeypatch):
     seed = 2**40 + 5
     keys = philox_keys(seed, np.arange(20, dtype=np.uint64))
-    pool = []
-    first = stack_rngs(keys, range(0, 4), pool)
+    monkeypatch.setattr(streams._GENERATORS, "pool", [], raising=False)
+    first = stack_rngs(keys, range(0, 4))
     for rng in first:
         # an odd number of 32-bit draws leaves half a word behind, and the
         # normals leave the buffer part-used
         rng.integers(0, 2**32, 3, dtype=np.uint32)
         rng.standard_normal(3)
     assert first[0].bit_generator.state["has_uint32"] == 1
-    second = stack_rngs(keys, range(11, 14), pool)
+    second = stack_rngs(keys, range(11, 14))
     assert all(a is b for a, b in zip(second, first[:3]))
     for index, rng in zip(range(11, 14), second, strict=True):
         reference = trial_rng(seed, index)
@@ -69,8 +69,8 @@ def test_a_pooled_generator_left_mid_buffer_is_rekeyed_to_trial_rng():
             reference.integers(0, 2**32, 1_000, dtype=np.uint32).tolist()
         assert rng.standard_normal(1_000).tobytes() == reference.standard_normal(1_000).tobytes()
     # the pool grows for a longer stack; new generators start as trial_rng's
-    longer = stack_rngs(keys, range(14, 20), pool)
-    assert len(pool) == 6
+    longer = stack_rngs(keys, range(14, 20))
+    assert len(streams._GENERATORS.pool) == 6
     assert [plain_state(rng) for rng in longer] == [
         plain_state(trial_rng(seed, index)) for index in range(14, 20)]
 
@@ -80,7 +80,7 @@ def test_a_later_run_rekeys_the_generators_an_earlier_run_built(monkeypatch):
         return dataclasses.replace(parse_config((CONFIGS / f"{stem}.json").read_text()),
                                    trials=trials, out=None)
 
-    monkeypatch.setattr(harness._GENERATORS, "pool", [], raising=False)
+    monkeypatch.setattr(streams._GENERATORS, "pool", [], raising=False)
     run(sweep("l1_sweep", 40), echo=False)  # one stack of 200 rows
     built = []
     philox = streams.Philox
@@ -89,7 +89,7 @@ def test_a_later_run_rekeys_the_generators_an_earlier_run_built(monkeypatch):
     csv = run(later, echo=False).csv_text()
     assert built == []
     # the same CSV from a pool that starts empty
-    monkeypatch.setattr(harness._GENERATORS, "pool", [])
+    monkeypatch.setattr(streams._GENERATORS, "pool", [])
     assert run(later, echo=False).csv_text() == csv
     assert len(built) == 150
     # a run in another thread starts from its own, empty pool

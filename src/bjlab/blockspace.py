@@ -482,13 +482,17 @@ def _duality_stack(stack: np.ndarray, b: np.ndarray, norms: np.ndarray,
     DEFAULT_ZERO_TOL (relative to the row's largest block norm) and zero
     blocks elsewhere.  A row f's support functional is w[:, None] * F, and
     [g, f] = ||f|| sum_i mu_i w_i F_i.g_i.  F is a workspace view (_scratch).
-    Raises NonFiniteValue when a divisor is past the float range."""
+    Raises NonFiniteValue when a divisor or a weight is past the float range."""
     if not np.isfinite(norms).all():
         raise NonFiniteValue("a norm is past the float range")
+    with np.errstate(over="ignore"):  # an inf quotient is powered to 1 at p = 1
+        w = (b / norms[:, None]) ** (spec.p - 1.0)
+    if not np.isfinite(w).all():
+        raise NonFiniteValue("a support weight is past the float range")
     active = _nonzero_blocks(b)
     F = _duality_rows(stack.reshape(-1, spec.d), spec.q, active.ravel(), b.ravel(),
                       _scratch("support", (b.size, spec.d)))
-    return (b / norms[:, None]) ** (spec.p - 1.0), F.reshape(stack.shape)
+    return w, F.reshape(stack.shape)
 
 
 def _support_stack(stack: np.ndarray, b: np.ndarray, norms: np.ndarray,

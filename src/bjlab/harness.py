@@ -48,16 +48,6 @@ from .preserver import (
 )
 from .sip import _axiom_reports, _require_smooth_lp
 
-# The optional operand keys each mode reads.  isometry-test reads factors,
-# or epsilons and partition to build the sweep's operator.
-_MODE_KEYS = {"check-ortho": (), "check-approx": ("epsilons",),
-              "sip": ("epsilons",), "axioms": (),
-              "preserver-sweep": ("epsilons", "partition"),
-              "isometry-test": ("epsilons", "partition", "factors")}
-MODES = tuple(_MODE_KEYS)
-
-_MODES_NEEDING_EPS = ("check-approx", "sip", "preserver-sweep")
-
 # Cross-route comparisons are inconclusive within this band of the linear
 # criterion's boundary: the minimization route's margin is quadratic in the
 # distance to the boundary, so verdicts cannot be matched closer than the
@@ -117,15 +107,14 @@ class ExperimentConfig:
             operator = _value("factors", ScalingOperator, factors)
             _value("factors", operator.check_fits, self.spec)
             object.__setattr__(self, "factors", tuple(operator.factors.tolist()))
+        keys, require, _, stack = _MODES[self.mode]
         for key in ("epsilons", "partition", "factors"):
-            if getattr(self, key) and key not in _MODE_KEYS[self.mode]:
+            if getattr(self, key) and key not in keys:
                 raise ConfigError(f"{key}: not read by mode {self.mode}")
-        if self.mode in _MODES_NEEDING_EPS and not self.epsilons:
+        if stack and "epsilons" in keys and not self.epsilons:
             raise ConfigError(f"epsilons: required for mode {self.mode}")
-        if self.mode in ("sip", "axioms"):
-            _value("spec", _require_smooth_lp, self.spec)
-        elif self.mode != "isometry-test":
-            _value("spec", self.spec.require_smooth_inner)
+        if require:
+            _value("spec", require, self.spec)
         if self.mode == "isometry-test":
             if self.factors is None and not self.epsilons:
                 raise ConfigError("factors: required for isometry-test "
@@ -211,21 +200,21 @@ class RunReport:
 
 
 # A stack function measures the rows of a list of generators, one row per
-# generator, at eps: a float array of each row's epsilon, or None in the
-# modes without epsilons.  It returns their columns after the shared (trial,
-# seed, p, q, n, d) prefix, each an array of one entry per row or a value
-# every row of the run shares, and an array of their outcomes (pass | fail |
-# boundary); or it raises a failing row's error.
+# generator, at eps: each row's epsilon, 0.0 in a mode without epsilons.  It
+# returns their columns after the shared (trial, seed, p, q, n, d) prefix and
+# their outcomes (pass | fail | boundary), each an array of one entry per
+# row; or it raises a failing row's error.
 
 def _check_stack(cfg: ExperimentConfig, rngs, eps):
-    """Draw an orthogonal pair per row and check it (exactly at eps None)."""
+    """Draw an orthogonal pair per row and check it (exactly without epsilons)."""
     xs, ys = _draw_pairs(cfg.spec, rngs)
     nx, ny = _norm_rows(xs, cfg.spec)[1], _norm_rows(ys, cfg.spec)[1]
-    if eps is None:
-        verdict, margin, boundary, _ = _exact_checks(xs, ys, nx, ny, cfg.spec)
-    else:
+    if cfg.epsilons:
         verdict, margin, boundary, _ = _approx_checks(xs, ys, nx, ny, eps, cfg.spec)
-    return ((0.0 if eps is None else eps, verdict, margin, "none", "", "", boundary),
+    else:
+        verdict, margin, boundary, _ = _exact_checks(xs, ys, nx, ny, cfg.spec)
+    blank = np.full(len(eps), "")
+    return ((eps, verdict, margin, np.full(len(eps), "none"), blank, blank, boundary),
             outcome(verdict, boundary))
 
 
@@ -235,7 +224,7 @@ def _sip_stack(cfg: ExperimentConfig, rngs, eps):
     xs, ys = _draw_elements(cfg.spec, rngs, 2)
     (dv, dm, db, _), (cv, cm, cb, _) = _route_checks(xs, ys, eps, cfg.spec)
     boundary = db | cb | (np.abs(cm) < CROSS_ROUTE_BAND)
-    return (eps, dv, dm, "sip", cv, cm, boundary), outcome(dv == cv, boundary)
+    return (eps, dv, dm, np.full(len(eps), "sip"), cv, cm, boundary), outcome(dv == cv, boundary)
 
 
 def _axiom_stack(cfg: ExperimentConfig, rngs, eps):
@@ -258,55 +247,60 @@ def _sweep_stack(cfg: ExperimentConfig, rngs, eps):
     factors = np.stack([cfg._operator(e).factors for e in values.tolist()])[which]
     route, (dv, dm, db, _), (sv, sm, sb, _) = _preservation_stack(factors, eps, cfg.spec, rngs)
     boundary = db | sb
-    return (eps, dv, dm, route, sv, sm, boundary), outcome(dv & sv, boundary)
+    return (eps, dv, dm, np.full(len(eps), route), sv, sm, boundary), outcome(dv & sv, boundary)
 
 
-_STACK_FUNCTIONS = {
-    "check-ortho": _check_stack,
-    "check-approx": _check_stack,
-    "sip": _sip_stack,
-    "axioms": _axiom_stack,
-    "preserver-sweep": _sweep_stack,
+# What a mode is, as (keys, require, columns, stack): the optional operand
+# keys it reads (isometry-test reads factors, or epsilons and partition to
+# build the sweep's operator), its precondition on the space, its CSV
+# columns and the stack function that runs its rows, per epsilon if it
+# reads them (isometry-test has none).
+_SMOOTH = SpaceSpec.require_smooth_inner
+_MODES = {
+    "check-ortho": ((), _SMOOTH, TRIAL_COLUMNS, _check_stack),
+    "check-approx": (("epsilons",), _SMOOTH, TRIAL_COLUMNS, _check_stack),
+    "sip": (("epsilons",), _require_smooth_lp, TRIAL_COLUMNS, _sip_stack),
+    "axioms": ((), _require_smooth_lp, AXIOM_COLUMNS, _axiom_stack),
+    "preserver-sweep": (("epsilons", "partition"), _SMOOTH, TRIAL_COLUMNS, _sweep_stack),
+    "isometry-test": (("epsilons", "partition", "factors"), None, ISOMETRY_COLUMNS, None),
 }
+MODES = tuple(_MODES)
+
 
 def _trial_rows(cfg: ExperimentConfig) -> tuple[list[np.ndarray], np.ndarray]:
     """Each column's values and the outcomes, one entry per row, rows in
-    order: cfg.trials per epsilon (one pass without epsilons for check-ortho
-    and axioms), row k*trials + i seeded by (seed, that index).  One loop
-    runs the rows in stacks of _budget_rows(n d) rows (blockspace), a stack
-    holding the rows of one epsilon or of several.  Raises the error of the
-    first row that fails, in that order."""
+    order: cfg.trials per epsilon (one pass at 0.0 without epsilons, for
+    check-ortho and axioms), row k*trials + i seeded by (seed, that index).
+    One loop runs the rows in stacks of _budget_rows(n d) rows (blockspace),
+    a stack holding the rows of one epsilon or of several.  Raises the
+    error of the first row that fails, in that order."""
     from .streams import philox_keys, stack_rngs  # imports numpy.random; import bjlab does not
-    stack_function = _STACK_FUNCTIONS[cfg.mode]
+    *_, stack_function = _MODES[cfg.mode]
     s = cfg.spec
     size = _budget_rows(s.n * s.d)
-    total = max(1, len(cfg.epsilons)) * cfg.trials
+    row_eps = np.repeat(cfg.epsilons or (0.0,), cfg.trials)
+    total = len(row_eps)
     keys = philox_keys(cfg.seed, np.arange(total, dtype=np.uint64))
-    row_eps = np.repeat(cfg.epsilons, cfg.trials) if cfg.epsilons else None
     stacks = []  # a stack's columns are new arrays: the next stack reuses the workspace
     for start in range(0, total, size):
         indices = range(start, min(start + size, total))
-        eps = None if row_eps is None else row_eps[indices.start:indices.stop]
+        eps = row_eps[indices.start:indices.stop]
         try:
             columns, outcomes = stack_function(cfg, stack_rngs(keys, indices), eps)
         except BjlabError:
             # no row depends on its stack: rerun the rows one at a time,
             # from fresh generators, up to the first that fails alone
             for i, index in enumerate(indices):
-                stack_function(cfg, [trial_rng(cfg.seed, index)],
-                               None if eps is None else eps[i:i + 1])
+                stack_function(cfg, [trial_rng(cfg.seed, index)], eps[i:i + 1])
             raise
         for c in (*columns, outcomes):
-            if isinstance(c, np.ndarray) and len(c) != len(indices):
+            if len(c) != len(indices):
                 raise ValueError(f"a column {'shorter' if len(c) < len(indices) else 'longer'}"
                                  f" than its stack of {len(indices)} rows")
         stacks.append((*columns, outcomes))
-    index = np.arange(total)
-    prefix = [index % cfg.trials, np.array([f"{cfg.seed}:{i}" for i in range(total)], object),
+    prefix = [np.arange(total) % cfg.trials, np.array([f"{cfg.seed}:{i}" for i in range(total)], object),
               *(np.full(total, v) for v in (s.p, s.q, s.n, s.d))]
-    # a value every row shares is given once per stack
-    *columns, outcomes = (np.concatenate(c) if isinstance(c[0], np.ndarray)
-                          else np.full(total, c[0]) for c in zip(*stacks))
+    *columns, outcomes = map(np.concatenate, zip(*stacks))
     return prefix + columns, outcomes
 
 
@@ -346,11 +340,8 @@ def run(config: ExperimentConfig, echo: bool = True) -> RunReport:
     printed to stdout as a single JSON object unless echo is False.
     """
     start = time.perf_counter()
-    if config.mode == "isometry-test":
-        columns, (values, outcomes) = ISOMETRY_COLUMNS, _run_isometry_test(config)
-    else:
-        columns = AXIOM_COLUMNS if config.mode == "axioms" else TRIAL_COLUMNS
-        values, outcomes = _trial_rows(config)
+    *_, columns, stack = _MODES[config.mode]
+    values, outcomes = (_trial_rows if stack else _run_isometry_test)(config)
     counts = {key: int(np.count_nonzero(outcomes == key)) for key in ("pass", "fail", "boundary")}
     summary = {
         "mode": config.mode,

@@ -38,6 +38,7 @@ def _require_smooth_lp(spec: SpaceSpec):
     spec.require_smooth_inner()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value past the float range raises
 def semi_inner_product(f: BochnerElement, g: BochnerElement,
                        spec: SpaceSpec) -> float:
     """[f, g]; 0 when g = 0 (the definition's g = 0 branch).
@@ -49,7 +50,7 @@ def semi_inner_product(f: BochnerElement, g: BochnerElement,
     fb = check_shape(f, spec)
     W = _sip_weight_rows(check_shape(g, spec)[None], spec)[1][0]
     value = float(np.einsum("ij,ij->", W, fb))  # W = 0 at g = 0
-    if not np.isfinite(value):  # f's terms past the float range: inf, or inf - inf
+    if not np.isfinite(value):  # W's or f's terms past the float range: inf, or inf - inf
         raise NonFiniteValue("semi-inner product is past the float range")
     return value
 
@@ -97,12 +98,14 @@ def _axiom_rule(lin, hom, cs, norm_gap, scale) -> tuple[np.ndarray, np.ndarray]:
 EINSUM_BUFFER = 8192
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a term past the float range raises
 def _axiom_reports(F: np.ndarray, G: np.ndarray, H: np.ndarray, a: np.ndarray,
                    b: np.ndarray, spec: SpaceSpec) -> tuple[np.ndarray, ...]:
     """SipAxiomReport's five columns and passes() of each sample of (B, n, d)
     stacks f, g, h and (B,) scalars a, b, as (B,) arrays with the bits of the
     sample alone: one weight kernel call for all 4B elements, and each
-    pairing one einsum per EINSUM_BUFFER // (n d) rows."""
+    pairing one einsum per EINSUM_BUFFER // (n d) rows.  Raises
+    NonFiniteValue when a sample's residual or scale is not finite."""
     norms, W = _sip_weight_rows(np.concatenate((F, G, H, a[:, None, None] * G)), spec)
     w_f, w_g, w_h, w_ag = W.reshape(4, *F.shape)
     nf, ng, nh, _ = norms.reshape(4, -1)
@@ -118,11 +121,11 @@ def _axiom_reports(F: np.ndarray, G: np.ndarray, H: np.ndarray, a: np.ndarray,
     hom = np.abs(pair(w_ag, F) - a * fg)
     cs = _py_max(0.0, np.abs(fg) - nf * ng)
     norm_gap = np.abs(pair(w_f, F) - nf * nf)
-    squares = _squares(1.0 + np.abs(a) + np.abs(b))
-    if np.isinf(squares).any():
-        raise NonFiniteValue("axiom scale (1 + |a| + |b|)^2 overflowed")
-    scale = (1.0 + nf) * (1.0 + ng) * (1.0 + nh) * squares
-    return lin, hom, cs, norm_gap, scale, _axiom_rule(lin, hom, cs, norm_gap, scale)[1]
+    scale = (1.0 + nf) * (1.0 + ng) * (1.0 + nh) * _squares(1.0 + np.abs(a) + np.abs(b))
+    columns = (lin, hom, cs, norm_gap, scale)
+    if not np.isfinite(columns).all():  # inf, or NaN from inf - inf or inf * 0
+        raise NonFiniteValue("an axiom residual or the scale overflowed")
+    return *columns, _axiom_rule(*columns)[1]
 
 
 def sip_axiom_report(f: BochnerElement, g: BochnerElement, h: BochnerElement,

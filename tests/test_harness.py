@@ -21,7 +21,7 @@ from bjlab import (
     run,
 )
 from bjlab.blockspace import DEFAULT_TOL
-from bjlab.cli import main
+from bjlab.cli import build_parser, main
 from bjlab.harness import trial_rng
 
 MINIMAL = {
@@ -183,6 +183,41 @@ CASE_NUMBERS = [0, 1, *range(4, 28), *range(30, 43)]
 def test_malformed_or_unread_values_are_config_errors(mode, key, extra):
     with pytest.raises(ConfigError, match=f"^{key}: "):
         parse_config(config_text(mode, **extra))
+
+
+# README's table of optional keys: the ones each mode accepts, modes in the
+# order of MODES and of the CLI's choices
+ACCEPTED_KEYS = {
+    "check-ortho": set(),
+    "check-approx": {"epsilons"},
+    "sip": {"epsilons"},
+    "axioms": set(),
+    "preserver-sweep": {"epsilons", "partition"},
+    "isometry-test": {"epsilons", "partition", "factors"},
+}
+
+
+def test_each_mode_accepts_the_optional_keys_of_the_readme_table():
+    (choices,) = [a.choices for a in build_parser()._actions if a.dest == "mode"]
+    assert tuple(choices) == harness.MODES == tuple(ACCEPTED_KEYS)
+    values = {"epsilons": [0.5], "partition": [0], "factors": [1, 2, 1, 1]}
+    accepted = {}
+    for mode in harness.MODES:
+        accepted[mode] = set()
+        for key in values:
+            # the key, with the epsilons and partition the mode needs beside
+            # it; factors stand alone
+            extra = {key: values[key]} if key == "factors" else {
+                k: values[k] for k in ("epsilons", "partition")
+                if k == key or k in ACCEPTED_KEYS[mode]}
+            try:
+                cfg = parse_config(config_text(mode, **extra, **SMOOTH))
+            except ConfigError as exc:
+                assert str(exc) == f"{key}: not read by mode {mode}"
+            else:
+                assert getattr(cfg, key)
+                accepted[mode].add(key)
+    assert accepted == ACCEPTED_KEYS
 
 
 @pytest.mark.parametrize("value", [5, "0.1", [[0.1]]])

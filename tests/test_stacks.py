@@ -305,10 +305,10 @@ def stack_sizes(rows: int, size: int) -> list:
 def recorded_stack_sizes(monkeypatch, mode: str) -> list:
     """Patch mode's stack function to record the size of each stack."""
     sizes = []
-    stack_function = harness._STACK_FUNCTIONS[mode]
-    monkeypatch.setitem(harness._STACK_FUNCTIONS, mode,
-                        lambda cfg, rngs, eps: sizes.append(len(rngs))
-                        or stack_function(cfg, rngs, eps))
+    *row, stack_function = harness._MODES[mode]
+    monkeypatch.setitem(harness._MODES, mode,
+                        (*row, lambda cfg, rngs, eps: sizes.append(len(rngs))
+                         or stack_function(cfg, rngs, eps)))
     return sizes
 
 
@@ -645,14 +645,14 @@ def test_a_stack_that_loses_rows_is_an_error(monkeypatch):
 
 def test_a_stack_error_that_no_row_gives_alone_is_raised(monkeypatch):
     # rerun one at a time, every row passes: the stack's own error stands
-    checks = harness._STACK_FUNCTIONS["check-ortho"]
+    *row, checks = harness._MODES["check-ortho"]
 
     def fails_in_stacks(cfg, rngs, eps):
         if len(rngs) > 1:
             raise DegenerateDraw("only in a stack")
         return checks(cfg, rngs, eps)
 
-    monkeypatch.setitem(harness._STACK_FUNCTIONS, "check-ortho", fails_in_stacks)
+    monkeypatch.setitem(harness._MODES, "check-ortho", (*row, fails_in_stacks))
     with pytest.raises(DegenerateDraw, match="^only in a stack$"):
         run(mode_config("check-ortho", "B", 5), echo=False)
 

@@ -92,6 +92,11 @@ class ExperimentConfig:
     tol = DEFAULT_TOL  # every verdict's tolerance, readable but not a field a config sets
 
     def __post_init__(self):
+        if not isinstance(self.spec, SpaceSpec):  # a config's JSON object
+            object.__setattr__(self, "spec", _value("spec", SpaceSpec.from_dict, self.spec))
+        if self.partition is not None and not isinstance(self.partition, AtomPartition):
+            object.__setattr__(self, "partition", _value("partition", AtomPartition,
+                                                         self.partition, self.spec.n))
         if self.mode not in MODES:
             raise ConfigError(f"mode: must be one of {', '.join(MODES)}, got {self.mode!r}")
         if not _is_int(self.trials) or self.trials < 1:
@@ -166,11 +171,7 @@ def parse_config(text: str, mode: str | None = None) -> ExperimentConfig:
     for key in ("spec", "trials", "seed"):
         if key not in data:
             raise ConfigError(f"{key}: missing")
-
-    spec = _value("spec", SpaceSpec.from_dict, data["spec"])
-    if data.get("partition") is not None:
-        data["partition"] = _value("partition", AtomPartition, data["partition"], spec.n)
-    return ExperimentConfig(**{**data, "mode": eff_mode, "spec": spec})
+    return ExperimentConfig(**{**data, "mode": eff_mode})
 
 
 def trial_rng(seed: int, index: int) -> np.random.Generator:

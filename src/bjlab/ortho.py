@@ -67,13 +67,14 @@ GOLDEN_TOL = 1e-12
 GOLDEN_MAX_ITER = 200
 
 
+@np.errstate(over="ignore", invalid="ignore")  # once per minimization, not per step
 def minimize_convex_1d(phi, radius: float) -> tuple[float, float]:
     """Golden-section minimum of a convex phi over [-radius, radius].
 
     Returns the best (alpha, phi(alpha)) over all probe points, endpoints and
     0 included, so the reported value never exceeds any evaluated one.
     Raises NonFiniteValue at the first value that is not finite, a Python
-    float power that overflows included.
+    float power or a NumPy float that overflows included.
     """
     if not (radius > 0.0 and math.isfinite(radius)):
         raise BadSpec(f"radius must be positive and finite, got {radius}")
@@ -215,7 +216,8 @@ def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray
     GOLDEN_TOL * radius_i wide, stops shrinking (where that width underflows,
     as on a subnormal radius) or GOLDEN_MAX_ITER steps have run.  It gets
     the best (alpha, phi_i(alpha)) over those points and 0.  Raises the
-    NonFiniteValue of the first value found that is not finite.
+    NonFiniteValue of the first value found that is not finite.  Under its
+    caller's np.errstate a bracket near the float max overflows silently.
     """
     rows = np.asarray(rows, dtype=np.intp)
     live = np.arange(len(rows))  # the rows still running, in order
@@ -240,10 +242,8 @@ def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray
     a, b = -radius, radius
     f(a)
     f(b)
-    # near the float max the bracket overflows, silently as on Python floats
-    with np.errstate(over="ignore", invalid="ignore"):
-        width = b - a
-        c, d = b - _INV_PHI * width, a + _INV_PHI * width
+    width = b - a
+    c, d = b - _INV_PHI * width, a + _INV_PHI * width
     fc, fd = f(c), f(d)
     width_goal, last = GOLDEN_TOL * radius, np.full(len(rows), math.inf)
     for k in range(GOLDEN_MAX_ITER):
@@ -256,11 +256,10 @@ def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray
         # else in [c, b], whose new inner point is d
         left = fc < fd
         last = width
-        with np.errstate(over="ignore", invalid="ignore"):
-            a, b = np.where(left, a, c), np.where(left, d, b)
-            width = b - a
-            step = _INV_PHI * width
-            point = np.where(left, b - step, a + step)
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        width = b - a
+        step = _INV_PHI * width
+        point = np.where(left, b - step, a + step)
         c, d = np.where(left, point, d), np.where(left, c, point)
         # a scalar loop compares the new value at its next step, where the
         # value kept from this one can no longer win; after the last step
@@ -270,7 +269,6 @@ def _golden_sections(objective, rows, radius: np.ndarray, phi0: np.ndarray
     return best_a, best_v
 
 
-@np.errstate(over="ignore", invalid="ignore")  # once per check, not per objective call
 def _one_sided_checks(objective, radius: np.ndarray, phi0: np.ndarray,
                       at_zero: np.ndarray, level: np.ndarray, scale: np.ndarray,
                       width: int) -> tuple:
@@ -280,9 +278,9 @@ def _one_sided_checks(objective, radius: np.ndarray, phi0: np.ndarray,
     (objective as in _certified_probes), else golden section.  Returns the
     columnar result (verdict, margin, boundary, alpha*), one entry per row.
     margin = (min - at_zero)/scale is <= 0 up to rounding, so only the
-    uncertain-fail zone below the noise floor is a boundary case.  A line
-    point or value past the float range is not finite, and raises
-    NonFiniteValue (_require_finite), not numpy's warning."""
+    uncertain-fail zone below the noise floor is a boundary case.  Under the
+    caller's np.errstate a line point or value past the float range is not
+    finite, and raises NonFiniteValue (_require_finite), not numpy's warning."""
     alpha, val = _certified_probes(objective, radius, phi0, level, width)
     todo = np.flatnonzero(np.isnan(val))
     if len(todo):
@@ -298,9 +296,8 @@ def _radii(nx: np.ndarray, ny: np.ndarray) -> np.ndarray:
     y = 0, whose objective is constant (x + alpha 0 is x to the bit).  Raises
     ZeroElement at the first x = 0, or NonFiniteValue at the first radius
     that is 0 or not finite, in row order."""
-    # silent as on Python floats; the y = 0 rows, which divide by 0, take 1
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        radius = np.where(ny == 0.0, 1.0, 4.0 * nx / ny)
+    # silent under the check's errstate; the y = 0 rows, which divide by 0, take 1
+    radius = np.where(ny == 0.0, 1.0, 4.0 * nx / ny)
     failing = (nx == 0.0) | ~((0.0 < radius) & (radius < math.inf))
     if failing.any():
         i = int(np.argmax(failing))
@@ -339,6 +336,7 @@ def _squares(v: np.ndarray) -> np.ndarray:
         return np.float_power(v, 2.0)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # once per check
 def _exact_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
                   ny: np.ndarray, spec: SpaceSpec) -> tuple:
     """is_bj_orthogonal of each pair of a (B, n, d) stack, given its rows'
@@ -348,20 +346,19 @@ def _exact_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
                              (1.0 - ONE_SIDED_NOISE_FLOOR) * nx, nx, width)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # once per check
 def _approx_checks(xs: np.ndarray, ys: np.ndarray, nx: np.ndarray,
                    ny: np.ndarray, eps, spec: SpaceSpec) -> tuple:
     """is_approx_bj_orthogonal of each pair of a (B, n, d) stack, given its
     rows' norms and eps (one float, or one per row), as one columnar result
     (verdict, margin, boundary, alpha*)."""
     radius, y_zero = _radii(nx, ny), ny == 0.0
-    # silent on Python floats.  A y = 0 row's psi is 0 at every alpha and any
-    # scale of x, where evaluating can sit an ulp of ||x||^2 off 0 or
-    # overflow: it takes psi = 0 and scale 1, so its kink may be NaN
-    with np.errstate(over="ignore", invalid="ignore"):
-        nx2 = np.where(y_zero, 1.0, nx * nx)
-        kink = 2.0 * eps * nx * ny
-        # psi(0) = nx ** 2 - nx2 as evaluated: ||x + 0 y|| is ||x|| to the bit
-        psi0 = np.where(y_zero, 0.0, _squares(nx) - nx2)
+    # a y = 0 row's psi is 0 at every alpha and scale of x, where evaluating can
+    # sit an ulp of ||x||^2 off 0 or overflow: it takes psi = 0 and scale 1 (kink may be NaN)
+    nx2 = np.where(y_zero, 1.0, nx * nx)
+    kink = 2.0 * eps * nx * ny
+    # psi(0) = nx ** 2 - nx2 as evaluated: ||x + 0 y|| is ||x|| to the bit
+    psi0 = np.where(y_zero, 0.0, _squares(nx) - nx2)
     bad = ~((0.0 < nx2) & (nx2 < math.inf))  # nx * nx underflowed or overflowed
     if bad.any():
         raise NonFiniteValue(f"||x||^2 = {float(nx2[np.argmax(bad)])} is outside the float range")
@@ -431,6 +428,7 @@ def _support_operands(x: BochnerElement, y: BochnerElement, spec: SpaceSpec
     return xs, ys, *_support_norms(xs, spec)
 
 
+@np.errstate(over="ignore")  # a sum of reaches past the range is inf, and cancels all of S
 def _certificates(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
                   nx: np.ndarray, by: np.ndarray, spec: SpaceSpec
                   ) -> tuple[np.ndarray, np.ndarray]:
@@ -450,13 +448,11 @@ def _certificates(xs: np.ndarray, ys: np.ndarray, bx: np.ndarray,
     free = ~_nonzero_blocks(bx)  # x's zero blocks: T's too, every weight being 1
     for i in np.flatnonzero(free.any(axis=1)).tolist():
         f, si = free[i], float(s[i])
-        # a sum of reaches past the float range is inf, and cancels all of S
-        with np.errstate(over="ignore"):
-            c = (spec.mu * by[i])[f]  # reach of each free block
-            if not np.isfinite(c).all():
-                raise NonFiniteValue("a free block's reach is past the float range")
-            taken = np.clip(abs(si) - (np.cumsum(c) - c), 0.0, c)
-            mcv[i] = max(0.0, abs(si) - float(c.sum()))
+        c = (spec.mu * by[i])[f]  # reach of each free block
+        if not np.isfinite(c).all():
+            raise NonFiniteValue("a free block's reach is past the float range")
+        taken = np.clip(abs(si) - (np.cumsum(c) - c), 0.0, c)
+        mcv[i] = max(0.0, abs(si) - float(c.sum()))
         t = np.divide(taken, c, out=np.zeros_like(c), where=c > 0.0)
         Fy = _duality_rows(ys[i][f], spec.q, c > 0.0, by[i][f])
         T[i][f] = -np.sign(si) * t[:, None] * Fy

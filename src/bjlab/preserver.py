@@ -356,6 +356,8 @@ def preservation_trials(U: ScalingOperator, eps, spec: SpaceSpec,
     The certificate blocks are copied out of the workspace."""
     eps = epsilon_value(eps)
     U.check_fits(spec)
+    if not len(rngs):
+        raise BadSpec("need at least one generator")
     route, direct, (*second, T) = _preservation_stack(U.factors, eps, spec, rngs)
     return route, direct, (*second, T.copy())
 

@@ -12,6 +12,7 @@ import pytest
 
 import bjlab.harness as harness
 from bjlab import (
+    AtomPartition,
     ConfigError,
     ExperimentConfig,
     SpaceSpec,
@@ -546,6 +547,21 @@ def test_direct_experiment_config_validation():
     assert ExperimentConfig(mode="check-ortho", spec=spec, trials=1, seed=0).seed == 0
     with pytest.raises(ConfigError, match="mode"):
         ExperimentConfig(mode="explore", spec=spec, trials=1, seed=1)
+    # a config's JSON shapes, a spec object and a partition list, are
+    # converted as parse_config converts them, their failures config errors
+    data = {"mode": "preserver-sweep", "trials": 3, "seed": 1, "epsilons": [0.5],
+            "spec": {"p": 3, "q": 2, "n": 6, "d": 3, "weights": [1] * 6},
+            "partition": [0, 1, 2]}
+    cfg = ExperimentConfig(**data)
+    assert cfg == parse_config(json.dumps(data))
+    assert cfg.spec == SpaceSpec.sequence(3, 2, 6, 3)
+    assert cfg.partition == AtomPartition((0, 1, 2), 6)
+    assert ExperimentConfig(**{**data, "spec": cfg.spec, "partition": (0, 1, 2)}) == cfg
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(mode="check-ortho", spec=3, trials=1, seed=1)
+    assert str(err.value) == "spec: must be an object {p, q, n, d, weights}"
+    with pytest.raises(ConfigError, match="^partition: "):
+        ExperimentConfig(**{**data, "partition": [7]})
 
 
 def test_rowcost_splits_a_small_sweep_by_stage(tmp_path, capsys):

@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given
+from numpy._core import _ufunc_config
 import hypothesis.strategies as st
 
 from bjlab import blockspace, ortho
@@ -81,6 +82,19 @@ def test_minimize_convex_1d_rejects_non_finite():
         minimize_convex_1d(lambda a: math.nan, radius=1.0)
     with pytest.raises(BadSpec):
         minimize_convex_1d(lambda a: a * a, radius=0.0)
+
+
+def test_minimize_convex_1d_enters_the_error_state_once(monkeypatch):
+    # np.errstate, as a decorator or a with block, makes one extobj per
+    # entry; golden section once entered it on every step, 60 times here
+    make, entries = _ufunc_config._make_extobj, []
+    monkeypatch.setattr(_ufunc_config, "_make_extobj",
+                        lambda *args, **kwargs: entries.append(1) or make(*args, **kwargs))
+    minimize_convex_1d(lambda a: (a - 0.3) ** 2, 1.0)
+    assert len(entries) == 1
+    # phi runs under it too: a NumPy overflow is the typed error, not a warning
+    with pytest.raises(NonFiniteValue, match=r"^objective returned inf at alpha=0\.0$"):
+        minimize_convex_1d(lambda a: float(np.float64(1e200) * (1e200 + a)), 1.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -21,6 +21,7 @@ from bjlab import (
     is_approx_bj_orthogonal,
     is_scalar_multiple_of_isometry,
     preservation_trial,
+    preservation_trials,
     random_element,
     u_eps_L1,
     u_eps_l1,
@@ -32,6 +33,14 @@ from bjlab.harness import trial_rng
 from conftest import rng_for
 
 L1_SEQ3 = SpaceSpec.sequence(1, 2, 3, 2)
+
+
+def test_preservation_trials_needs_a_generator():
+    # an empty stack once raised a bare ValueError from the partner draw
+    spec = SpaceSpec.sequence(3, 2, 6, 3)
+    U = u_eps_Lp(0.5, AtomPartition((0, 1, 2), 6), spec)
+    with pytest.raises(BadSpec, match="^need at least one generator$"):
+        preservation_trials(U, 0.5, spec, [])
 
 
 def test_atom_partition_validation():

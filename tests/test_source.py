@@ -35,6 +35,37 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert [hit for path in modules + tests for hit in unused_imports(path)] == []
 
 
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def errstates_in_loops(path: Path) -> list[str]:
+    """'file:line' for each `with ....errstate(...)` block that a for, while
+    or comprehension encloses within its own function."""
+    found = []
+
+    def visit(node, looped: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            looped = False
+        if looped and isinstance(node, (ast.With, ast.AsyncWith)) and any(
+                isinstance(item.context_expr, ast.Call) and "errstate" in (
+                    getattr(item.context_expr.func, "attr", None),
+                    getattr(item.context_expr.func, "id", None))
+                for item in node.items):
+            found.append(f"{path.name}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, looped or isinstance(node, _LOOPS))
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), False)
+    return found
+
+
+def test_no_errstate_is_entered_inside_a_loop():
+    # the float-range policy is entered once at a check's or minimization's
+    # entry; golden section once re-entered it on every step
+    assert [hit for path in sorted(PACKAGE.glob("*.py")) for hit in errstates_in_loops(path)] == []
+
+
 def referenced_names(paths) -> set[str]:
     """Every name that a module among paths reads: a name, an attribute or
     an import."""
